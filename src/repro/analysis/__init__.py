@@ -1,7 +1,7 @@
 """Static analysis (``repro lint``): AST checkers proving repo invariants.
 
-The four checkers and the framework they share are documented in
-DESIGN.md §14. Entry point: :func:`repro.analysis.lint.run_lint` (wired to
+The three checkers and the framework they share are documented in
+DESIGN.md §12. Entry point: :func:`repro.analysis.lint.run_lint` (wired to
 the ``repro lint`` CLI subcommand).
 """
 

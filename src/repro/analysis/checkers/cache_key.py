@@ -52,7 +52,7 @@ RATIONALES = {
 
 
 def _field_metadata_excluded(node: ast.expr) -> bool:
-    """Does a field default expression carry ``metadata={'cache_key': False}``?"""
+    """Does a field default value carry ``metadata={'cache_key': False}``?"""
     if not (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)

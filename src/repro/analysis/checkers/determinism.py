@@ -102,11 +102,11 @@ def _call_name(file: SourceFile, node: ast.Call) -> Optional[str]:
 
 
 class _SetTracker:
-    """Statically-known set expressions within one file.
+    """Statically-known set values within one file.
 
-    Knows three shapes: literal/constructor expressions, local names
-    assigned such an expression anywhere in their function, and ``self.X``
-    attributes assigned such an expression anywhere in their class.
+    Knows three shapes: set literals and constructor calls, local names
+    assigned one anywhere in their function, and ``self.X`` attributes
+    assigned one anywhere in their class.
     """
 
     def __init__(self, tree: ast.Module) -> None:

@@ -103,7 +103,7 @@ class SourceFile:
         return self._imports
 
     def resolve_call_target(self, func: ast.expr) -> Optional[str]:
-        """Dotted origin of a call's func expression, or None.
+        """Dotted origin of a call's ``func`` node, or None.
 
         ``time.perf_counter()`` -> "time.perf_counter" (via the import map),
         ``perf_counter()`` after ``from time import perf_counter`` -> same.
@@ -218,17 +218,18 @@ def const_str_elements(node: ast.expr) -> Optional[List[Tuple[str, int]]]:
     """``(value, lineno)`` pairs of a literal collection of strings.
 
     Understands set/tuple/list literals and ``frozenset({...})`` /
-    ``frozenset((...))`` / ``set([...])`` calls. Returns None when the node
-    is not such a literal (or holds non-string elements).
+    ``frozenset((...))`` / ``set([...])`` / empty ``frozenset()`` calls.
+    Returns None when the node is not such a literal (or holds non-string
+    elements).
     """
     if isinstance(node, ast.Call):
         if (
             isinstance(node.func, ast.Name)
             and node.func.id in ("frozenset", "set")
-            and len(node.args) == 1
+            and len(node.args) <= 1
             and not node.keywords
         ):
-            return const_str_elements(node.args[0])
+            return const_str_elements(node.args[0]) if node.args else []
         return None
     if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
         out = []

@@ -202,14 +202,9 @@ def compare_figures_to_baseline(
 ) -> List[str]:
     """Return regression messages for the per-figure gate.
 
-    ``figures`` maps panel name to measured ``normalized_cost`` (wall time ×
-    calibration throughput — machine-independent work units) for the
-    train+express fast path, ``normalized_cost_no_express`` for trains
-    without the express lane, ``normalized_cost_legacy`` for the per-event
-    pipeline, and ``events_reduction`` (fractional drop in engine events
-    fired, fast path vs legacy). Cost ceilings get ``tolerance`` headroom;
-    the event-count reduction is a structural property of the simulation
-    and is enforced exactly.
+    ``figures`` maps panel name to its measured ``normalized_cost`` (wall
+    time × calibration throughput — machine-independent work units). The
+    baseline's ``max_normalized_cost`` ceilings get ``tolerance`` headroom.
     """
     failures = []
     for name, floor in baseline_figures.items():
@@ -217,24 +212,13 @@ def compare_figures_to_baseline(
         if row is None:
             failures.append(f"{name}: gated figure was not measured")
             continue
-        min_reduction = floor.get("min_events_reduction")
-        if min_reduction is not None and row["events_reduction"] < min_reduction:
+        ceiling = floor.get("max_normalized_cost")
+        if not ceiling:
+            continue
+        now = row["normalized_cost"]
+        if now > ceiling * (1.0 + tolerance):
             failures.append(
-                f"{name}: events_reduction {row['events_reduction']:.1%} is "
-                f"below the required {min_reduction:.0%}"
+                f"{name}: normalized_cost {now:,.0f} is {now / ceiling - 1:.1%} "
+                f"above baseline {ceiling:,.0f} (tolerance {tolerance:.0%})"
             )
-        for key in (
-            "normalized_cost",
-            "normalized_cost_no_express",
-            "normalized_cost_legacy",
-        ):
-            ceiling = floor.get(f"max_{key}")
-            if not ceiling:
-                continue
-            now = row[key]
-            if now > ceiling * (1.0 + tolerance):
-                failures.append(
-                    f"{name}: {key} {now:,.0f} is {now / ceiling - 1:.1%} above "
-                    f"baseline {ceiling:,.0f} (tolerance {tolerance:.0%})"
-                )
     return failures

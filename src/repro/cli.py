@@ -67,14 +67,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         help="run the conservation auditor on every experiment "
                         "(byte/cycle/event accounting; implies --no-cache; "
                         "exits non-zero on violations)")
-    parser.add_argument("--no-train", action="store_true",
-                        help="disable the frame-train wire fast path and "
-                        "replay the wire with per-batch engine events "
-                        "(byte-identical results, more events)")
-    parser.add_argument("--no-express", action="store_true",
-                        help="disable the steady-state express lane and "
-                        "schedule CPU completions / TCP timers as plain "
-                        "wheel events (byte-identical results, more events)")
 
 
 def _runner_settings(args: argparse.Namespace):
@@ -148,18 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("name", help="e.g. fig3a, fig8c, table1")
     audit.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
                        help="worker processes (0 = one per CPU; default 1)")
-    audit.add_argument("--no-train", action="store_true",
-                       help="audit the legacy per-event wire path instead of "
-                       "the frame-train fast path")
-    audit.add_argument("--no-express", action="store_true",
-                       help="audit with the steady-state express lane off")
 
     bench = sub.add_parser(
         "bench",
         help="record a BENCH_<stamp>.json perf snapshot (also appended to "
         "BENCH_HISTORY.jsonl): engine micro-benchmarks plus per-figure wall "
-        "times and event counts, each figure timed on the fast path "
-        "(frame trains + express lane) and on the legacy per-event path",
+        "times and event counts",
     )
     bench.add_argument("--figures", default="fig3a,fig9a", metavar="NAMES",
                        help="comma-separated panel names to time "
@@ -173,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the repro static-analysis checkers (determinism, "
-        "cache-key completeness, express-lane purity, slots discipline) "
+        "cache-key completeness, slots discipline) "
         "over src/repro; exits non-zero on new findings or stale baseline "
         "entries",
     )
@@ -226,8 +212,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         workload=WorkloadConfig(
             rpc_size_bytes=kb(args.rpc_kb), num_rpc_flows=args.rpc_flows
         ),
-        frame_trains=not args.no_train,
-        express=not args.no_express,
     )
 
 
@@ -270,8 +254,7 @@ def _audit_exit_code(report) -> int:
     return 1 if report is not None and not report.ok else 0
 
 
-def _run_panel(name: str, jobs, cache, audit: bool, frame_trains: bool = True,
-               trace: bool = False, express: bool = True):
+def _run_panel(name: str, jobs, cache, audit: bool, trace: bool = False):
     """Run one figure panel under the given runner settings.
 
     Returns ``(table, merged_audit_report)``; the report is ``None`` when
@@ -283,10 +266,7 @@ def _run_panel(name: str, jobs, cache, audit: bool, frame_trains: bool = True,
     from .trace import TraceReport
 
     generator = _panel_registry()[name]
-    figures_base.configure(
-        jobs=jobs, cache=cache, audit=audit, frame_trains=frame_trains,
-        trace=trace, express=express,
-    )
+    figures_base.configure(jobs=jobs, cache=cache, audit=audit, trace=trace)
     figures_base.STATS.reset()
     try:
         table = generator()
@@ -304,10 +284,7 @@ def _run_panel(name: str, jobs, cache, audit: bool, frame_trains: bool = True,
 def cmd_figure(args: argparse.Namespace) -> int:
     jobs, cache, audit = _runner_settings(args)
     try:
-        table, report = _run_panel(
-            args.name, jobs, cache, audit, frame_trains=not args.no_train,
-            express=not args.no_express,
-        )
+        table, report = _run_panel(args.name, jobs, cache, audit)
     except KeyError:
         print(f"unknown panel {args.name!r}; try `python -m repro list`",
               file=sys.stderr)
@@ -332,9 +309,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     jobs, cache, audit = _runner_settings(args)
     try:
         table, report, trace_report = _run_panel(
-            args.name, jobs, cache, audit,
-            frame_trains=not args.no_train, trace=True,
-            express=not args.no_express,
+            args.name, jobs, cache, audit, trace=True
         )
     except KeyError:
         print(f"unknown panel {args.name!r}; try `python -m repro list`",
@@ -373,10 +348,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     jobs = None if args.jobs == 0 else args.jobs
     try:
-        _, report = _run_panel(
-            args.name, jobs, None, True, frame_trains=not args.no_train,
-            express=not args.no_express,
-        )
+        _, report = _run_panel(args.name, jobs, None, True)
     except KeyError:
         print(f"unknown panel {args.name!r}; try `python -m repro list`",
               file=sys.stderr)
@@ -406,7 +378,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("engine micro-benchmarks...", file=sys.stderr)
     engine = bench.engine_metrics(repeat=args.repeat)
 
-    def _time_panel(name: str, frame_trains: bool, express: bool) -> dict:
+    def _time_panel(name: str) -> dict:
         """Best-of-N wall time plus engine event counts for one panel.
 
         The workload is deterministic, so the event counters are identical
@@ -419,8 +391,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             figures_base.STATS.reset()
             # repro-lint: allow[det-wallclock] bench measures host wall time
             start = time.perf_counter()
-            _run_panel(name, jobs=1, cache=None, audit=False,
-                       frame_trains=frame_trains, express=express)
+            _run_panel(name, jobs=1, cache=None, audit=False)
             wall = time.perf_counter() - start  # repro-lint: allow[det-wallclock] bench measures host wall time
             if wall < best_wall:
                 best_wall = wall
@@ -430,26 +401,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "experiments_run": stats.experiments_run,
             "events_fired": stats.events_fired,
             "events_cancelled": stats.events_cancelled,
-            "express_fired": stats.express_fired,
         }
 
     figures = {}
     for name in names:
         print(f"timing {name}...", file=sys.stderr)
-        row = _time_panel(name, frame_trains=True, express=True)
-        print(f"timing {name} (--no-train --no-express legacy)...",
-              file=sys.stderr)
-        legacy = _time_panel(name, frame_trains=False, express=False)
-        row["legacy"] = {
-            "wall_seconds": legacy["wall_seconds"],
-            "events_fired": legacy["events_fired"],
-            "events_cancelled": legacy["events_cancelled"],
-        }
-        if legacy["events_fired"]:
-            row["events_reduction"] = (
-                1.0 - row["events_fired"] / legacy["events_fired"]
-            )
-        figures[name] = row
+        figures[name] = _time_panel(name)
 
     doc = bench.snapshot(figures, engine)
     path = bench.write_snapshot(doc, args.out)
@@ -461,15 +418,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"{engine['cancel_churn_normalized']:.3f})"
     )
     for name, row in figures.items():
-        line = (f"{name}: {row['wall_seconds']:.3f}s wall, "
-                f"{row['experiments_run']} experiments, "
-                f"{row['events_fired']:,} events "
-                f"(+{row['express_fired']:,} express)")
-        if "events_reduction" in row:
-            line += (f" ({row['events_reduction']:.0%} fewer than legacy's "
-                     f"{row['legacy']['events_fired']:,} in "
-                     f"{row['legacy']['wall_seconds']:.3f}s)")
-        print(line)
+        print(f"{name}: {row['wall_seconds']:.3f}s wall, "
+              f"{row['experiments_run']} experiments, "
+              f"{row['events_fired']:,} events")
     return 0
 
 

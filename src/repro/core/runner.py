@@ -9,6 +9,10 @@ Workers ship results back as :func:`result_to_dict` payloads and the parent
 rebuilds them with :func:`result_from_dict` — the same lossless round-trip
 the on-disk cache uses — so in-process, worker-process, and cache-served
 results are byte-identical by construction.
+
+Each result is cached the moment it arrives, so a config that raises costs
+only its own experiment: the rest of the batch still runs and is cached, and
+:class:`RunManyError` then names every failing config by cache key.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import gc
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..config import ExperimentConfig
-from .cache import ResultCache
+from .cache import ResultCache, config_cache_key
 from .experiment import Experiment
 from .export import result_from_dict, result_to_dict
 from .results import ExperimentResult
@@ -34,12 +38,9 @@ class RunnerStats:
     cache_hits: int = 0
     cache_misses: int = 0
     #: Engine events fired / cancelled, summed over every experiment actually
-    #: simulated (cache hits contribute nothing — no engine ran). The bench
-    #: harness reads these to track the frame-train event-count savings.
+    #: simulated (cache hits contribute nothing — no engine ran).
     events_fired: int = 0
     events_cancelled: int = 0
-    #: Express-lane dispatches (off-wheel), same summation rules.
-    express_fired: int = 0
 
     def reset(self) -> None:
         self.experiments_run = 0
@@ -47,7 +48,23 @@ class RunnerStats:
         self.cache_misses = 0
         self.events_fired = 0
         self.events_cancelled = 0
-        self.express_fired = 0
+
+
+class RunManyError(RuntimeError):
+    """One or more configs of a :func:`run_many` batch raised.
+
+    Raised after every other config has run and been cached. ``failures``
+    holds ``(cache key, exception)`` pairs in input order; the first
+    exception is also chained as ``__cause__``.
+    """
+
+    def __init__(self, failures: List[Tuple[str, BaseException]]) -> None:
+        self.failures = failures
+        lines = [f"{len(failures)} experiment(s) failed:"]
+        lines.extend(
+            f"  {key}: {type(exc).__name__}: {exc}" for key, exc in failures
+        )
+        super().__init__("\n".join(lines))
 
 
 #: Payload side-channel key carrying per-run engine statistics from workers.
@@ -81,7 +98,6 @@ def _execute(config: ExperimentConfig, audit: bool = False) -> dict:
     payload[_ENGINE_STATS_KEY] = {
         "events_fired": experiment.engine.events_fired,
         "events_cancelled": experiment.engine.events_cancelled,
-        "express_fired": experiment.engine.express_fired,
     }
     return payload
 
@@ -106,7 +122,12 @@ def run_many(
 
     ``jobs=1`` runs in-process (no pool spawn cost); ``jobs=N`` uses up to N
     worker processes; ``jobs=None`` uses one per CPU. With a ``cache``, hits
-    skip simulation entirely and fresh results are persisted for next time.
+    skip simulation entirely and fresh results are persisted as each one
+    completes.
+
+    A config that raises does not stop the batch: every other config still
+    runs and is cached, then :class:`RunManyError` names each failing config
+    by cache key.
 
     ``audit=True`` runs every experiment with the conservation auditor and
     disables the cache for the batch — cached entries were produced by
@@ -133,26 +154,49 @@ def run_many(
     else:
         miss_indices = list(range(len(configs)))
 
-    miss_configs = [configs[index] for index in miss_indices]
-    execute = partial(_execute, audit=audit)
-    if len(miss_configs) > 1 and jobs > 1:
-        # imported here so single-job runs skip the multiprocessing machinery
-        from concurrent.futures import ProcessPoolExecutor
+    failures: List[Tuple[int, BaseException]] = []
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(miss_configs))) as pool:
-            payloads = list(pool.map(execute, miss_configs))
-    else:
-        payloads = [execute(config) for config in miss_configs]
-    stats.experiments_run += len(miss_configs)
-
-    for index, payload in zip(miss_indices, payloads):
+    def collect(index: int, payload: dict) -> None:
         engine_stats = payload.pop(_ENGINE_STATS_KEY, None)
         if engine_stats is not None:
             stats.events_fired += engine_stats["events_fired"]
             stats.events_cancelled += engine_stats["events_cancelled"]
-            stats.express_fired += engine_stats.get("express_fired", 0)
         result = result_from_dict(payload)
         if cache is not None:
             cache.put(configs[index], result)
         results[index] = result
+
+    execute = partial(_execute, audit=audit)
+    if len(miss_indices) > 1 and jobs > 1:
+        # imported here so single-job runs skip the multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(miss_indices))) as pool:
+            futures = {
+                pool.submit(execute, configs[index]): index for index in miss_indices
+            }
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    payload = future.result()
+                except Exception as exc:  # one failing config fails only itself
+                    failures.append((index, exc))
+                else:
+                    collect(index, payload)
+    else:
+        for index in miss_indices:
+            try:
+                payload = execute(configs[index])
+            except Exception as exc:  # one failing config fails only itself
+                failures.append((index, exc))
+            else:
+                collect(index, payload)
+    stats.experiments_run += len(miss_indices)
+
+    if failures:
+        failures.sort(key=lambda failure: failure[0])
+        error = RunManyError(
+            [(config_cache_key(configs[index]), exc) for index, exc in failures]
+        )
+        raise error from failures[0][1]
     return results  # type: ignore[return-value]  # every slot is filled above

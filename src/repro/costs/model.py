@@ -117,7 +117,7 @@ class CostTables:
     same small ``(op, cycles)`` lists — recomputing the same float products —
     for every skb. These tables compute each distinct batch exactly once and
     hand out shared immutable tuples. Every cached value is produced by the
-    *same arithmetic expression on the same inputs* as the inline code it
+    *same arithmetic on the same inputs* as the inline code it
     replaces, so charges are bit-identical and the golden digests hold.
 
     Callers must only ``extend``/iterate the returned tuples, never mutate.

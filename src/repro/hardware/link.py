@@ -112,36 +112,26 @@ class Link:
         self.frames_delivered = 0
         self.bytes_delivered = 0
 
-    def backlog_bytes_at(self, vt: int) -> int:
-        """Bytes queued for serialization as seen at virtual time ``vt``."""
-        pending_ns = max(0, self._free_at - vt)
-        return int(pending_ns * self.bandwidth_bps / 8e9)
-
     def backlog_bytes(self) -> int:
         """Bytes queued for serialization right now (virtual-output queue)."""
-        return self.backlog_bytes_at(self.engine.now)
+        pending_ns = max(0, self._free_at - self.engine.now)
+        return int(pending_ns * self.bandwidth_bps / 8e9)
 
-    def serialize_at(
-        self, frames: Sequence[Frame], vt: int
-    ) -> "tuple[List[Frame], int, int]":
-        """Serialize ``frames`` starting no earlier than virtual time ``vt``.
+    def _serialize(self, frames: Sequence[Frame]) -> "tuple[List[Frame], int, int]":
+        """Serialize ``frames`` starting no earlier than now.
 
         Returns ``(survivors, survivor_bytes, finish_t)`` where ``finish_t``
         is when the last frame leaves the wire. Updates the sent / dropped /
         marked counters and advances ``_free_at``, drawing switch loss and
-        ECN decisions in frame order — but does *not* touch the in-flight
-        counters or schedule delivery; the caller owns arrival. The legacy
-        :meth:`transmit` and the frame-train pipeline (which replays deferred
-        drains at their original virtual times) both funnel through here so
-        the two paths consume the loss RNG stream identically.
+        ECN decisions in frame order.
         """
+        vt = self.engine.now
         t = max(vt, self._free_at)
         bandwidth = self.bandwidth_bps
         drop = self.has_switch and self.loss_rate > 0
         mark = self.has_switch and self.ecn_threshold_bytes > 0
-        # Tracing stamps use the running per-frame finish time ``t``, never
-        # ``engine.now``: the train pipeline replays deferred drains here
-        # after the instant they model, and ``t`` is the virtual truth.
+        # Tracing stamps use the running per-frame finish time ``t``: each
+        # frame leaves the wire when its own serialization ends.
         trace = self.trace
         wire_record = trace.stage("tx_wire").record if trace is not None else None
         tt_cache = self._tt_cache
@@ -219,7 +209,7 @@ class Link:
         """
         if not frames:
             return
-        delivered, delivered_bytes, t = self.serialize_at(frames, self.engine.now)
+        delivered, delivered_bytes, t = self._serialize(frames)
         if delivered:
             self.frames_in_flight += len(delivered)
             self.bytes_in_flight += delivered_bytes

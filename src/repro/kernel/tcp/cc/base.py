@@ -51,19 +51,6 @@ class CongestionController:
         """Pacing rate in bits/sec (only meaningful when ``uses_pacing``)."""
         raise NotImplementedError
 
-    def quiescent(self) -> bool:
-        """True when the window is in steady ACK-clocked growth/hold.
-
-        Consulted by the flow express gate (:mod:`repro.kernel.tcp.express`):
-        quiescent flows may route their retransmission timer through the
-        engine's lazy express lane instead of eagerly re-arming a wheel event
-        per ACK. Purely a fast-path heuristic — both timer mechanics are
-        byte-identical — so algorithms should return False whenever their
-        window is mid-reaction and timer churn is likely (recovery, ECN
-        backoff, probing), where eager re-arms are cheap anyway.
-        """
-        return not self.in_recovery
-
     # --- helpers ------------------------------------------------------------------
 
     @property

@@ -115,11 +115,3 @@ class BbrCC(CongestionController):
     def pacing_rate_bps(self) -> float:
         gain = STARTUP_GAIN if self._in_startup else PROBE_GAINS[self._cycle_index]
         return max(1e6, gain * self.btl_bw_bps)
-
-    def quiescent(self) -> bool:
-        # Startup doubles the rate every round and ProbeBW's up/down gains
-        # swing inflight around the BDP — only the cruise phase of the gain
-        # cycle holds the window steady enough to call the flow quiescent.
-        if self._in_startup or self.in_recovery:
-            return False
-        return PROBE_GAINS[self._cycle_index] == 1.0

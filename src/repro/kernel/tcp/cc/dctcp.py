@@ -61,8 +61,3 @@ class DctcpCC(CongestionController):
         self.cwnd_bytes = min(self.cwnd_bytes, self.ssthresh_bytes)
         self.in_recovery = True
         self._clamp()
-
-    def quiescent(self) -> bool:
-        # ECN marks in the open observation window mean a proportional
-        # window cut is coming when it closes — not steady state yet.
-        return not self.in_recovery and self._marked_bytes_window == 0

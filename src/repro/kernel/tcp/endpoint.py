@@ -19,7 +19,6 @@ app, thread wakeups) happen when the corresponding CPU job completes.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
@@ -37,7 +36,6 @@ from ..skb import Skb
 from ..socket import Socket
 from .ack import AckInfo
 from .cc import make_congestion_controller
-from .express import FlowExpressGate
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...hardware.cpu import Core
@@ -140,20 +138,6 @@ class TcpEndpoint:
         self.rttvar_ns = 0.0
         self._rto_event = None
         self._rto_backoff = 1
-        # --- lazy RTO (express lane, DESIGN.md §13) ------------------------
-        #: Per-flow quiescence gate deciding eager vs lazy RTO mechanics.
-        self.express_gate = FlowExpressGate(self, self.engine.express_enabled)
-        #: Logical retransmission deadline (lazy mode), or None when no
-        #: timer is pending. The wheel holds no event for it; at most a few
-        #: off-wheel chase entries (``_rto_out``) track it.
-        self._rto_deadline: Optional[int] = None
-        #: Engine serial reserved by the most recent arm — the position the
-        #: eager wheel event would have occupied in same-instant ordering.
-        self._rto_serial = 0
-        self._rto_inserted_at = 0
-        #: Sorted virtual times of outstanding chase entries (strictly
-        #: decreasing-min pushes keep them distinct; earliest fires first).
-        self._rto_out: List[int] = []
         self._probe_event = None
         self._pacer_event = None
         self.retransmits = 0
@@ -340,8 +324,7 @@ class TcpEndpoint:
         def done() -> None:
             self._tx_active = False
             if xmit_record is not None:
-                # Job completions fire at the legacy event time in both wire
-                # modes, so engine.now is the NIC-doorbell instant.
+                # This job's completion is the NIC-doorbell instant.
                 xmit_record(self.engine.now - submit_now)
             self.host.nic.transmit(frames)
             self._arm_rto()
@@ -604,45 +587,13 @@ class TcpEndpoint:
         return min(TCP_MAX_RTO_NS, rto)
 
     def _arm_rto(self) -> None:
-        """(Re)arm the retransmission timer for the current send state.
-
-        Two byte-identical mechanics, chosen per arm by the express gate:
-
-        * eager (legacy / perturbed flows): cancel the old wheel event,
-          schedule a fresh one. Steady bulk flows do this once per ACK and
-          the timer virtually never fires — pure wheel churn.
-        * lazy (quiescent flows): record the logical deadline, reserve the
-          engine serial the eager ``schedule`` would have consumed (so any
-          real timeout interleaves identically), and keep at most one live
-          express-lane entry chasing the deadline. Entries whose deadline
-          has since receded fire as no-ops and re-chase.
-        """
-        if not self.segments:
-            self._cancel_rto()
-            return
-        engine = self.engine
-        if not self.express_gate.quiescent():
-            self._rto_deadline = None  # abort lazy mode; chases go stale
-            self._cancel_rto_event()
-            self._rto_event = engine.schedule(self._current_rto(), self._rto_fire)
-            return
-        self._cancel_rto_event()
-        self._rto_serial = serial = engine.reserve_serial()
-        self._rto_inserted_at = now = engine.now
-        self._rto_deadline = deadline = now + self._current_rto()
-        out = self._rto_out
-        if not out or out[0] > deadline:
-            engine.express_at(
-                deadline, self._rto_express_fire, serial,
-                serial=serial, inserted_at=now,
-            )
-            insort(out, deadline)
+        """(Re)arm the retransmission timer for the current send state:
+        cancel the old wheel event and schedule a fresh one."""
+        self._cancel_rto()
+        if self.segments:
+            self._rto_event = self.engine.schedule(self._current_rto(), self._rto_fire)
 
     def _cancel_rto(self) -> None:
-        self._rto_deadline = None
-        self._cancel_rto_event()
-
-    def _cancel_rto_event(self) -> None:
         if self._rto_event is not None:
             self._rto_event.cancel()
             self._rto_event = None
@@ -651,40 +602,6 @@ class TcpEndpoint:
         self._rto_event = None
         if not self.segments:
             return
-        self._rto_timeout_body()
-
-    def _rto_express_fire(self, serial: int) -> None:
-        """One chase entry reached its virtual time.
-
-        Chase entries cannot be cancelled, so each fire classifies itself
-        against the endpoint's logical timer state: the entry carrying the
-        serial of the *last* arm at an unmoved deadline is the real timeout;
-        everything else is a stale no-op that re-chases if nothing closer to
-        the current deadline is still outstanding.
-        """
-        del self._rto_out[0]  # entries fire earliest-first (distinct times)
-        deadline = self._rto_deadline
-        if deadline is None:
-            return  # timer cancelled (queue drained) or flow went eager
-        if serial == self._rto_serial:
-            # Serial unchanged since this entry was pushed, so the deadline
-            # is unchanged too and has just arrived: genuine timeout.
-            if self.segments:
-                self._rto_timeout_body()
-            return
-        if deadline <= self.engine.now:
-            # The real timeout already fired this instant (its entry sorts
-            # first); the retransmit completion re-arms and re-chases.
-            return
-        out = self._rto_out
-        if not out or out[0] > deadline:
-            self.engine.express_at(
-                deadline, self._rto_express_fire, self._rto_serial,
-                serial=self._rto_serial, inserted_at=self._rto_inserted_at,
-            )
-            insort(out, deadline)
-
-    def _rto_timeout_body(self) -> None:
         self.timeouts += 1
         self.cc.on_timeout(self.engine.now)
         self._rto_backoff = min(8, self._rto_backoff * 2)
@@ -843,7 +760,7 @@ class TcpEndpoint:
         self.rx_limbo_bytes -= skb.payload_bytes
         if self.trace is not None:
             # Socket-enqueue stamp (read back at drain in do_recv). Runs in
-            # a job completion, so engine.now is exact in both wire modes.
+            # a job completion, so engine.now is the enqueue instant.
             skb.trace_ns = self.engine.now
         self.socket.enqueue(skb)
         waiter = self.socket.waiter
@@ -1036,10 +953,6 @@ class TcpEndpoint:
         nic = self.host.nic
         local_cache = self.app_core.numa_node == nic.numa_node
         dca = nic.dca
-        if dca is not None and nic.rx_pipeline is not None:
-            # Settle pending DMA writes before reading slice occupancy.
-            engine = self.host.engine
-            nic.rx_pipeline.settle(engine.now, cur_ins=engine.current_inserted_at)
         regions = skb.regions
         taken = 0
         dca_consume = dca.consume if dca is not None else None

@@ -27,20 +27,6 @@ are recycled through a freelist. An event is only recycled when the engine
 holds the sole remaining references (checked via ``sys.getrefcount``), so a
 caller-retained handle can never alias a recycled event — ``cancel()`` on a
 spent handle stays a guaranteed no-op.
-
-The steady-state **express lane** (DESIGN.md §13) is a deadline-sorted side
-heap one notch above the wheel: work whose firing time and order are fully
-known at registration (CPU job completions, chased timer deadlines) can be
-registered with :meth:`Engine.express_at` and is dispatched straight off the
-heap root — no :class:`Event` object, no wheel insert, no block drain. A
-whole quiescent ACK-clocked round (tx completion → wire train → NAPI poll →
-ACK processing → next burst) rides the lane as a chain of such entries, so
-the wheel fires roughly one event per round instead of one per job. Ordering
-stays byte-identical to the wheel path: every schedule — wheel or express —
-draws a ticket from one global serial counter, and whenever an express entry
-shares a 256 ns block with pending wheel events it is *materialized* into
-that block as a real event carrying its original serial, so the block drain
-interleaves the two populations in exact legacy order.
 """
 
 from __future__ import annotations
@@ -80,9 +66,6 @@ _FREELIST_MAX = 4096
 #: Sentinel for "run with no time bound" (compares greater than any int).
 _NO_LIMIT = float("inf")
 
-#: Offset from a block's start to its last covered timestamp.
-_BLOCK_MASK = (1 << _PRE_SHIFT) - 1
-
 #: Spans covered by levels 0..3 relative to the cursor, used to pick the
 #: insertion level from ``time ^ cursor`` (equal upper bits ⇒ same window).
 _SPAN_L0 = 1 << (_PRE_SHIFT + _WHEEL_BITS)
@@ -90,13 +73,11 @@ _SPAN_L1 = 1 << (_PRE_SHIFT + 2 * _WHEEL_BITS)
 _SPAN_L2 = 1 << (_PRE_SHIFT + 3 * _WHEEL_BITS)
 _SPAN_L3 = 1 << (_PRE_SHIFT + 4 * _WHEEL_BITS)
 
-#: Sort keys for draining a block. Buckets are appended in ticket order
-#: (every scheduled event carries a serial from the global counter), so the
-#: common case needs only a *stable* sort on time — the cheap single-field
-#: key — to recover exact (time, serial) order. The two-field key (which
-#: builds a tuple per element, ~8x the sort cost) is reserved for blocks
-#: that received materialized express entries, which splice in out of
-#: append order.
+#: Sort keys. Buckets are appended in ticket order (every scheduled event
+#: carries a serial from the global counter), so draining a block needs only
+#: a *stable* sort on time — the cheap single-field key — to recover exact
+#: (time, serial) order. The two-field key places an event scheduled into
+#: the block that is being drained.
 _TIME_KEY = attrgetter("time")
 _ORDER_KEY = attrgetter("time", "seq")
 
@@ -104,16 +85,7 @@ _ORDER_KEY = attrgetter("time", "seq")
 class Event:
     """A scheduled callback. Returned by :meth:`Engine.schedule` for cancellation."""
 
-    __slots__ = (
-        "time",
-        "seq",
-        "fn",
-        "args",
-        "cancelled",
-        "engine",
-        "bucket",
-        "inserted_at",
-    )
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "engine", "bucket")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
@@ -123,13 +95,6 @@ class Event:
         self.cancelled = False
         self.engine: Optional["Engine"] = None  # set while queued
         self.bucket: Optional[List["Event"]] = None  # wheel slot, while queued
-        #: Virtual time at which this event was scheduled. Same-timestamp
-        #: events fire in scheduling order, so comparing insertion times
-        #: reconstructs the firing order of two events at one instant (exact
-        #: whenever the insertion times differ). The train fast path uses
-        #: this to replay wire arrivals at their legacy position within an
-        #: instant without materializing the arrival event.
-        self.inserted_at = 0
 
     def cancel(self) -> None:
         """Prevent this event from firing. Safe to call multiple times.
@@ -153,7 +118,7 @@ class Event:
             engine._queued -= 1
             # refcount 2 (this frame's parameter + the getrefcount argument)
             # proves the caller invoked cancel() on a temporary — the
-            # arm-then-cancel expression pattern — so no handle to this
+            # arm-then-cancel one-liner pattern — so no handle to this
             # event survives and it can be recycled immediately. A recycled
             # event keeps fn/args until reuse overwrites them.
             free = engine._free
@@ -210,33 +175,12 @@ class Engine:
         self._active_block = -1
         self._active_bucket: Optional[List[Event]] = None
         self._drain_index = 0
-        #: Insertion time (``Event.inserted_at``) of the callback currently
-        #: executing, or ``None`` outside the run loop. Lets lazily-replayed
-        #: work decide whether a same-instant wire arrival would have fired
-        #: before or after the current event in the legacy event order.
-        self.current_inserted_at: Optional[int] = None
-        #: Express lane: a heap of ``[time, serial, fn, arg, inserted_at]``
-        #: entries dispatched without Event objects or wheel traffic (see the
-        #: module docstring). Entries are never cancelled — producers that
-        #: need to move a deadline re-register and treat the stale firing as
-        #: a no-op (the chased-timer pattern).
-        self._express: List[list] = []
-        #: Producers opt in per-engine (the Experiment sets this from
-        #: ``ExperimentConfig.express``); with the flag off every producer
-        #: uses the plain wheel path and the lane stays empty.
-        self.express_enabled = False
         # statistics
         self.events_fired = 0
         self.events_recycled = 0
         #: Cumulative count of cancel() calls on still-queued events (the
         #: arm-then-cancel churn the wheel absorbs); never decremented.
         self.events_cancelled = 0
-        #: Express-lane entries registered / dispatched off the lane /
-        #: materialized into the wheel (block shared with wheel events).
-        #: Invariant: registered == fired + materialized + len(lane).
-        self.express_registered = 0
-        self.express_fired = 0
-        self.express_materialized = 0
 
     # ``self.now`` — current virtual time in nanoseconds — is a plain
     # attribute (not a property): it is the single most-read field in the
@@ -249,8 +193,7 @@ class Engine:
 
         Every event draws a ticket from the global serial counter
         (``Event.seq``): same-timestamp events fire in ticket order, which is
-        scheduling order — and the shared counter is what lets express-lane
-        entries interleave with wheel events byte-identically.
+        scheduling order.
         """
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
@@ -265,7 +208,6 @@ class Engine:
             event = Event(time, 0, fn, args)
         self._seq = seq = self._seq + 1
         event.seq = seq
-        event.inserted_at = self.now
         event.engine = self
         self._queued += 1
         # Inlined _insert (this is the hottest producer path).
@@ -326,7 +268,6 @@ class Engine:
             event = Event(time, 0, fn, args)
         self._seq = seq = self._seq + 1
         event.seq = seq
-        event.inserted_at = self.now
         event.engine = self
         self._queued += 1
         block = time >> _PRE_SHIFT
@@ -391,79 +332,6 @@ class Engine:
         else:
             if not bucket:
                 self._masks[level] |= 1 << slot
-            bucket.append(event)
-        event.bucket = bucket
-
-    # ------------------------------------------------------------ express lane
-
-    def reserve_serial(self) -> int:
-        """Draw a scheduling ticket without creating an event.
-
-        A producer that *would have* scheduled an event right now (but is
-        deferring the physical registration — the chased-timer pattern) calls
-        this so the eventual :meth:`express_at` entry interleaves with
-        same-instant events exactly where the legacy schedule would have.
-        """
-        self._seq = serial = self._seq + 1
-        return serial
-
-    def express_at(
-        self,
-        time: int,
-        fn: Callable[..., Any],
-        arg: Any = None,
-        serial: Optional[int] = None,
-        inserted_at: Optional[int] = None,
-    ) -> None:
-        """Register ``fn(arg)`` (or ``fn()`` when ``arg`` is None) on the
-        express lane for absolute time ``time``.
-
-        No handle is returned: lane entries cannot be cancelled. ``serial``
-        and ``inserted_at`` replay a ticket reserved earlier (see
-        :meth:`reserve_serial`); by default the entry is ticketed here, like
-        a plain schedule. An entry whose block is already being drained is
-        materialized immediately so it fires in this very pass.
-        """
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        if serial is None:
-            self._seq = serial = self._seq + 1
-            inserted_at = self.now
-        self.express_registered += 1
-        if self._draining and (time >> _PRE_SHIFT) == self._active_block:
-            self._materialize(time, serial, fn, arg, inserted_at, mid_drain=True)
-            return
-        heapq.heappush(self._express, [time, serial, fn, arg, inserted_at])
-
-    def _materialize(
-        self, time, serial, fn, arg, inserted_at, mid_drain=False
-    ) -> None:
-        """Turn one express entry into a real wheel event (shared block).
-
-        The event keeps the entry's original serial and insertion stamp, so
-        the block's (time, serial) sort puts it exactly where the legacy
-        schedule call would have.
-        """
-        free = self._free
-        args = () if arg is None else (arg,)
-        if free:
-            event = free.pop()
-            event.time = time
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, 0, fn, args)
-        event.seq = serial
-        event.inserted_at = inserted_at
-        event.engine = self
-        self._queued += 1
-        self.express_materialized += 1
-        if mid_drain:
-            bucket = self._active_bucket
-            insort(bucket, event, lo=self._drain_index, key=_ORDER_KEY)
-        else:
-            bucket = self._slots[0][(time >> _PRE_SHIFT) & _WHEEL_MASK]
             bucket.append(event)
         event.bucket = bucket
 
@@ -643,13 +511,6 @@ class Engine:
         Returns the final virtual time. When ``until`` is given, the clock is
         advanced to exactly ``until`` even if the queue drained earlier, so
         rate computations over the interval remain well-defined.
-
-        Express-lane entries interleave with wheel events here: a stretch of
-        lane entries strictly ahead of all wheel traffic dispatches straight
-        off the lane heap (no Event, no block drain — the RoundTrain fast
-        path), while an entry sharing a 256 ns block with wheel events is
-        materialized into that block so the (time, serial) sort restores
-        exact legacy firing order.
         """
         self._running = True
         self._stopped = False
@@ -658,27 +519,9 @@ class Engine:
         free = self._free
         masks = self._masks
         slots0 = self._slots[0]
-        express = self._express
-        heappop = heapq.heappop
         fired = 0
-        xfired = 0
         try:
             while not self._stopped:
-                # Wheel search bound: never commit the cursor past the
-                # express head's block — its events must merge with any
-                # wheel events sharing that block. (Block starts are
-                # 256-aligned, so the bound never lets the cursor commit
-                # past ``limit`` either.)
-                if express:
-                    xt = express[0][0]
-                    if xt > limit:
-                        xt = -1
-                        wheel_limit = limit
-                    else:
-                        wheel_limit = xt | _BLOCK_MASK
-                else:
-                    xt = -1
-                    wheel_limit = limit
                 # Inlined level-0 fast path of _next_slot: in steady state
                 # nearly every occupied block is found right here.
                 cursor = self._cursor
@@ -690,51 +533,15 @@ class Engine:
                         ((cursor >> (_PRE_SHIFT + _WHEEL_BITS)) << _WHEEL_BITS)
                         | slot
                     ) << _PRE_SHIFT
-                    if block_start > wheel_limit:
-                        bucket = None
-                    else:
-                        self._cursor = block_start
-                        bucket = slots0[slot]
-                else:
-                    bucket = self._next_slot(wheel_limit)
-                    if bucket is not None:
-                        slot = (self._cursor >> _PRE_SHIFT) & _WHEEL_MASK
-                if bucket is None:
-                    if xt < 0:
+                    if block_start > limit:
                         break
-                    # Express-only stretch: no wheel event lives at or
-                    # before this entry's block, so dispatch off the lane.
-                    entry = heappop(express)
-                    time = entry[0]
-                    block_start = time & ~_BLOCK_MASK
-                    if self._cursor < block_start:
-                        # Safe jump (the search above proved the skipped
-                        # region empty); keeps same-instant schedules in
-                        # level 0 where has_pending_now and the next
-                        # iteration look for them.
-                        self._cursor = block_start
-                    self.now = time
-                    self.current_inserted_at = entry[4]
-                    xfired += 1
-                    fn = entry[2]
-                    arg = entry[3]
-                    if arg is not None:
-                        fn(arg)
-                    else:
-                        fn()
-                    continue
-                materialized = False
-                if xt >= 0 and (xt | _BLOCK_MASK) == (self._cursor | _BLOCK_MASK):
-                    # Express entries share the block about to drain:
-                    # materialize them; the (time, serial) sort puts each at
-                    # its exact legacy position among the wheel events.
-                    block_end = self._cursor | _BLOCK_MASK
-                    while express and express[0][0] <= block_end:
-                        entry = heappop(express)
-                        self._materialize(
-                            entry[0], entry[1], entry[2], entry[3], entry[4]
-                        )
-                        materialized = True
+                    self._cursor = block_start
+                    bucket = slots0[slot]
+                else:
+                    bucket = self._next_slot(limit)
+                    if bucket is None:
+                        break
+                    slot = (self._cursor >> _PRE_SHIFT) & _WHEEL_MASK
                 if len(bucket) == 1:
                     # Single-occupant block (the common case for sparse
                     # traffic): detach the event up front — no drain
@@ -761,7 +568,6 @@ class Engine:
                             event.args = ()
                         continue
                     self.now = time
-                    self.current_inserted_at = event.inserted_at
                     fired += 1
                     fn = event.fn
                     args = event.args
@@ -783,9 +589,8 @@ class Engine:
                     continue
                 # Multi-event block: a stable sort on time alone recovers
                 # exact (time, serial) firing order, because appends happen
-                # in ticket order; only a block that just received spliced-in
-                # express materializations needs the two-field key.
-                bucket.sort(key=_ORDER_KEY if materialized else _TIME_KEY)
+                # in ticket order.
+                bucket.sort(key=_TIME_KEY)
                 if bucket[0].time > limit:
                     break
                 self._draining = True
@@ -816,7 +621,6 @@ class Engine:
                             event.args = ()
                         continue
                     self.now = event.time
-                    self.current_inserted_at = event.inserted_at
                     self._queued -= 1
                     fired += 1
                     fn = event.fn
@@ -851,9 +655,7 @@ class Engine:
             self._draining = False
             self._active_block = -1
             self._active_bucket = None
-            self.current_inserted_at = None
             self.events_fired += fired
-            self.express_fired += xfired
         if until is not None and self.now < until:
             self.now = until
         return self.now
@@ -861,46 +663,8 @@ class Engine:
     # ----------------------------------------------------------------- queries
 
     def pending_events(self) -> int:
-        """Number of queued, non-cancelled events (express entries
-        included — they are pending work like any other). O(1)."""
-        return self._queued - self._cancelled_in_queue + len(self._express)
-
-    def has_pending_now(self, ignore=()) -> bool:
-        """True when another live event is still queued for the *current*
-        instant (``time == now``), excluding any event in ``ignore``.
-
-        All events sharing a timestamp live in one level-0 block: events
-        queued before the block drain sit in the active bucket, and events
-        scheduled for ``now`` mid-drain are insorted ahead of the drain
-        index — so scanning the drain tail (or, on the single-occupant fast
-        path, the block's slot list) is exhaustive. Express entries for the
-        current instant sit at the lane-heap root (time is the primary key;
-        same-block entries are materialized before a drain, so none can hide
-        mid-drain). Used by the train wake to defer same-instant deliveries
-        to the end of the instant.
-        """
-        now = self.now
-        express = self._express
-        if express and express[0][0] == now:
-            return True
-        if (
-            self._draining
-            and self._active_bucket is not None
-            and (now >> _PRE_SHIFT) == self._active_block
-        ):
-            tail = self._active_bucket[self._drain_index :]
-        else:
-            bucket = self._slots[0][(now >> _PRE_SHIFT) & _WHEEL_MASK]
-            tail = bucket if bucket else ()
-        for event in tail:
-            if (
-                event is not None
-                and not event.cancelled
-                and event.time == now
-                and event not in ignore
-            ):
-                return True
-        return False
+        """Number of queued, non-cancelled events. O(1)."""
+        return self._queued - self._cancelled_in_queue
 
     def _iter_queued(self):
         """Every queued event (wheel slots in level order, then the heap).
@@ -938,8 +702,4 @@ class Engine:
             "cancelled_tracked": self._cancelled_in_queue,
             "cancelled_recount": recount,
             "pending": self.pending_events(),
-            "express_pending": len(self._express),
-            "express_registered": self.express_registered,
-            "express_fired": self.express_fired,
-            "express_materialized": self.express_materialized,
         }

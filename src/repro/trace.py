@@ -1,4 +1,4 @@
-"""Per-stage latency tracing through the simulated stack (DESIGN.md §12).
+"""Per-stage latency tracing through the simulated stack (DESIGN.md §11).
 
 The paper attributes *cycles* to stack layers (Table 1); this module
 attributes *latency*. With ``ExperimentConfig.trace`` on, every payload unit
@@ -10,20 +10,19 @@ reservoir cap (a 64-bucket vector absorbs any sample count exactly), merge by
 elementwise addition (associative, so ``run_many`` worker fan-out composes in
 any order), and round-trip losslessly through the result export.
 
-Stamping rules (what makes this frame-train-correct):
+Stamping rules:
 
-* ``engine.now`` read inside a CPU job's ``done()`` callback, or in a syscall
-  path, equals the legacy event time in both wire modes — the train
-  pipeline's ``_pending_finishes`` mechanism only defers finishes due at the
-  *current* instant, so ``done()`` always runs at the job's finish time.
-* Train replay entry points (``Link.serialize_at``, ``Nic._rx_ingest``) may
-  execute after the instant they model; hooks there must use the *virtual*
-  time handed in (``vt`` / the arrival), never ``engine.now``.
+* Every hook reads virtual time only. Burst and copy stages read
+  ``engine.now`` inside a CPU job's ``done()`` callback or a syscall path,
+  where it is the job's finish time or the call instant.
+* Per-frame wire stamps use the frame's own serialization finish time (the
+  running ``t`` in ``Link._serialize``), because a batch is serialized in
+  one event but its frames leave the wire one after another.
 
-Traced results are therefore byte-identical with and without ``--no-train``
-(property-tested), and untraced runs are untouched: every hook is guarded by
-one ``is not None`` attribute check on a reference that is ``None`` unless
-tracing was requested.
+Tracing only reads: traced results equal untraced ones outside the trace
+payload (property-tested), and untraced runs are untouched: every hook is
+guarded by one ``is not None`` attribute check on a reference that is
+``None`` unless tracing was requested.
 
 The internal ``e2e`` stream repeats the copy-latency measurement (NAPI poll
 instant to copy start, per skb) inside the trace so the auditor can check the

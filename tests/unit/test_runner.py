@@ -11,10 +11,10 @@ import json
 import pytest
 
 from repro.config import ExperimentConfig, OptimizationConfig, TrafficPattern
-from repro.core.cache import ResultCache
+from repro.core.cache import ResultCache, config_cache_key
 from repro.core.experiment import Experiment
 from repro.core.export import result_to_dict
-from repro.core.runner import RunnerStats, resolve_jobs, run_many
+from repro.core.runner import RunManyError, RunnerStats, resolve_jobs, run_many
 from repro.core.sweep import run_labeled, run_sweep
 from repro.units import msec
 
@@ -110,6 +110,27 @@ def test_resolve_jobs():
 
 def test_run_many_empty_batch():
     assert run_many([]) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_config_does_not_discard_the_batch(tmp_path, jobs):
+    """One raising config still lets the other two run and be cached, and
+    the error names the failing config by cache key."""
+    good = [small(seed=1), small(seed=2)]
+    bad = small(num_flows=0)  # rejected by validate() inside the worker
+    cache = ResultCache(tmp_path)
+    stats = RunnerStats()
+    with pytest.raises(RunManyError) as info:
+        run_many([good[0], bad, good[1]], jobs=jobs, cache=cache, stats=stats)
+    assert [key for key, _ in info.value.failures] == [config_cache_key(bad)]
+    assert config_cache_key(bad) in str(info.value)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert stats.experiments_run == 3
+
+    warm = RunnerStats()
+    cached = run_many(good, jobs=jobs, cache=cache, stats=warm)
+    assert warm.cache_hits == 2 and warm.experiments_run == 0
+    assert payloads(cached) == payloads(run_many(good))
 
 
 def test_run_sweep_parallel_matches_sequential():

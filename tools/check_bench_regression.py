@@ -7,17 +7,11 @@ Two gates against ``benchmarks/baseline_engine.json``:
   ``benchmarks/test_bench_engine.py`` and ``repro bench``), compared by
   *calibration-normalized* throughput. Fails when either path drops more
   than the tolerance (default 25%) below baseline.
-* **Figures** — each gated panel is regenerated cold in three wire/clock
-  modes: the shipping fast path (frame trains + express lane), trains with
-  ``--no-express`` (isolating the express lane's contribution), and the
-  fully legacy per-event pipeline (``--no-train --no-express``). Gated
-  quantities: normalized cost (wall time × calibration throughput, a
-  machine-independent work unit) for each mode, with tolerance headroom,
-  and the fractional reduction in engine events fired by the combined
-  train+express path vs legacy — enforced exactly (it is a structural
-  property of the simulation, not a timing). Each panel is also re-run
-  with per-stage latency tracing on; the traced/untraced wall-time ratio
-  must stay under ``MAX_TRACE_OVERHEAD``.
+* **Figures** — each gated panel is regenerated cold and its normalized
+  cost (wall time × calibration throughput, a machine-independent work
+  unit) is held under the baseline ceiling, with tolerance headroom. Each
+  panel is also re-run with per-stage latency tracing on; the
+  traced/untraced wall-time ratio must stay under ``MAX_TRACE_OVERHEAD``.
 
 Usage::
 
@@ -40,13 +34,6 @@ from repro import bench  # noqa: E402
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baseline_engine.json"
 
-#: Required drop in engine events fired with the combined frame-train +
-#: express-lane fast path on, vs the fully legacy per-event pipeline, per
-#: gated figure. Kept in the tool (not just the baseline file) so a plain
-#: ``--update`` can never quietly weaken it. Trains alone delivered 0.30;
-#: fast-forwarding quiescent ACK-clocked rounds off-wheel raises the floor.
-MIN_EVENTS_REDUCTION = 0.55
-
 #: Allowed fractional wall-time increase of a traced run over the same
 #: panel with tracing off. The tracing-off cost itself is gated by the
 #: baseline's ``max_normalized_cost`` ceiling (tracing off is the default
@@ -57,8 +44,7 @@ MIN_EVENTS_REDUCTION = 0.55
 MAX_TRACE_OVERHEAD = 0.50
 
 
-def _time_figure(name: str, frame_trains: bool, express: bool, repeat: int,
-                 trace: bool = False):
+def _time_figure(name: str, repeat: int, trace: bool = False):
     """Best-of-N cold wall time and engine events fired for one panel."""
     from repro.cli import _run_panel
     from repro.figures import base as figures_base
@@ -67,8 +53,7 @@ def _time_figure(name: str, frame_trains: bool, express: bool, repeat: int,
     for _ in range(repeat):
         figures_base.STATS.reset()
         start = time.perf_counter()
-        _run_panel(name, jobs=1, cache=None, audit=False,
-                   frame_trains=frame_trains, express=express, trace=trace)
+        _run_panel(name, jobs=1, cache=None, audit=False, trace=trace)
         best = min(best, time.perf_counter() - start)
     return best, figures_base.STATS.events_fired
 
@@ -76,30 +61,18 @@ def _time_figure(name: str, frame_trains: bool, express: bool, repeat: int,
 def _figure_metrics(names, repeat: int, calibration_ops: float):
     rows = {}
     for name in names:
-        print(f"figure gate: timing {name} "
-              "(fast / --no-express / legacy / traced)...")
-        wall, events = _time_figure(name, True, True, repeat)
-        wall_nx, events_nx = _time_figure(name, True, False, repeat)
-        wall_legacy, events_legacy = _time_figure(name, False, False, repeat)
-        wall_traced, _ = _time_figure(name, True, True, repeat, trace=True)
+        print(f"figure gate: timing {name} (untraced / traced)...")
+        wall, events = _time_figure(name, repeat)
+        wall_traced, _ = _time_figure(name, repeat, trace=True)
         rows[name] = {
             "normalized_cost": wall * calibration_ops,
-            "normalized_cost_no_express": wall_nx * calibration_ops,
-            "normalized_cost_legacy": wall_legacy * calibration_ops,
             "events_fired": events,
-            "events_fired_no_express": events_nx,
-            "events_fired_legacy": events_legacy,
-            "events_reduction": (
-                1.0 - events / events_legacy if events_legacy else 0.0
-            ),
             "trace_overhead": wall_traced / wall - 1.0 if wall else 0.0,
         }
         print(
-            f"  {name}: {wall:.3f}s / {wall_nx:.3f}s / {wall_legacy:.3f}s "
-            f"wall, {events:,} / {events_nx:,} / {events_legacy:,} events "
-            f"({rows[name]['events_reduction']:.1%} fewer than legacy); "
-            f"traced {wall_traced:.3f}s "
-            f"({rows[name]['trace_overhead']:+.1%} vs tracing off)"
+            f"  {name}: {wall:.3f}s wall, {events:,} events; traced "
+            f"{wall_traced:.3f}s ({rows[name]['trace_overhead']:+.1%} vs "
+            "tracing off)"
         )
     return rows
 
@@ -142,21 +115,11 @@ def main() -> int:
         doc = {
             "comment": "calibration-normalized perf floors for CI; regenerate "
             "with tools/check_bench_regression.py --update (engine floors are "
-            "throughput minima; figure entries are normalized-cost ceilings "
-            "for the train+express fast path, the --no-express intermediate, "
-            "and the fully legacy pipeline, plus the exact events-fired "
-            "reduction the combined fast path must keep delivering)",
+            "throughput minima; figure entries are normalized-cost ceilings)",
             "schedule_run_normalized": current["schedule_run_normalized"],
             "cancel_churn_normalized": current["cancel_churn_normalized"],
             "figures": {
-                name: {
-                    "max_normalized_cost": row["normalized_cost"],
-                    "max_normalized_cost_no_express": row[
-                        "normalized_cost_no_express"
-                    ],
-                    "max_normalized_cost_legacy": row["normalized_cost_legacy"],
-                    "min_events_reduction": MIN_EVENTS_REDUCTION,
-                }
+                name: {"max_normalized_cost": row["normalized_cost"]}
                 for name, row in figure_rows.items()
             },
         }
