@@ -220,6 +220,7 @@ class ExperimentConfig:
             TrafficPattern.INCAST,
             TrafficPattern.OUTCAST,
             TrafficPattern.ALL_TO_ALL,
+            TrafficPattern.RPC_INCAST,
         ) and self.num_flows > total_cores:
             raise ValueError(
                 f"{self.pattern.value} with {self.num_flows} flows exceeds "

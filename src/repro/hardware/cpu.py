@@ -10,8 +10,8 @@ scheduler cycles, which is how the paper's "scheduling" category fills up.
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Callable, Hashable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Hashable, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.profiler import CpuProfiler
@@ -27,7 +27,7 @@ PRIORITY_APP = 1
 class Job:
     """A batch of cycle charges executed atomically on one core."""
 
-    __slots__ = ("context", "priority", "items", "on_done", "seq")
+    __slots__ = ("context", "priority", "items", "on_done")
 
     def __init__(
         self,
@@ -42,15 +42,9 @@ class Job:
         # not mutate them after submission
         self.items = items
         self.on_done = on_done
-        self.seq = 0  # assigned by the core for FIFO ordering
 
     def total_cycles(self) -> float:
         return sum(cycles for _, cycles in self.items)
-
-    def __lt__(self, other: "Job") -> bool:
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
 
 class Core:
@@ -75,10 +69,11 @@ class Core:
         self.freq_hz = freq_hz
         self.key = (host_name, core_id)
 
-        self._queue: List[Job] = []
+        # One FIFO per priority; softirq drains before app.
+        self._softirq_queue: Deque[Job] = deque()
+        self._app_queue: Deque[Job] = deque()
         self._running: Optional[Job] = None
         self._last_context: Optional[Hashable] = None
-        self._seq = 0
         self.context_switches = 0
         #: Every cycle this core has accounted for (jobs, context switches,
         #: inline charges). Mirrors the profiler's per-core total by
@@ -89,9 +84,10 @@ class Core:
 
     def submit(self, job: Job) -> None:
         """Queue ``job``; starts immediately if the core is idle."""
-        self._seq += 1
-        job.seq = self._seq
-        heapq.heappush(self._queue, job)
+        if job.priority == PRIORITY_SOFTIRQ:
+            self._softirq_queue.append(job)
+        else:
+            self._app_queue.append(job)
         if self._running is None:
             self._start_next()
 
@@ -110,9 +106,12 @@ class Core:
     # --- execution ---------------------------------------------------------------
 
     def _start_next(self) -> None:
-        if not self._queue:
+        if self._softirq_queue:
+            job = self._softirq_queue.popleft()
+        elif self._app_queue:
+            job = self._app_queue.popleft()
+        else:
             return
-        job = heapq.heappop(self._queue)
         self._running = job
 
         switch = 0.0
@@ -162,7 +161,7 @@ class Core:
 
     def queue_depth(self) -> int:
         """Number of jobs waiting (not counting the running one)."""
-        return len(self._queue)
+        return len(self._softirq_queue) + len(self._app_queue)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Core {self.host_name}/{self.core_id} node={self.numa_node}>"

@@ -27,7 +27,7 @@ from ..hardware.steering import SteeringEngine
 from ..hardware.topology import Topology
 from .mem import PageAllocator
 from .napi import NapiContext
-from .tcp.endpoint import TcpEndpoint
+from .tcp.endpoint import AutotuneClock, TcpEndpoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.metrics import MetricsHub
@@ -112,6 +112,10 @@ class Host:
             self.napis.append(NapiContext(self, queue))
 
         self.endpoints: Dict[int, TcpEndpoint] = {}
+        #: DRS clocks keyed by the virtual instant they were created: an
+        #: endpoint joins the clock of its registration instant, so its
+        #: first update lands one period after it was added.
+        self.autotune_clocks: Dict[int, AutotuneClock] = {}
 
     # --- construction helpers ----------------------------------------------------
 
@@ -127,6 +131,12 @@ class Host:
             raise ValueError(f"duplicate flow id {flow_id} on host {self.name}")
         endpoint = TcpEndpoint(self, flow_id, app_core, flow_tag)
         self.endpoints[flow_id] = endpoint
+        if self.config.tcp.autotune_rx_buffer:
+            now = self.engine.now
+            clock = self.autotune_clocks.get(now)
+            if clock is None:
+                clock = self.autotune_clocks[now] = AutotuneClock(self.engine)
+            clock.register(endpoint)
         self.metrics.register_flow(flow_id, flow_tag)
         self._steer_flow(endpoint)
         # Sender-side working set (application write buffer) warms this

@@ -162,11 +162,11 @@ class TcpEndpoint:
         self._delivered_since_autotune = 0
         if self.tcp_cfg.autotune_rx_buffer:
             # DRS starts from a small buffer and only grows it as the flow
-            # demonstrates demand (tcp_rmem default behaviour).
+            # demonstrates demand (tcp_rmem default behaviour). The updates
+            # run from the host's AutotuneClock (see Host.add_endpoint).
             self.socket.rx_buffer_bytes = min(
                 self.socket.rx_buffer_bytes, AUTOTUNE_FLOOR_BYTES
             )
-            self.engine.schedule(AUTOTUNE_PERIOD_NS, self._autotune_tick)
 
     # ------------------------------------------------------------------ setup
 
@@ -980,6 +980,12 @@ class TcpEndpoint:
     # --- receive-buffer autotuning (DRS, §3.1 footnote 6) -------------------------------------
 
     def _autotune_tick(self) -> None:
+        """One DRS update over the bytes delivered since the last one.
+
+        Touches only this endpoint's counter and socket buffer and schedules
+        nothing, so updates due at one instant commute; with nothing
+        delivered it is a no-op.
+        """
         delivered = self._delivered_since_autotune
         self._delivered_since_autotune = 0
         if delivered > 0:
@@ -1002,7 +1008,6 @@ class TcpEndpoint:
                 self.socket.rx_buffer_bytes = min(
                     2 * buffer, self.tcp_cfg.autotune_max_bytes
                 )
-        self.engine.schedule(AUTOTUNE_PERIOD_NS, self._autotune_tick)
 
     # --- inspection ---------------------------------------------------------------------------------
 
@@ -1014,3 +1019,33 @@ class TcpEndpoint:
             f"<TcpEndpoint flow={self.flow_id} host={self.host.name} "
             f"core={self.app_core.core_id}>"
         )
+
+
+class AutotuneClock:
+    """One periodic DRS clock shared by a host's autotuned endpoints.
+
+    Linux has no per-socket DRS timer (``tcp_rcv_space_adjust`` runs inside
+    ``recvmsg``); here DRS runs every :data:`AUTOTUNE_PERIOD_NS`. One clock
+    fires for all endpoints registered at the instant it was created, so the
+    engine carries one timer per host rather than one per endpoint, and
+    endpoints that never deliver a byte (sender halves) cost no events.
+    Each update touches only its own endpoint and schedules nothing, so
+    running them together in registration order is byte-identical to
+    per-endpoint timers firing at the same instant.
+    """
+
+    __slots__ = ("engine", "endpoints")
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.endpoints: List[TcpEndpoint] = []
+        engine.schedule(AUTOTUNE_PERIOD_NS, self._tick)
+
+    def register(self, endpoint: TcpEndpoint) -> None:
+        self.endpoints.append(endpoint)
+
+    def _tick(self) -> None:
+        for endpoint in self.endpoints:
+            if endpoint._delivered_since_autotune:
+                endpoint._autotune_tick()
+        self.engine.schedule(AUTOTUNE_PERIOD_NS, self._tick)

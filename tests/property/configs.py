@@ -3,9 +3,13 @@
 The strategy spans the dimensions that stress the data path: loss (drops,
 SACK recovery, timeouts), ECN/DCTCP (marking) and BBR (pacing), small MTU
 (multi-frame batches), RPC interleave (both directions active), aRFS on/off
-(steering targets) and LRO (NIC-side merge). Windows are short so a drawn
-config runs in well under a second.
+(steering targets), LRO (NIC-side merge), many endpoints per host (outcast,
+all-to-all, RPC incast) and receive-buffer autotuning on or off (off pins a
+fixed buffer). Windows are short so a drawn config runs in well under a
+second.
 """
+
+import dataclasses
 
 from hypothesis import strategies as st
 
@@ -18,7 +22,7 @@ from repro.config import (
     TrafficPattern,
     WorkloadConfig,
 )
-from repro.units import msec
+from repro.units import kb, msec
 
 _OPTS = [
     OptimizationConfig.none(),
@@ -33,6 +37,9 @@ _PATTERNS = [
     (TrafficPattern.ONE_TO_ONE, 2),
     (TrafficPattern.INCAST, 3),
     (TrafficPattern.MIXED, 1),
+    (TrafficPattern.OUTCAST, 3),
+    (TrafficPattern.ALL_TO_ALL, 2),  # 2 x 2 = 4 flows
+    (TrafficPattern.RPC_INCAST, 3),
 ]
 
 _CCS = [CongestionControl.CUBIC, CongestionControl.DCTCP, CongestionControl.BBR]
@@ -49,6 +56,13 @@ def experiment_configs(draw):
     workload = WorkloadConfig()
     if pattern is TrafficPattern.MIXED:
         workload = WorkloadConfig(num_rpc_flows=draw(st.integers(1, 2)))
+    tcp = TcpConfig(congestion_control=draw(st.sampled_from(_CCS)))
+    if not draw(st.booleans()):
+        tcp = dataclasses.replace(
+            tcp,
+            rx_buffer_bytes=draw(st.sampled_from([kb(256), kb(3200)])),
+            autotune_rx_buffer=False,
+        )
     return ExperimentConfig(
         pattern=pattern,
         num_flows=num_flows,
@@ -56,7 +70,7 @@ def experiment_configs(draw):
         warmup_ns=msec(1),
         seed=draw(st.integers(1, 5)),
         opts=draw(st.sampled_from(_OPTS)),
-        tcp=TcpConfig(congestion_control=draw(st.sampled_from(_CCS))),
+        tcp=tcp,
         link=link,
         workload=workload,
     )

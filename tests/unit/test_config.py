@@ -69,6 +69,13 @@ def test_validate_rejects_more_flows_than_cores():
         config.validate()
 
 
+def test_validate_rejects_more_rpc_clients_than_cores():
+    # One RPC client per sender core: 30 clients would index past core 24.
+    config = ExperimentConfig(pattern=TrafficPattern.RPC_INCAST, num_flows=30)
+    with pytest.raises(ValueError, match="exceeds"):
+        config.validate()
+
+
 def test_validate_rejects_loss_without_switch():
     config = ExperimentConfig(link=LinkConfig(loss_rate=0.01, has_switch=False))
     with pytest.raises(ValueError):

@@ -45,6 +45,19 @@ def test_softirq_priority_runs_first():
     assert order == ["softirq", "app"]
 
 
+def test_interleaved_priorities_drain_softirq_first_in_order():
+    engine, _, core = make_core()
+    order = []
+    core.submit_work("busy", [("copy_to_user", 10.0)])
+    for name, priority in (("app1", PRIORITY_APP), ("softirq1", PRIORITY_SOFTIRQ),
+                           ("app2", PRIORITY_APP), ("softirq2", PRIORITY_SOFTIRQ)):
+        core.submit_work(name, [("copy_to_user", 1.0)],
+                         lambda n=name: order.append(n), priority)
+    assert core.queue_depth() == 4
+    engine.run()
+    assert order == ["softirq1", "softirq2", "app1", "app2"]
+
+
 def test_context_switch_charged_between_contexts():
     engine, profiler, core = make_core()
     core.submit_work("a", [("copy_to_user", 10.0)])

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.config import ExperimentConfig, OptimizationConfig
+from repro.config import ExperimentConfig, OptimizationConfig, TcpConfig
 from repro.core.metrics import MetricsHub
 from repro.core.profiler import CpuProfiler
 from repro.costs.calibration import default_cost_model
 from repro.kernel.host import Host
+from repro.kernel.tcp.endpoint import AUTOTUNE_PERIOD_NS
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
@@ -75,3 +76,54 @@ def test_dca_consume_when_disabled_misses():
     config.host.dca_enabled = False
     host, _ = make_host(config)
     assert host.dca_consume(1, 100) == (0, 100)
+
+
+# --- receive-buffer autotuning clock --------------------------------------------
+
+
+def _autotune_events(host):
+    return sorted(
+        event.time
+        for event in host.engine._iter_queued()
+        if not event.cancelled
+        and any(event.fn == clock._tick for clock in host.autotune_clocks.values())
+    )
+
+
+def test_one_autotune_event_per_period_for_many_endpoints():
+    host, _ = make_host()
+    for flow_id in range(1, 7):
+        host.add_endpoint(flow_id, host.core(flow_id))
+    assert len(host.autotune_clocks) == 1
+    assert _autotune_events(host) == [AUTOTUNE_PERIOD_NS]
+    assert host.engine.pending_events() == 1
+    host.engine.run(until=3 * AUTOTUNE_PERIOD_NS)
+    assert _autotune_events(host) == [4 * AUTOTUNE_PERIOD_NS]
+    assert host.engine.pending_events() == 1
+
+
+def test_later_endpoint_first_ticks_one_period_after_registration():
+    host, _ = make_host()
+    engine = host.engine
+    ticks = {1: [], 2: []}
+
+    def watch(endpoint):
+        # A nonzero delivered count keeps the clock from skipping the update.
+        endpoint._delivered_since_autotune = 1
+        endpoint._autotune_tick = lambda: ticks[endpoint.flow_id].append(engine.now)
+
+    watch(host.add_endpoint(1, host.core(0)))
+    engine.run(until=100_000)
+    watch(host.add_endpoint(2, host.core(1)))
+    assert sorted(host.autotune_clocks) == [0, 100_000]
+    engine.run(until=3 * AUTOTUNE_PERIOD_NS)
+    assert ticks[1] == [AUTOTUNE_PERIOD_NS, 2 * AUTOTUNE_PERIOD_NS, 3 * AUTOTUNE_PERIOD_NS]
+    assert ticks[2] == [100_000 + AUTOTUNE_PERIOD_NS, 100_000 + 2 * AUTOTUNE_PERIOD_NS]
+
+
+def test_autotune_off_registers_nothing():
+    host, _ = make_host(ExperimentConfig(tcp=TcpConfig(autotune_rx_buffer=False)))
+    host.add_endpoint(1, host.core(0))
+    host.add_endpoint(2, host.core(1))
+    assert host.autotune_clocks == {}
+    assert host.engine.pending_events() == 0
