@@ -1,8 +1,8 @@
 """Micro-benchmarks for the discrete-event engine hot loop.
 
 Unlike the figure benchmarks (one deterministic round each), these measure
-the two paths the sim/engine.py micro-optimizations target: the plain
-schedule/fire loop, and timer churn where most scheduled events are cancelled
+the engine's two hot paths: the plain schedule/fire loop with 50k events
+pending at once, and timer churn where most scheduled events are cancelled
 before they fire (the TCP RTO / delayed-ACK / pacing re-arm pattern).
 """
 
@@ -27,7 +27,7 @@ def _schedule_and_run() -> int:
 
 def _cancel_churn() -> int:
     """Re-armed timers: every event re-schedules a timer and cancels the old
-    one, so cancelled events vastly outnumber live ones in the heap."""
+    one, so cancelled events vastly outnumber live ones in the queue."""
     engine = Engine()
     fired = 0
     timer = None
@@ -42,7 +42,7 @@ def _cancel_churn() -> int:
             if old is not None:
                 old.cancel()
             # Arm-and-cancel immediately: the dead-event tail the compaction
-            # bookkeeping is there to keep out of the heap.
+            # bookkeeping is there to keep out of the queue.
             engine.schedule(1_000_000, noop).cancel()
 
     def noop() -> None:

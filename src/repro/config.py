@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, field
 
 from . import constants
+from .costs.model import CostModel
 from .units import kb, msec
 
 
@@ -230,6 +231,27 @@ class ExperimentConfig:
             raise ValueError("loss_rate must be in [0, 1)")
         if self.link.loss_rate > 0 and not self.link.has_switch:
             raise ValueError("packet loss requires has_switch=True (drops happen there)")
+        host = self.host
+        if host.numa_nodes < 1 or host.cores_per_node < 1:
+            raise ValueError("numa_nodes and cores_per_node must be >= 1")
+        if host.cpu_freq_hz <= 0:
+            raise ValueError("cpu_freq_hz must be positive")
+        if not 0 <= host.nic_numa_node < host.numa_nodes:
+            raise ValueError(
+                f"nic_numa_node {host.nic_numa_node} is outside "
+                f"[0, {host.numa_nodes})"
+            )
+        if self.link.propagation_ns < 0:
+            raise ValueError("propagation_ns must be >= 0")
+        if self.nic.rx_descriptors < 1:
+            raise ValueError("rx_descriptors must be >= 1")
+        unknown = set(self.cost_overrides) - _COST_FIELDS
+        if unknown:
+            raise ValueError(f"unknown cost_overrides keys: {sorted(unknown)}")
+
+
+#: The names ``cost_overrides`` may set: fields of :class:`CostModel`.
+_COST_FIELDS = frozenset(f.name for f in dataclasses.fields(CostModel))
 
 
 #: ``ExperimentConfig`` fields deliberately excluded from the

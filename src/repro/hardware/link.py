@@ -133,10 +133,9 @@ class Link:
         # Tracing stamps use the running per-frame finish time ``t``: each
         # frame leaves the wire when its own serialization ends.
         trace = self.trace
-        wire_record = trace.stage("tx_wire").record if trace is not None else None
         tt_cache = self._tt_cache
         tt_get = tt_cache.get
-        if not drop and not mark and wire_record is None:
+        if not drop and not mark and trace is None:
             # Fast path (lossless unswitched untraced link — the default
             # testbed): every frame survives and only the *final* clock
             # matters. Per-frame delays are integers, so summing them first
@@ -159,6 +158,7 @@ class Link:
             return list(frames), bytes_sent, t
         delivered: List[Frame] = []
         append = delivered.append
+        wire_deltas: Optional[List[int]] = [] if trace is not None else None
         nsent = 0
         bytes_sent = 0
         delivered_bytes = 0
@@ -182,11 +182,13 @@ class Link:
                 if queued_bytes > self.ecn_threshold_bytes:
                     frame.ecn_marked = True
                     self.frames_marked += 1
-            if wire_record is not None and frame.trace_ns is not None:
-                wire_record(t - frame.trace_ns)
+            if wire_deltas is not None and frame.trace_ns is not None:
+                wire_deltas.append(t - frame.trace_ns)
                 frame.trace_ns = t  # stamp wire exit for the Rx-side stage
             append(frame)
             delivered_bytes += wire_bytes
+        if wire_deltas is not None:
+            trace.stage("tx_wire").record_many(wire_deltas)
         self.frames_sent += nsent
         self.bytes_sent += bytes_sent
         self._free_at = t

@@ -108,61 +108,6 @@ class GroEngine:
             flushed,
         )
 
-    def receive_record(self, record, frame_to_skb) -> Tuple[ChargeItems, List[Skb]]:
-        """Feed one Rx frame record, building an Skb only when one is kept.
-
-        Same state machine as :meth:`receive` (which remains the reference
-        implementation and must stay in lockstep), but the common merge
-        outcome folds the raw frame record straight into the held skb —
-        skipping the per-frame Skb allocation entirely. ``frame_to_skb``
-        converts the record when a new skb must actually be held or passed
-        through.
-        """
-        self.frames_in += 1
-        if not self.enabled:
-            self.skbs_out += 1
-            return (), [frame_to_skb(record)]
-
-        frame = record.frame
-        held_map = self._held
-        flow_id = frame.flow_id
-        held = held_map.get(flow_id)
-        if held is not None:
-            payload = frame.payload_bytes
-            if (
-                held.payload_bytes + payload <= self.max_merged_bytes
-                and held.seq + held.payload_bytes == frame.seq
-                and held.page_node == record.page_node
-            ):
-                held.payload_bytes += payload
-                held.nframes += record.nframes
-                held.pages += record.pages
-                held.regions.append((record.region_id, payload))
-                held.ecn = held.ecn or frame.ecn_marked
-                if len(held_map) > 1:  # moving the only entry is a no-op
-                    held_map.move_to_end(flow_id)
-                self.merges += 1
-                # the merged-in skb struct is released
-                return self._merge_items, ()
-            # cannot merge: flush what we held for this flow
-            del held_map[flow_id]
-            flushed = [held]
-        else:
-            flushed = []
-
-        held_map[flow_id] = frame_to_skb(record)
-        held_map.move_to_end(flow_id)
-        if len(held_map) > self.max_held_flows:
-            _, evicted = held_map.popitem(last=False)
-            flushed.append(evicted)
-        if not flushed:
-            return self._recv_only_items, ()
-        self.skbs_out += len(flushed)
-        return (
-            (self.tables.gro_receive_item, self.tables.gro_flush(len(flushed))),
-            flushed,
-        )
-
     def receive_run(
         self,
         records,
@@ -175,14 +120,16 @@ class GroEngine:
     ) -> None:
         """Feed a run of consecutive data records (``records[start:end]``).
 
-        Per-record semantics are exactly :meth:`receive_record` driven by the
-        NAPI poll loop — records whose flow has no live endpoint are skipped
-        (the poll's stray-frame ``continue``), charge items land on ``items``
-        in the same order, and every flushed skb is handed to ``deliver``
-        immediately after its flush charge. Batching exists purely to hoist
-        the per-frame attribute/method lookups out of the hottest loop in
-        the simulator; the state machine must stay in lockstep with
-        :meth:`receive`.
+        Per-record semantics are exactly :meth:`receive` on each record's
+        skb — records whose flow has no live endpoint are skipped (stray
+        frames of a torn-down flow), charge items land on ``items`` in the
+        same order, and every flushed skb is handed to ``deliver``
+        immediately after its flush charge. The common merge outcome folds
+        the raw frame record straight into the held skb, so ``frame_to_skb``
+        builds an skb only when one must be held or passed through.
+        Batching hoists the per-frame attribute/method lookups out of the
+        hottest loop in the simulator; the state machine must stay in
+        lockstep with :meth:`receive`.
         """
         if not self.enabled:
             frames = 0

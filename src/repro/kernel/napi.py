@@ -131,65 +131,52 @@ class NapiContext:
         remote: dict = {}
 
         endpoints = host.endpoints
-        gro_receive = self.gro.receive_record
         skb_free_item = tables.skb_free_item
-        frame_to_skb = self._frame_to_skb
         deliver_skb = self._deliver_skb
-        extend = items.extend
         kind_data = Frame.KIND_DATA
         kind_ack = Frame.KIND_ACK
         trace = host.trace
-        # One rx_ring sample per data completion: DMA arrival (the record's
-        # stamped arrival time) to this poll instant.
-        ring_record = trace.stage("rx_ring").record if trace is not None else None
-        if ring_record is None:
-            # Untraced hot path: hand consecutive data records to GRO as one
-            # run (identical per-record semantics, per-frame lookups hoisted).
-            gro_run = self.gro.receive_run
+        if trace is not None:
+            # One rx_ring sample per data completion whose flow has an
+            # endpoint: DMA arrival (the record's stamped arrival time) to
+            # this poll instant. Endpoints are never removed, so this is
+            # exactly the set of records the loop below hands to GRO.
+            trace.stage("rx_ring").record_many([
+                now - record.arrival_ns
+                for record in batch
+                if record.frame.kind == kind_data
+                and record.frame.flow_id in endpoints
+            ])
+        # Consecutive data records go to GRO as one run (per-record
+        # semantics, per-frame lookups hoisted).
+        gro_run = self.gro.receive_run
+        frame_to_skb = self._frame_to_skb
 
-            def deliver_flushed(skb: Skb) -> None:
-                deliver_skb(skb, now, items, deferred, ack_frames, remote)
+        def deliver_flushed(skb: Skb) -> None:
+            deliver_skb(skb, now, items, deferred, ack_frames, remote)
 
-            i = 0
-            n = len(batch)
-            while i < n:
-                record = batch[i]
-                frame = record.frame
-                kind = frame.kind
-                if kind == kind_data:
-                    j = i + 1
-                    while j < n and batch[j].frame.kind == kind_data:
-                        j += 1
-                    gro_run(batch, i, j, endpoints, items,
-                            frame_to_skb, deliver_flushed)
-                    i = j
-                    continue
-                endpoint = endpoints.get(frame.flow_id)
-                if endpoint is not None:  # else: stray, torn-down flow
-                    if kind == kind_ack:
-                        items.append(skb_free_item)
-                        endpoint.on_ack_frame(frame.ack, core, items, deferred)
-                    elif kind == "probe":
-                        endpoint.on_probe_frame(items, ack_frames)
-                i += 1
-        else:
-            for record in batch:
-                frame = record.frame
-                endpoint = endpoints.get(frame.flow_id)
-                if endpoint is None:
-                    continue  # stray frame for a torn-down flow
-                kind = frame.kind
-                if kind == kind_data:
-                    ring_record(now - record.arrival_ns)
-                    gro_items, completed = gro_receive(record, frame_to_skb)
-                    extend(gro_items)
-                    for done_skb in completed:
-                        deliver_skb(done_skb, now, items, deferred, ack_frames, remote)
-                elif kind == kind_ack:
+        i = 0
+        n = len(batch)
+        while i < n:
+            record = batch[i]
+            frame = record.frame
+            kind = frame.kind
+            if kind == kind_data:
+                j = i + 1
+                while j < n and batch[j].frame.kind == kind_data:
+                    j += 1
+                gro_run(batch, i, j, endpoints, items,
+                        frame_to_skb, deliver_flushed)
+                i = j
+                continue
+            endpoint = endpoints.get(frame.flow_id)
+            if endpoint is not None:  # else: stray, torn-down flow
+                if kind == kind_ack:
                     items.append(skb_free_item)
                     endpoint.on_ack_frame(frame.ack, core, items, deferred)
                 elif kind == "probe":
                     endpoint.on_probe_frame(items, ack_frames)
+            i += 1
 
         flush_items, flushed = self.gro.flush_all()
         items.extend(flush_items)

@@ -588,7 +588,7 @@ class TcpEndpoint:
 
     def _arm_rto(self) -> None:
         """(Re)arm the retransmission timer for the current send state:
-        cancel the old wheel event and schedule a fresh one."""
+        cancel the old event and schedule a fresh one."""
         self._cancel_rto()
         if self.segments:
             self._rto_event = self.engine.schedule(self._current_rto(), self._rto_fire)

@@ -33,7 +33,7 @@ copy-latency metric.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Fixed bucket count: bucket 0 holds exactly-zero deltas, bucket b >= 1
 #: covers [2^(b-1), 2^b - 1] ns. 63 doubling buckets reach ~292 years.
@@ -84,6 +84,20 @@ class StageHistogram:
         self.total_ns += delta_ns
         if delta_ns > self.max_ns:
             self.max_ns = delta_ns
+
+    def record_many(self, deltas: Sequence[int]) -> None:
+        """Record every interval in ``deltas``: the same count, total, max
+        and buckets as calling :meth:`record` once per delta."""
+        if not deltas:
+            return
+        buckets = self.buckets
+        for delta_ns in deltas:
+            buckets[delta_ns.bit_length()] += 1
+        self.count += len(deltas)
+        self.total_ns += sum(deltas)
+        top = max(deltas)
+        if top > self.max_ns:
+            self.max_ns = top
 
     def clear(self) -> None:
         """Zero in place (warmup reset) — callers holding a reference to this

@@ -1,13 +1,15 @@
-"""Timer-wheel engine vs a reference heap engine, on random programs.
+"""Instant-heap engine vs a reference heap engine, on random programs.
 
-The block-wheel engine in ``repro.sim.engine`` promises exactly the semantics
-of a plain (time, schedule-order) binary heap: events fire in nondecreasing
-time, and events sharing a timestamp fire in the order they were scheduled —
-regardless of which wheel level, overflow heap, or freelist-recycled Event
-object serves them. This test interprets randomized programs of
-schedule / cancel / re-arm operations (including scheduling and cancelling
-*during* event callbacks, and delays large enough to land in the overflow
-heap) against both engines and requires identical fire logs.
+The engine in ``repro.sim.engine`` (a heap of distinct instants, each with a
+FIFO list of events) promises exactly the semantics of a plain
+(time, schedule-order) binary heap: events fire in nondecreasing time, and
+events sharing a timestamp fire in the order they were scheduled —
+including events appended to an instant while it drains, and regardless of
+pop-on-cancel, stale-instant sweeps and compaction. This test interprets
+randomized programs of schedule / cancel / re-arm operations (including
+scheduling and cancelling *during* event callbacks, and delays up to
+2**42 ns) against both engines and requires identical fire logs. The test
+names date from the timer-wheel engine this one replaced.
 """
 
 import heapq
@@ -35,7 +37,7 @@ class _RefEvent:
 
 
 class _RefEngine:
-    """Minimal binary-heap engine: the semantics the wheel must reproduce."""
+    """Minimal binary-heap engine: the semantics the engine must reproduce."""
 
     def __init__(self):
         self._heap = []
@@ -61,7 +63,7 @@ class _RefEngine:
             event.fn()
 
 
-#: Delays spanning every wheel level plus the overflow heap (>2^40 ns).
+#: Delays from zero to 2^42 ns, far beyond any timer the simulated stack arms.
 _delays = st.integers(min_value=0, max_value=2**42)
 #: What a fired event does: schedule a child (possibly at its own timestamp)
 #: or cancel the oldest still-pending event.

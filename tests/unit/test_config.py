@@ -4,7 +4,9 @@ import pytest
 
 from repro.config import (
     ExperimentConfig,
+    HostConfig,
     LinkConfig,
+    NicConfig,
     OptimizationConfig,
     TrafficPattern,
 )
@@ -85,3 +87,40 @@ def test_validate_rejects_loss_without_switch():
 def test_validate_rejects_loss_rate_of_one():
     with pytest.raises(ValueError):
         ExperimentConfig(link=LinkConfig(loss_rate=1.0, has_switch=True)).validate()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(host=HostConfig(cores_per_node=0)),
+        ExperimentConfig(host=HostConfig(cpu_freq_hz=0)),
+        ExperimentConfig(cost_overrides={"no_such_cost_cycles": 1.0}),
+        ExperimentConfig(host=HostConfig(nic_numa_node=-1)),
+        ExperimentConfig(host=HostConfig(numa_nodes=2, nic_numa_node=2)),
+        ExperimentConfig(link=LinkConfig(propagation_ns=-1)),
+        ExperimentConfig(nic=NicConfig(rx_descriptors=0)),
+    ],
+    ids=[
+        "cores_per_node",
+        "cpu_freq_hz",
+        "cost_overrides",
+        "nic_numa_node_negative",
+        "nic_numa_node_too_large",
+        "propagation_ns",
+        "rx_descriptors",
+    ],
+)
+def test_validate_rejects_bad_host_link_nic_and_cost_fields(config):
+    with pytest.raises(ValueError):
+        config.validate()
+
+
+def test_validate_accepts_known_cost_override():
+    ExperimentConfig(cost_overrides={"skb_free_cycles": 100.0}).validate()
+
+
+def test_every_figure_config_validates():
+    from repro.golden import harvest_figure_configs
+
+    for config in harvest_figure_configs():
+        config.validate()

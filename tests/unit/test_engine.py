@@ -127,3 +127,96 @@ def test_zero_delay_event_fires_now():
     engine.schedule(0, fired.append, True)
     engine.run()
     assert fired == [True] and engine.now == 0
+
+
+def test_stop_mid_instant_resumes_same_instant_events_in_ticket_order():
+    engine = Engine()
+    order = []
+
+    def first():
+        order.append("first")
+        engine.schedule(0, order.append, "nested-1")
+        engine.stop()
+        engine.schedule(0, order.append, "nested-2")
+
+    engine.schedule(10, first)
+    engine.schedule(10, order.append, "second")
+    engine.run()
+    assert order == ["first"]
+    assert engine.now == 10 and engine.pending_events() == 3
+    engine.run()
+    assert order == ["first", "second", "nested-1", "nested-2"]
+    assert engine.now == 10 and engine.pending_events() == 0
+
+
+def test_cancel_emptying_an_instant_leaves_counts_exact_and_fires_nothing():
+    engine = Engine()
+    fired = []
+    engine.schedule(5, fired.append, "a")
+    doomed = engine.schedule(10, fired.append, "doomed")
+    engine.schedule(20, fired.append, "b")
+    engine.schedule(30, fired.append, "far").cancel()  # the heap's last leaf
+    assert 30 not in engine._buckets and 30 not in engine._times
+    doomed.cancel()  # last entry of its instant, but not the heap's last leaf
+    assert 10 not in engine._buckets
+    assert 10 in engine._times  # the instant's heap entry is now stale
+    counts = engine.audit_counts()
+    assert engine.pending_events() == 2
+    assert counts["queued"] == 2
+    assert counts["cancelled_tracked"] == counts["cancelled_recount"] == 0
+    engine.run(until=12)
+    assert fired == ["a"] and engine.now == 12
+    assert engine.pending_events() == 1
+    engine.run()
+    assert fired == ["a", "b"] and engine.now == 20
+    assert engine.events_fired == 2 and engine.events_cancelled == 2
+
+
+def test_stale_instants_are_swept_once_they_outnumber_live_ones():
+    engine = Engine()
+    for delay in (1, 10**6, 10**6 + 1, 10**6 + 2):
+        engine.schedule(delay, lambda: None)
+    for delay in range(999, 1, -1):
+        # Each new instant sifts up past every later one, so it is not the
+        # heap's last leaf and its cancel leaves a stale entry behind.
+        engine.schedule(delay, lambda: None).cancel()
+    assert len(engine._times) <= 2 * len(engine._buckets) + 64
+    assert engine.pending_events() == 4
+    engine.run()
+    assert engine.events_fired == 4 and engine.now == 10**6 + 2
+
+
+def test_compaction_inside_a_callback_keeps_the_drain_position():
+    from repro.sim.engine import _COMPACT_MIN_CANCELLED
+
+    engine = Engine()
+    order = []
+    doomed = []
+
+    def compacting():
+        order.append("compacting")
+        for event in doomed:
+            event.cancel()  # flag-cancels; crossing the threshold compacts
+        counts = engine.audit_counts()
+        assert counts["cancelled_tracked"] == counts["cancelled_recount"]
+        assert counts["cancelled_recount"] < len(doomed)  # compaction ran
+        assert not any(e is not None and e.cancelled for e in engine._buckets[10])
+        engine.schedule(0, order.append, "appended")
+
+    engine.schedule(10, order.append, "before")
+    engine.schedule(10, compacting)
+    doomed.extend(
+        engine.schedule(10, order.append, "doomed")
+        for _ in range(_COMPACT_MIN_CANCELLED)
+    )
+    engine.schedule(10, order.append, "after")
+    doomed.extend(
+        engine.schedule(30, order.append, "doomed")
+        for _ in range(_COMPACT_MIN_CANCELLED)
+    )
+    engine.schedule(30, order.append, "later")
+    engine.run()
+    assert order == ["before", "compacting", "after", "appended", "later"]
+    assert engine.pending_events() == 0
+    counts = engine.audit_counts()
+    assert counts["queued"] == counts["cancelled_recount"] == 0

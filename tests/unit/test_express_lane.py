@@ -1,12 +1,12 @@
 """Timer-ordering contracts of the engine, as the clock producers rely on them.
 
 CPU job completions and TCP retransmission deadlines were once dispatched
-from a separate deadline-sorted express lane; they are ordinary wheel events
-now. The lane had to reproduce the wheel's order exactly, and these tests
-pin the same contracts on the wheel alone: exact firing times, time order
-regardless of registration order, ticket order within an instant, same-pass
-firing for entries added mid-drain, the overflow heap beyond the wheel
-horizon, and ``run(until=...)`` boundaries.
+from a separate deadline-sorted express lane; they are ordinary engine
+events now. These tests pin the contracts the lane had to keep on the
+engine alone: exact firing times, time order regardless of registration
+order, scheduling order within an instant, same-pass firing for entries
+added mid-drain, far-future (2**41 ns) events, and ``run(until=...)``
+boundaries.
 """
 
 import pytest
@@ -59,9 +59,9 @@ def test_express_cannot_schedule_in_the_past():
 
 
 def test_same_instant_wheel_and_express_fire_in_registration_order():
-    # ``schedule`` and ``schedule_at`` draw tickets from one counter, so two
-    # events at the same instant interleave by registration order whichever
-    # entry point each came through.
+    # ``schedule`` and ``schedule_at`` append to the same per-instant list,
+    # so two events at the same instant interleave by registration order
+    # whichever entry point each came through.
     engine = Engine()
     order = []
     engine.schedule(1000, order.append, "relative")
@@ -78,9 +78,9 @@ def test_same_instant_wheel_and_express_fire_in_registration_order():
 
 
 def test_express_registered_mid_drain_fires_in_same_pass():
-    # An entry scheduled from inside a callback, for the very block being
-    # drained, fires in this pass — after "second", because it draws its
-    # ticket at registration time.
+    # An entry scheduled from inside a callback, for the very instant being
+    # drained, fires in this pass — after "second", because it is appended
+    # to the instant's list at registration time.
     engine = Engine()
     order = []
 
@@ -96,9 +96,8 @@ def test_express_registered_mid_drain_fires_in_same_pass():
 
 
 def test_express_ahead_of_wheel_block_dispatches_off_heap():
-    # An event beyond the wheel horizon waits in the overflow heap; a nearer
-    # wheel event fires first, then the far one is dispatched off the heap
-    # at its exact time. Each counts once.
+    # A far-future event waits while a nearer one fires first, then fires at
+    # its exact time. Each counts once.
     engine = Engine()
     order = []
     far = 1 << 41

@@ -96,6 +96,15 @@ def test_merge_matches_combined_stream():
     assert a == _hist_from([1, 5, 100, 0, 7, 2000])
 
 
+def test_record_many_matches_one_record_per_delta():
+    deltas = [0, 1, 5, 100, 7, 1 << 40, 2]
+    hist = _hist_from([3, 9])
+    hist.record_many(deltas)
+    assert hist == _hist_from([3, 9] + deltas)
+    hist.record_many([])
+    assert hist == _hist_from([3, 9] + deltas)
+
+
 def test_merge_associative_and_commutative():
     streams = ([3, 9], [0, 1 << 20], [77, 77, 78])
     # (a+b)+c

@@ -3,7 +3,7 @@
 
 Two gates against ``benchmarks/baseline_engine.json``:
 
-* **Engine** — the timer-wheel micro-benchmarks (same workloads as
+* **Engine** — the event-engine micro-benchmarks (same workloads as
   ``benchmarks/test_bench_engine.py`` and ``repro bench``), compared by
   *calibration-normalized* throughput. Fails when either path drops more
   than the tolerance (default 25%) below baseline.
