@@ -8,7 +8,7 @@ that property has historically been broken in simulators:
 ``det-wallclock``
     ``time.time()``/``perf_counter()``/``monotonic()``/``datetime.now()``
     and friends — wall-clock reads leaking into logic. Virtual time is
-    ``engine.now``. Timing harnesses (``bench.py``) are allowlisted.
+    ``engine.now``.
 ``det-urandom``
     ``os.urandom``, ``uuid.uuid1/uuid4``, ``secrets.*`` — OS entropy.
 ``det-global-random``
@@ -55,10 +55,6 @@ SIM_PATH_PREFIXES = (
     "trace.py",
     "golden.py",
 )
-
-#: Package-relative files exempt from the wall-clock rule: dedicated timing
-#: harnesses whose whole point is reading the host clock.
-WALLCLOCK_ALLOW_FILES = frozenset({"bench.py"})
 
 _WALLCLOCK_CALLS = frozenset(
     {
@@ -275,8 +271,7 @@ class _DeterminismVisitor(ScopeVisitor):
 
     def _check_call_target(self, node: ast.Call, target: str) -> None:
         if target in _WALLCLOCK_CALLS:
-            if self.file.relpath not in WALLCLOCK_ALLOW_FILES:
-                self._emit(node, "det-wallclock", f"wall-clock call {target}()")
+            self._emit(node, "det-wallclock", f"wall-clock call {target}()")
             return
         if target in _ENTROPY_CALLS or target.startswith("secrets."):
             self._emit(node, "det-urandom", f"OS-entropy call {target}()")

@@ -141,21 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
                        help="worker processes (0 = one per CPU; default 1)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="record a BENCH_<stamp>.json perf snapshot (also appended to "
-        "BENCH_HISTORY.jsonl): engine micro-benchmarks plus per-figure wall "
-        "times and event counts",
-    )
-    bench.add_argument("--figures", default="fig3a,fig9a", metavar="NAMES",
-                       help="comma-separated panel names to time "
-                       "(default fig3a,fig9a; 'none' skips figure timing)")
-    bench.add_argument("--repeat", type=int, default=3, metavar="N",
-                       help="rounds per measurement; best-of-N is kept "
-                       "(default 3)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="output path (default BENCH_<stamp>.json in cwd)")
-
     lint = sub.add_parser(
         "lint",
         help="run the repro static-analysis checkers (determinism, "
@@ -360,70 +345,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return _audit_exit_code(report)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from . import bench
-
-    names: List[str] = []
-    if args.figures and args.figures != "none":
-        registry = _panel_registry()
-        names = [name.strip() for name in args.figures.split(",") if name.strip()]
-        unknown = [name for name in names if name not in registry]
-        if unknown:
-            print(f"unknown panels {unknown}; try `python -m repro list`",
-                  file=sys.stderr)
-            return 2
-
-    print("engine micro-benchmarks...", file=sys.stderr)
-    engine = bench.engine_metrics(repeat=args.repeat)
-
-    def _time_panel(name: str) -> dict:
-        """Best-of-N wall time plus engine event counts for one panel.
-
-        The workload is deterministic, so the event counters are identical
-        across repeats; the last repeat's counts serve for all. Bench
-        always simulates cold (no result cache), so cache counters are
-        meaningless here and deliberately not recorded.
-        """
-        best_wall = float("inf")
-        for _ in range(args.repeat):
-            figures_base.STATS.reset()
-            # repro-lint: allow[det-wallclock] bench measures host wall time
-            start = time.perf_counter()
-            _run_panel(name, jobs=1, cache=None, audit=False)
-            wall = time.perf_counter() - start  # repro-lint: allow[det-wallclock] bench measures host wall time
-            if wall < best_wall:
-                best_wall = wall
-        stats = figures_base.STATS
-        return {
-            "wall_seconds": best_wall,
-            "experiments_run": stats.experiments_run,
-            "events_fired": stats.events_fired,
-            "events_cancelled": stats.events_cancelled,
-        }
-
-    figures = {}
-    for name in names:
-        print(f"timing {name}...", file=sys.stderr)
-        figures[name] = _time_panel(name)
-
-    doc = bench.snapshot(figures, engine)
-    path = bench.write_snapshot(doc, args.out)
-    print(f"snapshot written to {path}")
-    print(
-        f"engine: schedule_run {engine['schedule_run_events_per_sec']:,.0f} ev/s, "
-        f"cancel_churn {engine['cancel_churn_events_per_sec']:,.0f} ev/s "
-        f"(normalized {engine['schedule_run_normalized']:.3f} / "
-        f"{engine['cancel_churn_normalized']:.3f})"
-    )
-    for name, row in figures.items():
-        print(f"{name}: {row['wall_seconds']:.3f}s wall, "
-              f"{row['experiments_run']} experiments, "
-              f"{row['events_fired']:,} events")
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -455,7 +376,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figure": cmd_figure,
         "trace": cmd_trace,
         "audit": cmd_audit,
-        "bench": cmd_bench,
         "lint": cmd_lint,
         "list": cmd_list,
     }

@@ -3,10 +3,12 @@
 The strategy spans the dimensions that stress the data path: loss (drops,
 SACK recovery, timeouts), ECN/DCTCP (marking) and BBR (pacing), small MTU
 (multi-frame batches), RPC interleave (both directions active), aRFS on/off
-(steering targets), LRO (NIC-side merge), many endpoints per host (outcast,
-all-to-all, RPC incast) and receive-buffer autotuning on or off (off pins a
-fixed buffer). Windows are short so a drawn config runs in well under a
-second.
+(steering targets), the software steering mode used when aRFS is off, LRO
+(NIC-side merge), many endpoints per host (outcast, all-to-all, RPC
+incast), receive-buffer autotuning on or off (off pins a fixed buffer),
+NIC-local or NIC-remote application placement, a 64-descriptor RX ring
+(ring overflow drops), DCA off and IOMMU on. Windows are short so a drawn
+config runs in well under a second.
 """
 
 import dataclasses
@@ -16,8 +18,12 @@ from hypothesis import strategies as st
 from repro.config import (
     CongestionControl,
     ExperimentConfig,
+    HostConfig,
     LinkConfig,
+    NicConfig,
+    NumaPolicy,
     OptimizationConfig,
+    SteeringMode,
     TcpConfig,
     TrafficPattern,
     WorkloadConfig,
@@ -43,6 +49,8 @@ _PATTERNS = [
 ]
 
 _CCS = [CongestionControl.CUBIC, CongestionControl.DCTCP, CongestionControl.BBR]
+
+_RX_DESCRIPTORS = [64, NicConfig().rx_descriptors]
 
 
 @st.composite
@@ -70,7 +78,11 @@ def experiment_configs(draw):
         warmup_ns=msec(1),
         seed=draw(st.integers(1, 5)),
         opts=draw(st.sampled_from(_OPTS)),
+        nic=NicConfig(rx_descriptors=draw(st.sampled_from(_RX_DESCRIPTORS))),
+        host=HostConfig(dca_enabled=draw(st.booleans()), iommu_enabled=draw(st.booleans())),
         tcp=tcp,
         link=link,
         workload=workload,
+        numa_policy=draw(st.sampled_from(list(NumaPolicy))),
+        steering=draw(st.sampled_from(list(SteeringMode))),
     )

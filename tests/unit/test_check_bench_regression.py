@@ -1,11 +1,12 @@
 """Unit tests for the CI perf gate (``tools/check_bench_regression.py``).
 
-The gate itself re-measures figures cold, which is far too slow for unit
-tests — so these tests stub the measurement layer with synthetic numbers
-and exercise the decision logic: a healthy snapshot passes, each ceiling
-and floor trips individually, ``--update`` rewrites the baseline without
-being able to weaken the hard-coded trace-overhead ceiling, and calibration
-normalization makes the verdict machine-independent.
+The gate itself runs ``python -m bench`` on every workload, which is far too
+slow for unit tests — so these tests stub the bench records and the engine
+timings with synthetic numbers and exercise the decision logic: a healthy
+run passes, each ceiling and floor trips individually and names what
+tripped, ``--update`` rewrites the committed values without being able to
+weaken the hard-coded trace-overhead ceiling, and layer ceilings follow
+shares, not raw profiled seconds.
 """
 
 import importlib.util
@@ -20,43 +21,55 @@ tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tool)
 
 
-ENGINE_METRICS = {
-    "calibration_ops_per_sec": 10_000_000.0,
-    "schedule_run_events_per_sec": 4_000_000.0,
-    "schedule_run_normalized": 0.40,
-    "cancel_churn_events_per_sec": 3_000_000.0,
-    "cancel_churn_normalized": 0.30,
+ENGINE_S = {"schedule_run": 0.03, "cancel_churn": 0.12}
+WALL_S = {"bulk": 1.5, "bulk_traced": 1.7, "lossy": 3.0, "rpc": 3.0, "all_to_all": 3.1}
+SHARES = {
+    "sim": 0.10, "hardware.link": 0.04, "hardware.nic": 0.15, "hardware.cache": 0.05,
+    "hardware.cpu": 0.11, "kernel.napi": 0.14, "kernel.tcp": 0.31,
+    "kernel.socket": 0.06, "core.metrics": 0.03, "workloads": 0.006,
+    "core.runner": 0.004,
+}
+GATED = [layer for layer in SHARES if layer not in tool.UNGATED_LAYERS]
+COMMITTED = {
+    "engine_s": ENGINE_S,
+    "wall_s": WALL_S,
+    "layer_s": {
+        name: {layer: SHARES[layer] * wall for layer in GATED}
+        for name, wall in WALL_S.items()
+    },
 }
 
-FIGURE_ROW = {
-    "normalized_cost": 6_000_000.0,
-    "events_fired": 20_000,
-    "trace_overhead": 0.10,
-}
 
-BASELINE = {
-    "schedule_run_normalized": 0.40,
-    "cancel_churn_normalized": 0.30,
-    "figures": {"fig3a": {"max_normalized_cost": 6_000_000.0}},
-}
+def _records(wall_s, shares, self_s_scale, failed):
+    """Stub ``bench_records``: ``run`` and ``layers`` records by workload."""
+    runs = {
+        name: {"workload": name, "attempted": 10, "failed": failed,
+               "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+        for name, wall in wall_s.items()
+    }
+    layers = {}
+    for name in wall_s:
+        metrics = {"unattributed.share": {"value": 0.0, "unit": "fraction"}}
+        for layer, share in shares.items():
+            metrics[f"{layer}.share"] = {"value": share, "unit": "fraction"}
+            # Profiled rounds run without the speed probe: raw host seconds.
+            metrics[f"{layer}.self_s"] = {"value": share * 10.0 * self_s_scale, "unit": "s"}
+        layers[name] = {"workload": name, "attempted": 10, "failed": 0, "metrics": metrics}
+    return {"run": runs, "layers": layers}
 
 
-def _run_gate(tmp_path, monkeypatch, capsys, *, engine=None, row=None,
-              baseline=BASELINE, update=False, figures="fig3a"):
+def _run_gate(tmp_path, monkeypatch, capsys, *, engine=ENGINE_S, wall_s=WALL_S,
+              shares=SHARES, committed=COMMITTED, update=False, self_s_scale=1.0,
+              failed=0):
     """Run ``main()`` with stubbed measurements; return (exit code, stderr)."""
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps(baseline))
-    engine = dict(ENGINE_METRICS if engine is None else engine)
-    row = dict(FIGURE_ROW if row is None else row)
-
-    monkeypatch.setattr(tool.bench, "engine_metrics", lambda repeat: engine)
-    monkeypatch.setattr(
-        tool, "_figure_metrics", lambda names, repeat, cal: {"fig3a": row}
-    )
-    argv = ["check_bench_regression.py", "--baseline", str(baseline_path),
-            "--figures", figures]
-    if update:
-        argv.append("--update")
+    perf_gate = tmp_path / "perf_gate.json"
+    if committed is not None:
+        perf_gate.write_text(json.dumps(committed))
+    records = _records(wall_s, shares, self_s_scale, failed)
+    monkeypatch.setattr(tool, "PERF_GATE", perf_gate)
+    monkeypatch.setattr(tool, "bench_records", lambda command: records[command])
+    monkeypatch.setattr(tool, "engine_seconds", lambda: dict(engine))
+    argv = ["check_bench_regression.py"] + (["--update"] if update else [])
     monkeypatch.setattr(tool.sys, "argv", argv)
     code = tool.main()
     return code, capsys.readouterr().err
@@ -69,90 +82,109 @@ def test_healthy_snapshot_passes(tmp_path, monkeypatch, capsys):
 
 
 def test_engine_throughput_floor_trips(tmp_path, monkeypatch, capsys):
-    engine = dict(ENGINE_METRICS)
-    engine["schedule_run_normalized"] = 0.40 * 0.5  # far below 25% tolerance
+    engine = dict(ENGINE_S, schedule_run=ENGINE_S["schedule_run"] * 2)  # half the speed
     code, err = _run_gate(tmp_path, monkeypatch, capsys, engine=engine)
     assert code == 1
-    assert "schedule_run_normalized" in err
+    assert "engine schedule_run" in err
+    assert "cancel_churn" not in err
 
 
-@pytest.mark.parametrize("key", ["normalized_cost"])
+@pytest.mark.parametrize("key", ["wall_s", "kernel.napi"])
 def test_each_cost_ceiling_trips(tmp_path, monkeypatch, capsys, key):
-    row = dict(FIGURE_ROW)
-    row[key] = row[key] * 2.0  # well past the 25% headroom
-    code, err = _run_gate(tmp_path, monkeypatch, capsys, row=row)
+    if key == "wall_s":
+        # rpc only, so the trace-overhead ceiling stays quiet.
+        code, err = _run_gate(tmp_path, monkeypatch, capsys,
+                              wall_s=dict(WALL_S, rpc=WALL_S["rpc"] * 2))
+        assert "rpc wall_s" in err
+    else:
+        # The layer's share doubles at the same wall time: only layer
+        # ceilings can see it, and every failure names the layer.
+        code, err = _run_gate(tmp_path, monkeypatch, capsys,
+                              shares=dict(SHARES, **{key: SHARES[key] * 2}))
+        failures = [line for line in err.splitlines() if line.startswith("REGRESSION")]
+        assert len(failures) == len(WALL_S)
+        assert all(f"layer {key}:" in line for line in failures)
     assert code == 1
     assert key in err
 
 
 def test_cost_within_tolerance_headroom_passes(tmp_path, monkeypatch, capsys):
-    row = dict(FIGURE_ROW)
-    row["normalized_cost"] = BASELINE["figures"]["fig3a"][
-        "max_normalized_cost"
-    ] * 1.20  # above baseline but inside the 25% tolerance
-    code, _ = _run_gate(tmp_path, monkeypatch, capsys, row=row)
-    assert code == 0
+    # 15% above every committed value: inside BENCHMARK.json's 20% wall_s
+    # bound and the 25% engine tolerance.
+    code, err = _run_gate(
+        tmp_path, monkeypatch, capsys,
+        engine={name: s * 1.15 for name, s in ENGINE_S.items()},
+        wall_s={name: s * 1.15 for name, s in WALL_S.items()},
+    )
+    assert code == 0, err
 
 
 def test_trace_overhead_ceiling_trips(tmp_path, monkeypatch, capsys):
-    row = dict(FIGURE_ROW)
-    row["trace_overhead"] = tool.MAX_TRACE_OVERHEAD + 0.05
-    code, err = _run_gate(tmp_path, monkeypatch, capsys, row=row)
+    traced = WALL_S["bulk"] * (1 + tool.MAX_TRACE_OVERHEAD + 0.05)
+    wall_s = dict(WALL_S, bulk_traced=traced)
+    committed = dict(COMMITTED, wall_s=wall_s)  # bulk_traced within its own ceiling
+    code, err = _run_gate(tmp_path, monkeypatch, capsys, wall_s=wall_s,
+                          committed=committed)
     assert code == 1
     assert "tracing" in err
+    assert "wall_s" not in err
 
 
 def test_missing_gated_figure_fails(tmp_path, monkeypatch, capsys):
-    # fig9a is gated by the baseline and requested, but the measurement
-    # layer (stubbed here) never produced a row for it.
-    baseline = json.loads(json.dumps(BASELINE))
-    baseline["figures"]["fig9a"] = baseline["figures"]["fig3a"]
-    code, err = _run_gate(
-        tmp_path, monkeypatch, capsys, baseline=baseline,
-        figures="fig3a,fig9a",
-    )
+    # rpc is gated by the committed values, but the bench records (stubbed
+    # here) never produced it.
+    wall_s = {name: s for name, s in WALL_S.items() if name != "rpc"}
+    code, err = _run_gate(tmp_path, monkeypatch, capsys, wall_s=wall_s)
     assert code == 1
-    assert "not measured" in err
+    assert "rpc wall_s: gated but not measured" in err
+    assert "rpc layer kernel.napi: gated but not measured" in err
+
+
+def test_failed_experiment_fails(tmp_path, monkeypatch, capsys):
+    code, err = _run_gate(tmp_path, monkeypatch, capsys, failed=1)
+    assert code == 1
+    assert "bulk: 1 of 10 experiments failed in `bench run`" in err
+
+    # A broken run never becomes the committed baseline.
+    code, _ = _run_gate(tmp_path, monkeypatch, capsys, update=True, failed=1)
+    assert code == 1
+    assert json.loads((tmp_path / "perf_gate.json").read_text()) == COMMITTED
 
 
 def test_update_rewrites_baseline_with_hard_floor(tmp_path, monkeypatch, capsys):
-    code, _ = _run_gate(tmp_path, monkeypatch, capsys, update=True)
+    code, _ = _run_gate(tmp_path, monkeypatch, capsys, committed=None, update=True)
     assert code == 0
-    doc = json.loads((tmp_path / "baseline.json").read_text())
-    assert doc["figures"] == {
-        "fig3a": {"max_normalized_cost": FIGURE_ROW["normalized_cost"]}
-    }
-    assert doc["schedule_run_normalized"] == ENGINE_METRICS["schedule_run_normalized"]
-    # A gate run against the freshly written baseline passes.
-    code, err = _run_gate(tmp_path, monkeypatch, capsys, baseline=doc)
+    doc = json.loads((tmp_path / "perf_gate.json").read_text())
+    assert doc["engine_s"] == ENGINE_S
+    assert doc["wall_s"] == WALL_S
+    assert doc["layer_s"] == COMMITTED["layer_s"]
+    # A gate run against the freshly written values passes.
+    code, err = _run_gate(tmp_path, monkeypatch, capsys, committed=doc)
     assert code == 0
     assert "REGRESSION" not in err
 
     # --update can never weaken the trace-overhead ceiling: it is the tool's
     # constant, not whatever this machine happened to measure.
-    row = dict(FIGURE_ROW)
-    row["trace_overhead"] = tool.MAX_TRACE_OVERHEAD + 0.05
-    code, _ = _run_gate(tmp_path, monkeypatch, capsys, row=row, update=True)
+    wall_s = dict(WALL_S, bulk_traced=WALL_S["bulk"] * (1 + tool.MAX_TRACE_OVERHEAD + 0.05))
+    code, _ = _run_gate(tmp_path, monkeypatch, capsys, wall_s=wall_s,
+                        committed=None, update=True)
     assert code == 0
-    doc = json.loads((tmp_path / "baseline.json").read_text())
-    assert "trace_overhead" not in json.dumps(doc)
-    code, err = _run_gate(tmp_path, monkeypatch, capsys, row=row, baseline=doc)
+    doc = json.loads((tmp_path / "perf_gate.json").read_text())
+    assert set(doc) == {"comment", "engine_s", "wall_s", "layer_s"}
+    code, err = _run_gate(tmp_path, monkeypatch, capsys, wall_s=wall_s, committed=doc)
     assert code == 1
     assert "tracing" in err
 
 
-def test_calibration_normalization_is_machine_independent(monkeypatch):
-    """A machine half as fast (walls x2, calibration /2) must produce the
-    same normalized figure costs, so the committed ceilings transfer."""
-    walls = {False: 0.5, True: 0.55}
-
-    def fake_time_figure(name, repeat, trace=False):
-        return walls[trace] * scale, 1_000
-
-    monkeypatch.setattr(tool, "_time_figure", fake_time_figure)
-    scale = 1.0
-    fast = tool._figure_metrics(["fig3a"], 1, 10_000_000.0)["fig3a"]
-    scale = 2.0
-    slow = tool._figure_metrics(["fig3a"], 1, 5_000_000.0)["fig3a"]
-    for key in ("normalized_cost", "trace_overhead"):
-        assert fast[key] == pytest.approx(slow[key])
+def test_calibration_normalization_is_machine_independent(tmp_path, monkeypatch, capsys):
+    """Raw profiled ``self_s`` doubled at the same shares (a host half as
+    fast while profiling, which runs without the speed probe) gives the same
+    verdict, healthy or not."""
+    slow_napi = dict(SHARES, **{"kernel.napi": SHARES["kernel.napi"] * 2})
+    for shares, expected in ((SHARES, 0), (slow_napi, 1)):
+        verdicts = [
+            _run_gate(tmp_path, monkeypatch, capsys, shares=shares, self_s_scale=scale)
+            for scale in (1.0, 2.0)
+        ]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0] == expected

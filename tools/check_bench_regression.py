@@ -1,153 +1,182 @@
 #!/usr/bin/env python
-"""CI perf gate: engine micro-benchmarks and figure costs vs the baseline.
+"""CI perf gate: ``python -m bench`` workloads and layers, and engine floors.
 
-Two gates against ``benchmarks/baseline_engine.json``:
+Every measurement is checked against ``benchmarks/perf_gate.json``. All
+times are seconds at the reference host speed (``bench.probe``), so the
+committed values transfer across machines. The gate fails on:
 
-* **Engine** — the event-engine micro-benchmarks (same workloads as
-  ``benchmarks/test_bench_engine.py`` and ``repro bench``), compared by
-  *calibration-normalized* throughput. Fails when either path drops more
-  than the tolerance (default 25%) below baseline.
-* **Figures** — each gated panel is regenerated cold and its normalized
-  cost (wall time × calibration throughput, a machine-independent work
-  unit) is held under the baseline ceiling, with tolerance headroom. Each
-  panel is also re-run with per-stage latency tracing on; the
-  traced/untraced wall-time ratio must stay under ``MAX_TRACE_OVERHEAD``.
+* **Failures** — any ``python -m bench`` record with ``failed > 0``.
+* **Workload ceilings** — a workload's median ``wall_s`` from
+  ``python -m bench run`` above its committed value by more than the
+  ``wall_s`` bound in ``BENCHMARK.json``.
+* **Layer ceilings** — a layer's reference seconds, its profiled share from
+  ``python -m bench layers`` times the workload's ``wall_s``, above its
+  committed value by the same bound. Failures name the workload and layer.
+* **Trace overhead** — ``bulk_traced`` ``wall_s`` over ``bulk``'s above
+  ``MAX_TRACE_OVERHEAD``.
+* **Engine floors** — the best reference seconds of the two
+  ``benchmarks/test_bench_engine.py`` workloads above their committed values
+  by more than ``ENGINE_TOLERANCE``.
 
 Usage::
 
-    PYTHONPATH=src python tools/check_bench_regression.py
-    PYTHONPATH=src python tools/check_bench_regression.py --figures none
-    PYTHONPATH=src python tools/check_bench_regression.py --update  # re-baseline
+    python tools/check_bench_regression.py            # about 3 minutes
+    python tools/check_bench_regression.py --update   # re-baseline
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from repro import bench  # noqa: E402
+from bench.probe import SpeedProbe  # noqa: E402
+from benchmarks.test_bench_engine import _cancel_churn, _schedule_and_run  # noqa: E402
 
-DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baseline_engine.json"
+PERF_GATE = ROOT / "benchmarks" / "perf_gate.json"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
-#: Allowed fractional wall-time increase of a traced run over the same
-#: panel with tracing off. The tracing-off cost itself is gated by the
-#: baseline's ``max_normalized_cost`` ceiling (tracing off is the default
-#: everywhere, including the golden-digest gate); this ratio — measured on
-#: the same machine in the same process, so it needs no baseline entry —
-#: bounds what turning tracing ON may cost. Kept in the tool so
+#: Allowed fractional wall-time increase of ``bulk_traced`` over ``bulk``:
+#: the same configs with per-stage latency tracing on. Kept in the tool so
 #: ``--update`` can never weaken it.
 MAX_TRACE_OVERHEAD = 0.50
+#: Allowed fractional slowdown of an engine micro-benchmark.
+ENGINE_TOLERANCE = 0.25
+#: Timed runs per engine micro-benchmark in each of three windows: before,
+#: between and after the two bench runs. The best of all of them counts, so
+#: one slow stretch of a shared host cannot decide the verdict.
+ENGINE_REPEAT = 10
+ENGINE_WORKLOADS = {"schedule_run": _schedule_and_run, "cancel_churn": _cancel_churn}
+#: Layers too small, and their shares too noisy, to gate.
+UNGATED_LAYERS = frozenset({"workloads", "core.runner", "unattributed"})
 
 
-def _time_figure(name: str, repeat: int, trace: bool = False):
-    """Best-of-N cold wall time and engine events fired for one panel."""
-    from repro.cli import _run_panel
-    from repro.figures import base as figures_base
-
-    best = float("inf")
-    for _ in range(repeat):
-        figures_base.STATS.reset()
-        start = time.perf_counter()
-        _run_panel(name, jobs=1, cache=None, audit=False, trace=trace)
-        best = min(best, time.perf_counter() - start)
-    return best, figures_base.STATS.events_fired
-
-
-def _figure_metrics(names, repeat: int, calibration_ops: float):
-    rows = {}
-    for name in names:
-        print(f"figure gate: timing {name} (untraced / traced)...")
-        wall, events = _time_figure(name, repeat)
-        wall_traced, _ = _time_figure(name, repeat, trace=True)
-        rows[name] = {
-            "normalized_cost": wall * calibration_ops,
-            "events_fired": events,
-            "trace_overhead": wall_traced / wall - 1.0 if wall else 0.0,
-        }
-        print(
-            f"  {name}: {wall:.3f}s wall, {events:,} events; traced "
-            f"{wall_traced:.3f}s ({rows[name]['trace_overhead']:+.1%} vs "
-            "tracing off)"
+def bench_records(command: str) -> dict:
+    """Run ``python -m bench COMMAND`` on every workload; its records by workload."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "records.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "bench", command, "--out", str(out),
+             "--out-dir", tmp],
+            cwd=ROOT,
         )
-    return rows
+        lines = out.read_text().splitlines() if out.exists() else []
+    return {record["workload"]: record for record in map(json.loads, lines)}
+
+
+def engine_seconds() -> dict:
+    """Best reference seconds of each engine micro-benchmark."""
+    probe = SpeedProbe()
+    spans = {name: [] for name in ENGINE_WORKLOADS}
+    probe.start()
+    try:
+        for _ in range(ENGINE_REPEAT):
+            for name, workload in ENGINE_WORKLOADS.items():
+                start = time.perf_counter()
+                workload()
+                spans[name].append((start, time.perf_counter()))
+    finally:
+        probe.stop()
+    return {
+        name: min(probe.at_reference_speed(start, end) for start, end in runs)
+        for name, runs in spans.items()
+    }
+
+
+def measure() -> tuple:
+    """Everything the gate checks: (measured values, failure messages)."""
+    windows = [engine_seconds()]
+    runs = bench_records("run")
+    windows.append(engine_seconds())
+    layers = bench_records("layers")
+    windows.append(engine_seconds())
+    engine_s = {name: min(window[name] for window in windows) for name in ENGINE_WORKLOADS}
+    failures = [
+        f"{name}: {record['failed']} of {record['attempted']} experiments failed "
+        f"in `bench {command}`"
+        for command, records in (("run", runs), ("layers", layers))
+        for name, record in records.items()
+        if record["failed"]
+    ]
+    wall_s = {name: record["metrics"]["wall_s"]["value"] for name, record in runs.items()}
+    layer_s = {
+        name: {
+            metric[: -len(".share")]: entry["value"] * wall_s[name]
+            for metric, entry in record["metrics"].items()
+            if metric.endswith(".share") and metric[: -len(".share")] not in UNGATED_LAYERS
+        }
+        for name, record in layers.items()
+        if name in wall_s
+    }
+    return {"engine_s": engine_s, "wall_s": wall_s, "layer_s": layer_s}, failures
+
+
+def _over(label: str, now, committed: float, headroom: float) -> list:
+    if now is None:
+        return [f"{label}: gated but not measured"]
+    if now > committed * (1 + headroom):
+        return [
+            f"{label}: {now:.4f} s is {now / committed - 1:.1%} above the committed "
+            f"{committed:.4f} s (ceiling +{headroom:.0%})"
+        ]
+    return []
+
+
+def check(measured: dict, committed: dict, wall_bound: float) -> list:
+    failures = []
+    for name, ceiling in committed["engine_s"].items():
+        failures += _over(f"engine {name}", measured["engine_s"].get(name),
+                          ceiling, ENGINE_TOLERANCE)
+    for name, ceiling in committed["wall_s"].items():
+        failures += _over(f"{name} wall_s", measured["wall_s"].get(name), ceiling, wall_bound)
+    for name, layers in committed["layer_s"].items():
+        now = measured["layer_s"].get(name, {})
+        for layer, ceiling in layers.items():
+            failures += _over(f"{name} layer {layer}", now.get(layer), ceiling, wall_bound)
+    bulk, traced = measured["wall_s"].get("bulk"), measured["wall_s"].get("bulk_traced")
+    if bulk and traced and traced / bulk - 1 > MAX_TRACE_OVERHEAD:
+        failures.append(
+            f"bulk_traced: tracing costs {traced / bulk - 1:.1%} over bulk "
+            f"(ceiling {MAX_TRACE_OVERHEAD:.0%})"
+        )
+    return failures
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=str(DEFAULT_BASELINE))
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed fractional drop below baseline (default 0.25)")
-    parser.add_argument("--repeat", type=int, default=5,
-                        help="rounds per engine measurement, best-of-N (default 5)")
-    parser.add_argument("--figures", default="fig3a,fig9a",
-                        help="comma-separated panels for the figure gate "
-                        "(default fig3a,fig9a — the single-flow and multi-flow "
-                        "tentpole panels; 'none' skips it)")
-    parser.add_argument("--figure-repeat", type=int, default=2,
-                        help="rounds per figure measurement, best-of-N (default 2)")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from this machine's numbers")
+                        help="rewrite benchmarks/perf_gate.json from this run")
     args = parser.parse_args()
 
-    current = bench.engine_metrics(repeat=args.repeat)
-    print(
-        f"schedule_run: {current['schedule_run_events_per_sec']:,.0f} ev/s "
-        f"(normalized {current['schedule_run_normalized']:.4f})"
-    )
-    print(
-        f"cancel_churn: {current['cancel_churn_events_per_sec']:,.0f} ev/s "
-        f"(normalized {current['cancel_churn_normalized']:.4f})"
-    )
+    measured, failures = measure()
+    for name, seconds in measured["engine_s"].items():
+        print(f"engine {name}: {seconds:.4f} s")
+    for name, seconds in measured["wall_s"].items():
+        layers = ", ".join(f"{layer} {s:.3f}" for layer, s in measured["layer_s"].get(name, {}).items())
+        print(f"{name}: wall_s {seconds:.3f} s ({layers})")
 
-    names = []
-    if args.figures and args.figures != "none":
-        names = [n.strip() for n in args.figures.split(",") if n.strip()]
-    figure_rows = _figure_metrics(
-        names, args.figure_repeat, current["calibration_ops_per_sec"]
-    )
-
-    if args.update:
-        doc = {
-            "comment": "calibration-normalized perf floors for CI; regenerate "
-            "with tools/check_bench_regression.py --update (engine floors are "
-            "throughput minima; figure entries are normalized-cost ceilings)",
-            "schedule_run_normalized": current["schedule_run_normalized"],
-            "cancel_churn_normalized": current["cancel_churn_normalized"],
-            "figures": {
-                name: {"max_normalized_cost": row["normalized_cost"]}
-                for name, row in figure_rows.items()
-            },
-        }
-        with open(args.baseline, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline updated: {args.baseline}")
+    if not args.update:
+        bounds = json.loads(BENCHMARK.read_text())["end_to_end"]
+        wall_bound = next(b["bound"] for b in bounds if b["name"] == "wall_s")
+        failures += check(measured, json.loads(PERF_GATE.read_text()), wall_bound)
+    elif not failures:  # a run with failed experiments never becomes the baseline
+        doc = {"comment": "reference seconds; regenerate with "
+                          "tools/check_bench_regression.py --update", **measured}
+        PERF_GATE.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"perf gate updated: {PERF_GATE}")
         return 0
-
-    baseline = bench.load_baseline(args.baseline)
-    failures = bench.compare_to_baseline(current, baseline, args.tolerance)
-    gated = {
-        name: floor
-        for name, floor in baseline.get("figures", {}).items()
-        if not names or name in names
-    }
-    failures += bench.compare_figures_to_baseline(figure_rows, gated, args.tolerance)
-    for name, row in figure_rows.items():
-        if row["trace_overhead"] > MAX_TRACE_OVERHEAD:
-            failures.append(
-                f"{name}: tracing costs {row['trace_overhead']:.1%} over the "
-                f"tracing-off run (ceiling {MAX_TRACE_OVERHEAD:.0%})"
-            )
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         return 1
-    print(f"perf gate passed (tolerance {args.tolerance:.0%})")
+    print("perf gate passed")
     return 0
 
 
