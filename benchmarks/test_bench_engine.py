@@ -3,7 +3,8 @@
 Unlike the figure benchmarks (one deterministic round each), these measure
 the engine's two hot paths: the plain schedule/fire loop with 50k events
 pending at once, and timer churn where most scheduled events are cancelled
-before they fire (the TCP RTO / delayed-ACK / pacing re-arm pattern).
+before they fire (the eager delayed-ACK / pacing re-arm pattern; the RTO is
+a deadline the endpoint moves without cancelling).
 """
 
 from repro.sim.engine import Engine
@@ -26,8 +27,9 @@ def _schedule_and_run() -> int:
 
 
 def _cancel_churn() -> int:
-    """Re-armed timers: every event re-schedules a timer and cancels the old
-    one, so cancelled events vastly outnumber live ones in the queue."""
+    """Re-armed timers: every tick re-schedules the timer that fired it (so
+    ``old`` has already left the queue) and arms and at once cancels a
+    far-future one: one cancel per tick, each an arm-then-cancel."""
     engine = Engine()
     fired = 0
     timer = None
@@ -41,8 +43,8 @@ def _cancel_churn() -> int:
             engine.schedule(50, noop)
             if old is not None:
                 old.cancel()
-            # Arm-and-cancel immediately: the dead-event tail the compaction
-            # bookkeeping is there to keep out of the queue.
+            # Arm-and-cancel immediately: pop-on-cancel drops the event and,
+            # as the heap's last leaf, its instant too.
             engine.schedule(1_000_000, noop).cancel()
 
     def noop() -> None:

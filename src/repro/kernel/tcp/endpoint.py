@@ -136,6 +136,10 @@ class TcpEndpoint:
         self._rtt_sample: Optional[Tuple[int, int]] = None  # (seq, sent_ns)
         self.srtt_ns = 0.0
         self.rttvar_ns = 0.0
+        #: Retransmission deadline (ns), or None when nothing is outstanding.
+        #: ``_rto_event`` is the one pending fire; it never comes after the
+        #: deadline, and a fire that comes before it re-arms at it.
+        self._rto_deadline: Optional[int] = None
         self._rto_event = None
         self._rto_backoff = 1
         self._probe_event = None
@@ -587,19 +591,34 @@ class TcpEndpoint:
         return min(TCP_MAX_RTO_NS, rto)
 
     def _arm_rto(self) -> None:
-        """(Re)arm the retransmission timer for the current send state:
-        cancel the old event and schedule a fresh one."""
-        self._cancel_rto()
-        if self.segments:
-            self._rto_event = self.engine.schedule(self._current_rto(), self._rto_fire)
+        """Move the retransmission deadline to one RTO from now, or clear
+        it when nothing is outstanding. The engine is touched only when no
+        fire is pending by the new deadline; a later pending fire is
+        cancelled and replaced."""
+        if not self.segments:
+            self._rto_deadline = None
+            return
+        deadline = self.engine.now + self._current_rto()
+        self._rto_deadline = deadline
+        event = self._rto_event
+        if event is not None:
+            if event.time <= deadline:
+                return
+            event.cancel()
+        self._rto_event = self.engine.schedule_at(deadline, self._rto_fire)
 
     def _cancel_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._rto_deadline = None
 
     def _rto_fire(self) -> None:
         self._rto_event = None
+        deadline = self._rto_deadline
+        if deadline is None:
+            return
+        if deadline > self.engine.now:
+            self._rto_event = self.engine.schedule_at(deadline, self._rto_fire)
+            return
+        self._rto_deadline = None
         if not self.segments:
             return
         self.timeouts += 1

@@ -9,16 +9,8 @@ order is scheduling order and no tie-breaking serial is needed.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
-
-#: Compact the queue when at least this many cancelled events are queued *and*
-#: they outnumber the live ones (amortizes the O(n) sweep).
-_COMPACT_MIN_CANCELLED = 512
-
-#: Rebuild the instant heap once its stale entries outnumber the live
-#: instants by more than this many (amortizes the O(n) rebuild).
-_SWEEP_MIN_STALE = 64
 
 #: Sentinel for "run with no time bound" (compares greater than any int).
 _NO_LIMIT = float("inf")
@@ -33,13 +25,17 @@ class Event:
     def cancel(self) -> None:
         """Prevent this event from firing. Safe to call multiple times.
 
-        The last entry of its instant (arm-then-cancel) is popped outright;
-        if that empties the instant, its heap entry is dropped when it is
-        the heap's last leaf and otherwise goes stale. Any other event is
-        flagged and skipped at drain or dropped by compaction."""
+        The callback is dropped at once, so a dead timer pins nothing
+        alive. The last entry of its instant (arm-then-cancel) is popped
+        outright; if that empties the instant, its heap entry is dropped
+        when it is the heap's last leaf and otherwise goes stale, to be
+        skipped when popped. Any other event is flagged and skipped at
+        drain."""
         if self.cancelled:
             return
         self.cancelled = True
+        self.fn = None  # type: ignore[assignment]  # break closure refs
+        self.args = ()
         engine = self.engine
         if engine is None:
             return
@@ -49,23 +45,14 @@ class Event:
         if bucket[-1] is self:
             bucket.pop()
             self.engine = None
-            self.fn = None  # type: ignore[assignment]  # break closure refs
-            self.args = ()
             engine._queued -= 1
             if not bucket:
                 del buckets[self.time]
                 times = engine._times
                 if times[-1] == self.time:
                     times.pop()  # a heap's last entry is a leaf: no stale entry
-                elif len(times) > 2 * len(buckets) + _SWEEP_MIN_STALE:
-                    engine._sweep()
             return
         engine._cancelled_in_queue += 1
-        if (
-            engine._cancelled_in_queue >= _COMPACT_MIN_CANCELLED
-            and engine._cancelled_in_queue * 2 > engine._queued
-        ):
-            engine._compact()
 
 
 class Engine:
@@ -118,38 +105,6 @@ class Engine:
         """Stop the run loop after the current event completes."""
         self._stopped = True
 
-    def _sweep(self) -> None:
-        """Rebuild the instant heap from the live instants. In place: a
-        running loop holds this list. The instant being drained re-enters
-        as an entry that goes stale when its drain ends."""
-        self._times[:] = self._buckets
-        heapify(self._times)
-
-    def _compact(self) -> None:
-        """Drop flagged events from every instant, clearing their references
-        so dead timers don't pin endpoints alive. Lists are filtered in place
-        and keep the ``None`` prefix of an instant being drained, so its
-        drain position is unchanged."""
-        emptied = []
-        for time, bucket in self._buckets.items():
-            kept = [event for event in bucket if event is None or not event.cancelled]
-            if len(kept) == len(bucket):
-                continue
-            for event in bucket:
-                if event is not None and event.cancelled:
-                    event.engine = None
-                    event.fn = None  # type: ignore[assignment]
-                    event.args = ()
-            self._queued -= len(bucket) - len(kept)
-            bucket[:] = kept
-            if not kept:
-                emptied.append(time)
-        for time in emptied:
-            del self._buckets[time]
-        self._cancelled_in_queue = 0
-        if len(self._times) > 2 * len(self._buckets) + _SWEEP_MIN_STALE:
-            self._sweep()
-
     def run(self, until: Optional[int] = None) -> int:
         """Run events until the queue drains, ``stop()`` is called, or
         virtual time would exceed ``until``.
@@ -184,8 +139,6 @@ class Engine:
                         event.engine = None
                         if event.cancelled:
                             self._cancelled_in_queue -= 1
-                            event.fn = None  # type: ignore[assignment]
-                            event.args = ()
                             continue
                         self.now = time
                         fired += 1

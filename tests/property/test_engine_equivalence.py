@@ -5,7 +5,7 @@ FIFO list of events) promises exactly the semantics of a plain
 (time, schedule-order) binary heap: events fire in nondecreasing time, and
 events sharing a timestamp fire in the order they were scheduled —
 including events appended to an instant while it drains, and regardless of
-pop-on-cancel, stale-instant sweeps and compaction. This test interprets
+pop-on-cancel and the stale heap entries it leaves. This test interprets
 randomized programs of schedule / cancel / re-arm operations (including
 scheduling and cancelling *during* event callbacks, and delays up to
 2**42 ns) against both engines and requires identical fire logs. The test

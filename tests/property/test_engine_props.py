@@ -63,12 +63,13 @@ def _assert_exact_bookkeeping(engine):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_interleaved_schedule_cancel_keeps_pending_exact(data):
-    """Random interleavings of schedule / cancel / double-cancel / compact
-    keep ``pending_events()`` exact at every step and through the drain."""
+    """Random interleavings of schedule / cancel / double-cancel /
+    arm-then-cancel keep ``pending_events()`` exact at every step and
+    through the drain."""
     engine = Engine()
     live = []
     steps = data.draw(
-        st.lists(st.sampled_from(["schedule", "cancel", "recancel", "compact"]),
+        st.lists(st.sampled_from(["schedule", "cancel", "recancel", "arm_cancel"]),
                  min_size=1, max_size=60)
     )
     expected_pending = 0
@@ -88,8 +89,10 @@ def test_interleaved_schedule_cancel_keeps_pending_exact(data):
             event.cancel()
             event.cancel()
             expected_pending -= 1
-        elif step == "compact":
-            engine._compact()
+        elif step == "arm_cancel":
+            # the TCP timer pattern: the cancel pops the list's last entry
+            delay = data.draw(st.integers(min_value=0, max_value=50))
+            engine.schedule(delay, lambda: None).cancel()
         assert engine.pending_events() == expected_pending
         _assert_exact_bookkeeping(engine)
     engine.run()
@@ -142,19 +145,17 @@ def test_cancel_after_fire_is_a_noop_for_bookkeeping():
 
 
 def test_compaction_threshold_preserves_pending_count():
-    """Crossing the in-place compaction threshold must not change
-    pending_events() or lose live events."""
-    from repro.sim.engine import _COMPACT_MIN_CANCELLED
-
+    """Flag-cancelling hundreds of events must not change pending_events()
+    or lose live events. (The name dates from the in-place compaction this
+    replaced.)"""
     engine = Engine()
-    doomed = [engine.schedule(1, lambda: None)
-              for _ in range(_COMPACT_MIN_CANCELLED + 10)]
+    doomed = [engine.schedule(1, lambda: None) for _ in range(522)]
     fired = []
     survivors = 7
     for index in range(survivors):
         engine.schedule(2, fired.append, index)
     for event in doomed:
-        event.cancel()  # crosses the threshold and compacts mid-loop
+        event.cancel()  # flagged; the last one is popped
     assert engine.pending_events() == survivors
     _assert_exact_bookkeeping(engine)
     engine.run()

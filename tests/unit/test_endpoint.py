@@ -6,6 +6,8 @@ import pytest
 from repro.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.kernel.skb import Skb
+from repro.kernel.tcp.endpoint import _Segment
+from repro.sim.engine import Engine
 from repro.units import msec
 
 
@@ -96,3 +98,66 @@ def test_sendmsg_rejects_nonpositive():
     snd = experiment.sender.endpoints[1]
     with pytest.raises(ValueError):
         snd.sendmsg(None, 0, lambda n: None)
+
+
+# --- the retransmission deadline ---------------------------------------------
+
+
+def _idle_sender():
+    """A sender endpoint with one segment outstanding, on a private engine so
+    its RTO timer is the only thing queued. Retransmissions are logged by
+    instant instead of sent."""
+    experiment = Experiment(ExperimentConfig(duration_ns=msec(1), warmup_ns=0))
+    endpoint = experiment.sender.endpoints[1]
+    engine = endpoint.engine = Engine()
+    retransmits = []
+    endpoint._retransmit_segments = lambda segments, core: retransmits.append(
+        engine.now
+    )
+    endpoint.segments.append(_Segment(0, 1000))
+    return endpoint, engine, retransmits
+
+
+def test_rto_deadline_moved_later_costs_one_stale_wakeup():
+    endpoint, engine, retransmits = _idle_sender()
+    rto = endpoint._current_rto()
+    endpoint._arm_rto()
+    engine.run(until=rto // 2)
+    endpoint._arm_rto()  # an ACK moves the deadline later; nothing is cancelled
+    assert engine.events_cancelled == 0 and engine.pending_events() == 1
+    engine.run()
+    assert retransmits == [rto // 2 + rto]
+    assert endpoint.timeouts == 1
+    assert engine.events_fired == 2  # the stale wake-up at `rto`, then the timeout
+
+
+def test_rto_deadline_moved_earlier_fires_at_the_earlier_instant():
+    endpoint, engine, retransmits = _idle_sender()
+    endpoint._rto_backoff = 4
+    late = endpoint._current_rto()
+    endpoint._arm_rto()
+    engine.run(until=1000)
+    endpoint._rto_backoff = 1  # an ACK of new data resets the backoff
+    endpoint._arm_rto()
+    early = 1000 + endpoint._current_rto()
+    assert early < late
+    engine.run()
+    assert retransmits == [early]
+    assert endpoint.timeouts == 1
+    assert engine.events_cancelled == 1 and engine.events_fired == 1
+
+
+def test_rto_disarmed_once_all_data_is_acked_fires_nothing():
+    endpoint, engine, retransmits = _idle_sender()
+    rto = endpoint._current_rto()
+    endpoint._arm_rto()
+    engine.run(until=rto // 4)
+    endpoint._clean_rtx_queue(1000, endpoint.softirq_core, [])  # all acked
+    assert not endpoint.segments
+    engine.run(until=rto // 2)
+    # New data is queued; its transmit job has not completed, so it is not
+    # armed yet when the old fire wakes.
+    endpoint.segments.append(_Segment(1000, 1000))
+    engine.run()
+    assert retransmits == [] and endpoint.timeouts == 0
+    assert engine.events_fired == 1  # the old fire woke once and did nothing

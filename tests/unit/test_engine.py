@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import Engine
@@ -173,6 +176,9 @@ def test_cancel_emptying_an_instant_leaves_counts_exact_and_fires_nothing():
 
 
 def test_stale_instants_are_swept_once_they_outnumber_live_ones():
+    """Cancels that empty instants leave stale heap entries behind; nothing
+    sweeps them, and each is skipped when it is popped. (The name dates
+    from the heap rebuild this replaced.)"""
     engine = Engine()
     for delay in (1, 10**6, 10**6 + 1, 10**6 + 2):
         engine.schedule(delay, lambda: None)
@@ -180,15 +186,17 @@ def test_stale_instants_are_swept_once_they_outnumber_live_ones():
         # Each new instant sifts up past every later one, so it is not the
         # heap's last leaf and its cancel leaves a stale entry behind.
         engine.schedule(delay, lambda: None).cancel()
-    assert len(engine._times) <= 2 * len(engine._buckets) + 64
     assert engine.pending_events() == 4
+    assert engine.audit_counts()["queued"] == 4
     engine.run()
     assert engine.events_fired == 4 and engine.now == 10**6 + 2
+    assert not engine._times
 
 
 def test_compaction_inside_a_callback_keeps_the_drain_position():
-    from repro.sim.engine import _COMPACT_MIN_CANCELLED
-
+    """Flag-cancels from inside a callback, on the instant being drained
+    and on a later one, keep the drain position and the counts exact.
+    (The name dates from the in-place compaction this replaced.)"""
     engine = Engine()
     order = []
     doomed = []
@@ -196,27 +204,43 @@ def test_compaction_inside_a_callback_keeps_the_drain_position():
     def compacting():
         order.append("compacting")
         for event in doomed:
-            event.cancel()  # flag-cancels; crossing the threshold compacts
+            event.cancel()  # not the last entry of its instant: flagged
         counts = engine.audit_counts()
         assert counts["cancelled_tracked"] == counts["cancelled_recount"]
-        assert counts["cancelled_recount"] < len(doomed)  # compaction ran
-        assert not any(e is not None and e.cancelled for e in engine._buckets[10])
         engine.schedule(0, order.append, "appended")
 
     engine.schedule(10, order.append, "before")
     engine.schedule(10, compacting)
-    doomed.extend(
-        engine.schedule(10, order.append, "doomed")
-        for _ in range(_COMPACT_MIN_CANCELLED)
-    )
+    doomed.extend(engine.schedule(10, order.append, "doomed") for _ in range(512))
     engine.schedule(10, order.append, "after")
-    doomed.extend(
-        engine.schedule(30, order.append, "doomed")
-        for _ in range(_COMPACT_MIN_CANCELLED)
-    )
+    doomed.extend(engine.schedule(30, order.append, "doomed") for _ in range(512))
     engine.schedule(30, order.append, "later")
     engine.run()
     assert order == ["before", "compacting", "after", "appended", "later"]
     assert engine.pending_events() == 0
     counts = engine.audit_counts()
     assert counts["queued"] == counts["cancelled_recount"] == 0
+
+
+def test_flag_cancel_drops_the_callback_at_once():
+    """A flagged event waits in its instant's list until the drain, but its
+    callback and arguments are released at cancel time, so a dead timer
+    does not keep its owner alive."""
+
+    class Owner:
+        def fire(self):
+            pass
+
+    engine = Engine()
+    owner = Owner()
+    owner_ref = weakref.ref(owner)
+    doomed = engine.schedule(10, owner.fire)
+    engine.schedule(10, lambda: None)  # keeps `doomed` off the list's end
+    doomed.cancel()
+    assert engine.audit_counts()["cancelled_recount"] == 1
+    del owner
+    gc.collect()
+    assert owner_ref() is None
+    assert doomed.fn is None and doomed.args == ()
+    engine.run()
+    assert engine.events_fired == 1
