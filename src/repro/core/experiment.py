@@ -46,8 +46,10 @@ class Experiment:
         self.audit_enabled = audit
         self.engine = Engine()
         self.rngs = RngStreams(config.seed)
-        self.profiler = CpuProfiler()
-        self.metrics = MetricsHub()
+        # Meters record nothing until the measurement window opens
+        # (``_start_meters``).
+        self.profiler = CpuProfiler(recording=False)
+        self.metrics = MetricsHub(recording=False)
         costs = default_cost_model()
         if config.cost_overrides:
             costs = costs.replace(**config.cost_overrides)
@@ -56,7 +58,7 @@ class Experiment:
 
         from ..trace import TraceHub
 
-        self.trace = TraceHub() if config.trace else None
+        self.trace = TraceHub(recording=False) if config.trace else None
         self.sender = Host(
             self.engine, "sender", config, costs, self.profiler, self.metrics,
             self.rngs, trace=self.trace,
@@ -177,15 +179,7 @@ class Experiment:
         """Warm up, measure, and assemble the result."""
         cfg = self.config
         self.engine.run(until=cfg.warmup_ns)
-        # Steady state reached: discard warmup measurements. Core busy-cycle
-        # counters reset in the same instant as the profiler so the two stay
-        # comparable (both record charges at job start).
-        self.profiler.reset()
-        self.sender.reset_cycle_accounting()
-        self.receiver.reset_cycle_accounting()
-        self.metrics.reset()
-        if self.trace is not None:
-            self.trace.reset()
+        self._start_meters()
         snapshot = self._counter_snapshot()
 
         end_ns = cfg.warmup_ns + cfg.duration_ns
@@ -196,6 +190,18 @@ class Experiment:
 
             result.audit_report = audit_experiment(self)
         return result
+
+    def _start_meters(self) -> None:
+        """Steady state reached: open the measurement window. Every meter
+        starts at this one instant, and core busy-cycle counters restart
+        with the profiler so the two stay comparable (both record charges
+        at job start)."""
+        self.profiler.start()
+        self.sender.reset_cycle_accounting()
+        self.receiver.reset_cycle_accounting()
+        self.metrics.start()
+        if self.trace is not None:
+            self.trace.start()
 
     def _counter_snapshot(self) -> Dict[str, int]:
         return {

@@ -1,8 +1,8 @@
 """Measurement collection: throughput, copy hit/miss, latency, skb sizes.
 
 A single :class:`MetricsHub` is shared by both hosts of an experiment; the
-experiment resets it at the end of warmup so only steady-state behaviour is
-reported (the paper's methodology, §2.2).
+experiment starts it at the end of warmup so only steady-state behaviour is
+recorded (the paper's methodology, §2.2).
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class LatencyStats:
     dropped_samples`` always. Overflow recordings are not silently discarded:
     past the cap the hub switches to deterministic seeded reservoir sampling,
     so the retained set stays a uniform sample of *all* recordings and the
-    percentiles remain unbiased.
+    percentiles remain unbiased. ``avg_ns`` is exact: the running total of
+    every observation over ``count``.
     """
 
     count: int
@@ -53,8 +54,15 @@ class LatencyStats:
 
     @classmethod
     def from_samples(
-        cls, samples: List[int], dropped_samples: int = 0
+        cls,
+        samples: List[int],
+        dropped_samples: int = 0,
+        total_ns: Optional[int] = None,
     ) -> "LatencyStats":
+        """Summarize ``samples``. ``total_ns`` is the exact sum of every
+        observation, retained or dropped (default: the retained sum, which
+        is exact when nothing was dropped); ``avg_ns`` is that total over
+        ``count``, so it stays exact past the reservoir cap."""
         if not samples:
             if dropped_samples:
                 # Reservoir sampling keeps the stored set non-empty whenever
@@ -72,9 +80,11 @@ class LatencyStats:
             index = min(n - 1, max(0, math.ceil(p * n) - 1))
             return float(ordered[index])
 
+        if total_ns is None:
+            total_ns = sum(ordered)
         return cls(
             count=n + dropped_samples,
-            avg_ns=sum(ordered) / n,
+            avg_ns=total_ns / (n + dropped_samples),
             p50_ns=pct(0.50),
             p99_ns=pct(0.99),
             max_ns=float(ordered[-1]),
@@ -116,18 +126,28 @@ class SideMetrics:
 
 
 class MetricsHub:
-    """Shared metric sink for one experiment."""
+    """Shared metric sink for one experiment.
 
-    def __init__(self) -> None:
+    Until :meth:`start` (when built with ``recording=False``), every
+    ``record_*`` call records nothing, so no side and no reservoir RNG
+    exists before the measurement window: the first recording creates its
+    side with a freshly seeded RNG, and sampling is independent of warmup.
+    """
+
+    def __init__(self, recording: bool = True) -> None:
         self._sides: Dict[str, SideMetrics] = {}
         self._per_flow_bytes: Dict[Tuple[str, int], int] = defaultdict(int)
         self._flow_tags: Dict[int, str] = {}
+        self.recording = recording
+
+    def start(self) -> None:
+        """Open the measurement window: record every later sample."""
+        self.recording = True
 
     def reset(self) -> None:
-        """Discard all measurements (end of warmup). Flow tags persist.
+        """Discard all measurements. Flow tags persist.
 
-        Sides are recreated lazily with freshly seeded reservoir RNGs, so
-        post-warmup sampling is independent of warmup length.
+        Sides are recreated lazily with freshly seeded reservoir RNGs.
         """
         self._sides.clear()
         self._per_flow_bytes.clear()
@@ -146,15 +166,21 @@ class MetricsHub:
         return side
 
     def record_delivered(self, host: str, flow_id: int, nbytes: int) -> None:
+        if not self.recording:
+            return
         self.side(host).delivered_bytes += nbytes
         self._per_flow_bytes[(host, flow_id)] += nbytes
 
     def record_receiver_copy(self, host: str, hit: int, miss: int) -> None:
+        if not self.recording:
+            return
         side = self.side(host)
         side.copy_hit_bytes += hit
         side.copy_miss_bytes += miss
 
     def record_sender_copy(self, host: str, hit: int, miss: int) -> None:
+        if not self.recording:
+            return
         side = self.side(host)
         side.sender_copy_hit_bytes += hit
         side.sender_copy_miss_bytes += miss
@@ -167,6 +193,8 @@ class MetricsHub:
         seen (seeded, hence deterministic) instead of silently truncating —
         which would bias p99/max toward early steady state.
         """
+        if not self.recording:
+            return
         side = self.side(host)
         side.latency_total_ns += latency_ns
         samples = side.latency_samples
@@ -180,6 +208,8 @@ class MetricsHub:
             samples[slot] = latency_ns
 
     def record_rx_skb(self, host: str, payload_bytes: int) -> None:
+        if not self.recording:
+            return
         self.side(host).rx_skb_sizes[payload_bytes] += 1
 
     # --- queries ----------------------------------------------------------------------
@@ -215,4 +245,6 @@ class MetricsHub:
 
     def latency_stats(self, host: str) -> LatencyStats:
         side = self.side(host)
-        return LatencyStats.from_samples(side.latency_samples, side.latency_dropped)
+        return LatencyStats.from_samples(
+            side.latency_samples, side.latency_dropped, side.latency_total_ns
+        )

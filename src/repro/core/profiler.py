@@ -19,21 +19,28 @@ if TYPE_CHECKING:  # pragma: no cover
 class CpuProfiler:
     """Collects cycles charged by cores, keyed by (core, operation).
 
-    Supports ``reset()`` so experiments can discard warmup cycles, mirroring
-    how the paper measures steady state.
+    An experiment builds its profiler with ``recording=False`` and calls
+    :meth:`start` when the measurement window opens, mirroring how the paper
+    measures steady state: warmup charges are validated and summed (the
+    model needs each job's duration) but never reach the ledger.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, recording: bool = True) -> None:
         # {core_key: {op: cycles}}
         self._cycles: Dict[Tuple[str, int], Dict[str, float]] = defaultdict(
             lambda: defaultdict(float)
         )
+        self.recording = recording
+
+    def start(self) -> None:
+        """Open the measurement window: record every later charge."""
+        self.recording = True
 
     def charge(self, core: "Core", op: str, cycles: float) -> None:
         """Attribute ``cycles`` of work on ``core`` to kernel operation ``op``."""
         if cycles < 0:
             raise ValueError(f"negative cycle charge: {cycles} for {op}")
-        if cycles:
+        if cycles and self.recording:
             self._cycles[core.key][op] += cycles
 
     def charge_items(self, core: "Core", items) -> float:
@@ -45,6 +52,12 @@ class CpuProfiler:
         not mark the core busy (matching :meth:`charge`).
         """
         total = 0.0
+        if not self.recording:
+            for op, cycles in items:
+                if cycles < 0:
+                    raise ValueError(f"negative cycle charge: {cycles} for {op}")
+                total += cycles
+            return total
         ops = self._cycles.get(core.key)
         for op, cycles in items:
             if cycles:
@@ -57,7 +70,7 @@ class CpuProfiler:
         return total
 
     def reset(self) -> None:
-        """Discard all recorded cycles (used at the end of warmup)."""
+        """Discard all recorded cycles."""
         self._cycles.clear()
 
     # --- queries ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from .config import ExperimentConfig
 from .core.cache import CACHE_SCHEMA_VERSION, config_cache_key
@@ -36,15 +36,20 @@ GOLDEN_DURATION_NS = msec(2)
 GOLDEN_WARMUP_NS = msec(3)
 
 
-def harvest_figure_configs() -> List[ExperimentConfig]:
-    """Every config any figure generator submits, in sorted-generator order,
-    deduplicated (full-window form) by cache key."""
+def harvest_figure_configs(
+    names: Optional[Collection[str]] = None,
+) -> List[ExperimentConfig]:
+    """Every config any figure generator submits (only the generators in
+    ``names``, when given), in sorted-generator order, deduplicated
+    (full-window form) by cache key."""
     from .figures import ALL_FIGURES
     from .figures import base as figures_base
 
     generators = {}
     for module in ALL_FIGURES.values():
         for name in dir(module):
+            if names is not None and name not in names:
+                continue
             if name.startswith("fig") and callable(getattr(module, name)):
                 generators[name] = getattr(module, name)
 

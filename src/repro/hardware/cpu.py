@@ -150,7 +150,7 @@ class Core:
         self.busy_cycles += cycles
 
     def reset_cycle_accounting(self) -> None:
-        """Discard accumulated busy cycles (paired with ``CpuProfiler.reset``)."""
+        """Discard accumulated busy cycles (paired with ``CpuProfiler.start``)."""
         self.busy_cycles = 0.0
 
     # --- queries -------------------------------------------------------------------

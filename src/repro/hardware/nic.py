@@ -249,7 +249,12 @@ class Nic:
         lro = self.lro
         dca = self.dca
         trace = self.trace
-        wire_deltas: Optional[List[int]] = [] if trace is not None else None
+        # Wire stamps are consumed from the first frame on; samples are
+        # collected only once the measurement window is open.
+        wire = trace.stages["wire"] if trace is not None else None
+        wire_deltas: Optional[List[int]] = (
+            [] if wire is not None and wire.recording else None
+        )
         region_counter = self._region_counter
         rx_frames = 0
         rx_bytes = 0
@@ -281,8 +286,9 @@ class Nic:
             rx_frames += 1
             rx_bytes += frame.wire_bytes
             is_data = frame.kind == kind_data
-            if wire_deltas is not None and frame.trace_ns is not None:
-                wire_deltas.append(now - frame.trace_ns)
+            if wire is not None and frame.trace_ns is not None:
+                if wire_deltas is not None:
+                    wire_deltas.append(now - frame.trace_ns)
                 frame.trace_ns = None
 
             if lro and is_data and self._try_lro_merge(queue, frame):
@@ -315,7 +321,7 @@ class Nic:
         self.rx_frames += rx_frames
         self.rx_bytes += rx_bytes
         if wire_deltas is not None:
-            trace.stage("wire").record_many(wire_deltas)
+            wire.record_many(wire_deltas)
         for queue in touched.values():
             if queue.napi is not None:
                 queue.napi.notify()

@@ -188,9 +188,9 @@ class Host:
     # --- queries -----------------------------------------------------------------------------
 
     def reset_cycle_accounting(self) -> None:
-        """Zero every core's busy-cycle counter (end of warmup, alongside
-        ``CpuProfiler.reset`` — both record charges at job start, so resetting
-        them at the same instant keeps cycle conservation exact)."""
+        """Zero every core's busy-cycle counter (end of warmup, as the
+        profiler starts recording — both record charges at job start, so
+        starting them at the same instant keeps cycle conservation exact)."""
         for core in self.topology.cores:
             core.reset_cycle_accounting()
 

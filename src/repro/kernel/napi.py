@@ -136,12 +136,13 @@ class NapiContext:
         kind_data = Frame.KIND_DATA
         kind_ack = Frame.KIND_ACK
         trace = host.trace
-        if trace is not None:
+        rx_ring = trace.stages["rx_ring"] if trace is not None else None
+        if rx_ring is not None and rx_ring.recording:
             # One rx_ring sample per data completion whose flow has an
             # endpoint: DMA arrival (the record's stamped arrival time) to
             # this poll instant. Endpoints are never removed, so this is
             # exactly the set of records the loop below hands to GRO.
-            trace.stage("rx_ring").record_many([
+            rx_ring.record_many([
                 now - record.arrival_ns
                 for record in batch
                 if record.frame.kind == kind_data

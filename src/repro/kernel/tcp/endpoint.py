@@ -893,7 +893,10 @@ class TcpEndpoint:
         freed_pages: dict = {}
         app_node = self.app_core.numa_node
         trace = self.trace
-        if trace is not None:
+        # The three receive stages open together; before the window the
+        # skb stamps are still consumed below, but nothing is recorded.
+        rx_stages = trace is not None and trace.stages["e2e"].recording
+        if rx_stages:
             stages = trace.stages
             softirq_record = stages["rx_softirq"].record
             sockq_record = stages["rx_sockq"].record
@@ -906,11 +909,11 @@ class TcpEndpoint:
                 remote_bytes += chunk
             if skb.napi_ns is not None:
                 self.host.metrics.record_copy_latency(self.host.name, now - skb.napi_ns)
-                if trace is not None:
+                if rx_stages:
                     # All three receive stages are recorded at drain time so
                     # their counts stay equal and the totals telescope exactly
                     # (e2e = rx_softirq + rx_sockq) — the auditor's identity —
-                    # even across the warmup reset.
+                    # even for an skb enqueued before the window opened.
                     softirq_record(skb.trace_ns - skb.napi_ns)
                     sockq_record(now - skb.trace_ns)
                     e2e_record(now - skb.napi_ns)

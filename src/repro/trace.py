@@ -18,6 +18,9 @@ Stamping rules:
 * Per-frame wire stamps use the frame's own serialization finish time (the
   running ``t`` in ``Link._serialize``), because a batch is serialized in
   one event but its frames leave the wire one after another.
+* Stamps run from t=0; histograms record only once the measurement window
+  opens (``TraceHub.start``). A sample is recorded when its interval closes,
+  so one that opens in warmup and closes in the window is recorded whole.
 
 Tracing only reads: traced results equal untraced ones outside the trace
 payload (property-tested), and untraced runs are untouched: every hook is
@@ -66,19 +69,25 @@ class StageHistogram:
     Exact count / total / max plus a fixed 64-bucket population vector:
     unbounded sample streams aggregate in O(1) memory with no reservoir (and
     hence no sampling noise in the sum identity the auditor checks).
+
+    While ``recording`` is false (warmup) :meth:`record` and
+    :meth:`record_many` record nothing; the owner's ``start`` sets it.
     """
 
-    __slots__ = ("count", "total_ns", "max_ns", "buckets")
+    __slots__ = ("count", "total_ns", "max_ns", "buckets", "recording")
 
-    def __init__(self) -> None:
+    def __init__(self, recording: bool = True) -> None:
         self.count = 0
         self.total_ns = 0
         self.max_ns = 0
         self.buckets = [0] * NUM_BUCKETS
+        self.recording = recording
 
     def record(self, delta_ns: int) -> None:
         """Record one interval. Bucket index is ``delta.bit_length()``:
         0 -> bucket 0, [2^(b-1), 2^b - 1] -> bucket b."""
+        if not self.recording:
+            return
         self.buckets[delta_ns.bit_length()] += 1
         self.count += 1
         self.total_ns += delta_ns
@@ -88,7 +97,7 @@ class StageHistogram:
     def record_many(self, deltas: Sequence[int]) -> None:
         """Record every interval in ``deltas``: the same count, total, max
         and buckets as calling :meth:`record` once per delta."""
-        if not deltas:
+        if not deltas or not self.recording:
             return
         buckets = self.buckets
         for delta_ns in deltas:
@@ -100,8 +109,8 @@ class StageHistogram:
             self.max_ns = top
 
     def clear(self) -> None:
-        """Zero in place (warmup reset) — callers holding a reference to this
-        histogram keep recording into the same object."""
+        """Zero in place — callers holding a reference to this histogram
+        keep recording into the same object."""
         self.count = 0
         self.total_ns = 0
         self.max_ns = 0
@@ -189,19 +198,24 @@ class StageHistogram:
 class SideTrace:
     """One host's per-stage histograms. Hot-path recorders fetch a stage's
     histogram once via :meth:`stage` and call ``record`` on it directly;
-    :meth:`clear` zeroes in place so those references survive the warmup
-    reset."""
+    :meth:`start` and :meth:`clear` act in place so those references stay
+    live."""
 
     __slots__ = ("host", "stages")
 
-    def __init__(self, host: str) -> None:
+    def __init__(self, host: str, recording: bool = True) -> None:
         self.host = host
         self.stages: Dict[str, StageHistogram] = {
-            key: StageHistogram() for key in STAGE_KEYS
+            key: StageHistogram(recording) for key in STAGE_KEYS
         }
 
     def stage(self, key: str) -> StageHistogram:
         return self.stages[key]
+
+    def start(self) -> None:
+        """Open the measurement window: every stage records from here."""
+        for hist in self.stages.values():
+            hist.recording = True
 
     def clear(self) -> None:
         for hist in self.stages.values():
@@ -210,19 +224,30 @@ class SideTrace:
 
 class TraceHub:
     """Shared trace sink for one experiment (one :class:`SideTrace` per
-    host), mirroring how :class:`~repro.core.metrics.MetricsHub` is shared."""
+    host), mirroring how :class:`~repro.core.metrics.MetricsHub` is shared.
 
-    def __init__(self) -> None:
+    Built with ``recording=False``, its histograms record nothing until
+    :meth:`start`; stamps on frames and skbs run regardless, so an interval
+    that straddles the start is recorded whole."""
+
+    def __init__(self, recording: bool = True) -> None:
         self.sides: Dict[str, SideTrace] = {}
+        self.recording = recording
 
     def side(self, host: str) -> SideTrace:
         side = self.sides.get(host)
         if side is None:
-            side = self.sides[host] = SideTrace(host)
+            side = self.sides[host] = SideTrace(host, self.recording)
         return side
 
+    def start(self) -> None:
+        """Open the measurement window on every host's histograms."""
+        self.recording = True
+        for side in self.sides.values():
+            side.start()
+
     def reset(self) -> None:
-        """Discard warmup recordings (in place: recorder references held by
+        """Discard every recording (in place: recorder references held by
         the NIC/link/endpoints stay live)."""
         for side in self.sides.values():
             side.clear()

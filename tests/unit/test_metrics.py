@@ -188,6 +188,9 @@ def test_latency_count_is_retained_plus_dropped(monkeypatch):
     stats = hub.latency_stats("receiver")
     assert stats.count == stats.retained + stats.dropped_samples == 50
     assert hub.side("receiver").latency_total_ns == total
+    # The average is the exact running total over every observation, not
+    # the mean of the retained sample.
+    assert stats.avg_ns == total / 50
 
 
 def test_empty_samples_with_drops_is_rejected():

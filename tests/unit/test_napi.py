@@ -95,6 +95,7 @@ def test_rfs_forwards_tcp_processing_to_app_core():
     irq_core = experiment.receiver.steering.queue_for(1).irq_core
     # RFS: TCP runs on the app core even when IRQs land elsewhere
     assert endpoint.softirq_core is endpoint.app_core
+    experiment.profiler.start()  # an experiment's profiler opens at the window
     inject_frames(experiment, 4)
     experiment.engine.run(until=msec(1))
     assert endpoint.rcv_nxt == 4 * 8960
