@@ -3,18 +3,12 @@
 A :class:`Finding` is one violation of a statically-checkable invariant:
 where it is (repo-relative path, line, enclosing symbol), which rule fired,
 and why the rule exists. Findings are value objects — checkers produce them,
-the lint driver suppresses/baselines/renders them.
-
-Baseline matching deliberately excludes the line number: an accepted finding
-must survive unrelated edits above it, so its identity is the stable tuple
-``(rule, path, symbol, message)``. Messages therefore never embed line
-numbers or other position-dependent text.
+the lint driver suppresses (by pragma) and renders them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -29,10 +23,6 @@ class Finding:
     #: Why the rule exists — shown once per rule in reports, not per finding.
     rationale: str = field(default="", compare=False)
     checker: str = field(default="", compare=False)  # owning checker id
-
-    def identity(self) -> Tuple[str, str, str, str]:
-        """Baseline-matching key: stable across unrelated line churn."""
-        return (self.rule, self.path, self.symbol, self.message)
 
     def render(self) -> str:
         symbol = f" ({self.symbol})" if self.symbol != "<module>" else ""

@@ -2,11 +2,12 @@
 
 Pipeline: load the ``src/repro`` tree into a :class:`Project`, run each
 registered checker, drop findings covered by an inline
-``# repro-lint: allow[rule] reason`` pragma, match the rest against the
-committed baseline, and render. Exit status is the gate contract:
+``# repro-lint: allow[rule] reason`` pragma (the only suppression), and
+render. A finding no pragma covers is *new*. Exit status is the gate
+contract:
 
-* ``0`` — no new findings and no stale baseline entries,
-* ``1`` — new findings and/or stale entries (the ratchet fired),
+* ``0`` — no new findings,
+* ``1`` — at least one new finding,
 * ``2`` — a linted file failed to parse (the tree itself is broken).
 """
 
@@ -14,17 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_PATH,
-    BaselineEntry,
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .checkers import CHECKERS
 from .findings import Finding
 from .project import Project
@@ -36,30 +28,21 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)      # post-pragma
     pragma_suppressed: List[Finding] = field(default_factory=list)
-    baseline: BaselineResult = field(
-        default_factory=lambda: BaselineResult(new=[], suppressed=[], stale=[])
-    )
     syntax_errors: List[str] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
         if self.syntax_errors:
             return 2
-        if self.baseline.new or self.baseline.stale:
+        if self.findings:
             return 1
         return 0
 
 
-def run_lint(
-    project: Optional[Project] = None,
-    baseline_entries: Optional[List[BaselineEntry]] = None,
-    baseline_path: Optional[Path] = None,
-) -> LintReport:
+def run_lint(project: Optional[Project] = None) -> LintReport:
     """Run all checkers over ``project`` (default: the installed tree)."""
     if project is None:
         project = Project.from_dir()
-    if baseline_entries is None:
-        baseline_entries = load_baseline(baseline_path)
 
     report = LintReport()
     for file in project:
@@ -78,8 +61,6 @@ def run_lint(
             report.pragma_suppressed.append(finding)
         else:
             report.findings.append(finding)
-
-    report.baseline = apply_baseline(report.findings, baseline_entries)
     return report
 
 
@@ -87,23 +68,14 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
     lines: List[str] = []
     for error in report.syntax_errors:
         lines.append(f"syntax error: {error}")
-    for finding in report.baseline.new:
+    for finding in report.findings:
         lines.append(finding.render())
         if verbose:
             lines.append(f"    rationale: {finding.rationale}")
-    for entry in report.baseline.stale:
-        lines.append(
-            f"{entry.path}: [{entry.rule}] ({entry.symbol}) stale baseline "
-            f"entry — no matching finding; remove it or run --write-baseline"
-        )
-    summary = (
-        f"repro lint: {len(report.baseline.new)} new, "
-        f"{len(report.baseline.suppressed)} baselined, "
-        f"{len(report.pragma_suppressed)} pragma-suppressed, "
-        f"{len(report.baseline.stale)} stale baseline entr"
-        f"{'y' if len(report.baseline.stale) == 1 else 'ies'}"
+    lines.append(
+        f"repro lint: {len(report.findings)} new, "
+        f"{len(report.pragma_suppressed)} pragma-suppressed"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -111,20 +83,9 @@ def render_json(report: LintReport) -> str:
     return json.dumps(
         {
             "exit_code": report.exit_code,
-            "new": [f.to_dict() for f in report.baseline.new],
-            "baselined": [f.to_dict() for f in report.baseline.suppressed],
+            "new": [f.to_dict() for f in report.findings],
             "pragma_suppressed": [
                 f.to_dict() for f in report.pragma_suppressed
-            ],
-            "stale_baseline": [
-                {
-                    "rule": e.rule,
-                    "path": e.path,
-                    "symbol": e.symbol,
-                    "message": e.message,
-                    "reason": e.reason,
-                }
-                for e in report.baseline.stale
             ],
             "syntax_errors": report.syntax_errors,
         },
@@ -132,19 +93,9 @@ def render_json(report: LintReport) -> str:
     )
 
 
-def update_baseline(
-    report: LintReport, path: Optional[Path] = None
-) -> Path:
-    """Rewrite the baseline from this run's findings, keeping old reasons."""
-    previous = load_baseline(path)
-    return write_baseline(report.findings, path=path, previous=previous)
-
-
 __all__ = [
-    "DEFAULT_BASELINE_PATH",
     "LintReport",
     "render_json",
     "render_text",
     "run_lint",
-    "update_baseline",
 ]

@@ -10,7 +10,6 @@ Usage examples::
     python -m repro figure fig3a --no-cache      # force re-simulation
     python -m repro figure fig3a --audit         # conservation-audit every run
     python -m repro trace fig3a                  # per-stage latency breakdown
-    python -m repro audit fig3a --jobs 4         # audit only, no table output
     python -m repro list
 
 Results are cached on disk keyed by a content hash of the full experiment
@@ -40,6 +39,7 @@ from .config import (
 from .core.cache import ResultCache, default_cache_dir
 from .core.export import export_table, result_to_json
 from .core.runner import RunnerStats, run_many
+from .figures import PANELS
 from .figures import base as figures_base
 from .units import kb, msec
 
@@ -54,7 +54,7 @@ def _jobs_arg(text: str) -> int:
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    """Runner knobs shared by the ``run`` and ``figure`` subcommands."""
+    """Runner knobs shared by the ``run``, ``figure`` and ``trace`` subcommands."""
     parser.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
                         help="worker processes for independent experiments "
                         "(0 = one per CPU; default 1)")
@@ -132,29 +132,12 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--export", help="write the trace table to .csv/.json")
     _add_runner_args(trace)
 
-    audit = sub.add_parser(
-        "audit",
-        help="run one figure's experiments under the conservation auditor "
-        "and report every byte/cycle/event accounting violation",
-    )
-    audit.add_argument("name", help="e.g. fig3a, fig8c, table1")
-    audit.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
-                       help="worker processes (0 = one per CPU; default 1)")
-
     lint = sub.add_parser(
         "lint",
         help="run the repro static-analysis checkers (determinism, "
         "cache-key completeness, slots discipline) "
-        "over src/repro; exits non-zero on new findings or stale baseline "
-        "entries",
+        "over src/repro; exits non-zero on any finding no pragma allows",
     )
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="baseline file of accepted findings (default: "
-                      "src/repro/analysis/baseline.json)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="rewrite the baseline from the current findings "
-                      "(preserving reasons of surviving entries) instead of "
-                      "failing on them")
     lint.add_argument("--json", action="store_true",
                       help="emit the full report as JSON")
     lint.add_argument("--verbose", action="store_true",
@@ -200,17 +183,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _panel_registry() -> dict:
-    from .figures import ALL_FIGURES, tables
-
-    panels = {"table1": tables.table1, "table2": tables.table2}
-    for module in ALL_FIGURES.values():
-        for name in dir(module):
-            if name.startswith("fig") and callable(getattr(module, name)):
-                panels[name] = getattr(module, name)
-    return panels
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     jobs, cache, audit = _runner_settings(args)
     stats = RunnerStats()
@@ -239,41 +211,41 @@ def _audit_exit_code(report) -> int:
     return 1 if report is not None and not report.ok else 0
 
 
-def _run_panel(name: str, jobs, cache, audit: bool, trace: bool = False):
-    """Run one figure panel under the given runner settings.
+def _run_panel(generator, jobs, cache, audit: bool, trace: bool):
+    """Run one figure panel's generator under the given runner settings.
 
-    Returns ``(table, merged_audit_report)``; the report is ``None`` when
-    auditing is off. With ``trace`` a merged
-    :class:`~repro.trace.TraceReport` is appended: ``(table, audit_report,
-    trace_report)``. Raises ``KeyError`` for an unknown panel name.
+    Returns ``(table, audit_report, trace_report)``: the merged
+    :class:`~repro.core.audit.AuditReport` (``None`` when auditing is off)
+    and the merged :class:`~repro.trace.TraceReport` (``None`` when tracing
+    is off).
     """
     from .core.audit import merge_reports
     from .trace import TraceReport
 
-    generator = _panel_registry()[name]
     figures_base.configure(jobs=jobs, cache=cache, audit=audit, trace=trace)
     figures_base.STATS.reset()
     try:
         table = generator()
+        # Merge before the finally clause's configure() clears the lists.
         report = merge_reports(figures_base.AUDIT_REPORTS) if audit else None
-        if trace:
-            # Merge before the finally clause's configure() clears the list.
-            trace_report = TraceReport.merge(figures_base.TRACE_REPORTS)
+        trace_report = TraceReport.merge(figures_base.TRACE_REPORTS) if trace else None
     finally:
         figures_base.configure()  # restore the sequential, uncached default
-    if trace:
-        return table, report, trace_report
-    return table, report
+    return table, report, trace_report
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    jobs, cache, audit = _runner_settings(args)
-    try:
-        table, report = _run_panel(args.name, jobs, cache, audit)
-    except KeyError:
+def cmd_panel(args: argparse.Namespace) -> int:
+    """``repro figure`` and ``repro trace``: run one panel, print its table
+    (the per-stage latency table when tracing) and any audit report, and
+    export what was printed."""
+    trace = args.command == "trace"
+    generator = PANELS.get(args.name)
+    if generator is None:
         print(f"unknown panel {args.name!r}; try `python -m repro list`",
               file=sys.stderr)
         return 2
+    jobs, cache, audit = _runner_settings(args)
+    table, report, trace_report = _run_panel(generator, jobs, cache, audit, trace)
     stats = figures_base.STATS
     if stats.experiments_run or stats.cache_hits:
         print(
@@ -281,81 +253,36 @@ def cmd_figure(args: argparse.Namespace) -> int:
             f"{stats.cache_hits} served from cache",
             file=sys.stderr,
         )
+    violations = []
+    if trace_report is not None:
+        table = trace_report.to_table(f"{args.name}: per-stage latency")
     print(table.render())
+    if trace_report is not None:
+        checks, violations = trace_report.check_identity()
+        if violations:
+            print(f"trace identity FAILED ({checks} checks):", file=sys.stderr)
+            for message in violations:
+                print(f"  - {message}", file=sys.stderr)
+        else:
+            print(
+                f"trace identity ok: stage deltas sum to end-to-end copy latency "
+                f"({checks} checks)",
+                file=sys.stderr,
+            )
     if report is not None:
         print(report.render(), file=sys.stderr)
     if args.export:
         export_table(table, args.export)
-        print(f"\nwritten to {args.export}")
-    return _audit_exit_code(report)
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    jobs, cache, audit = _runner_settings(args)
-    try:
-        table, report, trace_report = _run_panel(
-            args.name, jobs, cache, audit, trace=True
-        )
-    except KeyError:
-        print(f"unknown panel {args.name!r}; try `python -m repro list`",
-              file=sys.stderr)
-        return 2
-    stats = figures_base.STATS
-    if stats.experiments_run or stats.cache_hits:
-        print(
-            f"runner: {stats.experiments_run} experiments simulated, "
-            f"{stats.cache_hits} served from cache",
-            file=sys.stderr,
-        )
-    trace_table = trace_report.to_table(f"{args.name}: per-stage latency")
-    print(trace_table.render())
-    checks, violations = trace_report.check_identity()
-    if violations:
-        print(f"trace identity FAILED ({checks} checks):", file=sys.stderr)
-        for message in violations:
-            print(f"  - {message}", file=sys.stderr)
-    else:
-        print(
-            f"trace identity ok: stage deltas sum to end-to-end copy latency "
-            f"({checks} checks)",
-            file=sys.stderr,
-        )
-    if report is not None:
-        print(report.render(), file=sys.stderr)
-    if args.export:
-        export_table(trace_table, args.export)
         print(f"\nwritten to {args.export}")
     if violations:
         return 1
     return _audit_exit_code(report)
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
-    jobs = None if args.jobs == 0 else args.jobs
-    try:
-        _, report = _run_panel(args.name, jobs, None, True)
-    except KeyError:
-        print(f"unknown panel {args.name!r}; try `python -m repro list`",
-              file=sys.stderr)
-        return 2
-    stats = figures_base.STATS
-    print(f"{args.name}: {stats.experiments_run} experiments audited",
-          file=sys.stderr)
-    print(report.render())
-    return _audit_exit_code(report)
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .analysis import lint as lint_mod
 
-    baseline_path = Path(args.baseline) if args.baseline else None
-    report = lint_mod.run_lint(baseline_path=baseline_path)
-    if args.write_baseline:
-        path = lint_mod.update_baseline(report, path=baseline_path)
-        print(f"wrote {len(report.findings)} finding(s) to {path}")
-        return 0
+    report = lint_mod.run_lint()
     if args.json:
         print(lint_mod.render_json(report))
     else:
@@ -364,7 +291,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_list(_: argparse.Namespace) -> int:
-    for name in sorted(_panel_registry()):
+    for name in sorted(PANELS):
         print(name)
     return 0
 
@@ -373,9 +300,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": cmd_run,
-        "figure": cmd_figure,
-        "trace": cmd_trace,
-        "audit": cmd_audit,
+        "figure": cmd_panel,
+        "trace": cmd_panel,
         "lint": cmd_lint,
         "list": cmd_list,
     }

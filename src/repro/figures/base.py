@@ -11,14 +11,18 @@ All figure experiments flow through :func:`run_all`, which hands the batch to
 worker processes to use and whether results come from / go to the persistent
 result cache; the default (one process, no cache) matches the historical
 sequential behaviour exactly.
+
+:func:`harvest_configs` is the one way to learn which configs the panels
+submit: it runs them against a recorder standing in for ``run_many``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..config import ExperimentConfig, TrafficPattern
-from ..core.cache import ResultCache
+from ..core.cache import ResultCache, config_cache_key
+from ..core.experiment import Experiment
 from ..core.results import ExperimentResult
 from ..core.runner import RunnerStats, run_many
 from ..units import msec
@@ -70,11 +74,6 @@ def configure(
     TRACE_REPORTS.clear()
 
 
-def runtime() -> tuple:
-    """The currently configured ``(jobs, cache, audit)`` triple."""
-    return _JOBS, _CACHE, _AUDIT
-
-
 def prepare(
     config: ExperimentConfig, warmup_ns: Optional[int] = None
 ) -> ExperimentConfig:
@@ -110,6 +109,39 @@ def run_all(
 def run(config: ExperimentConfig, warmup_ns: Optional[int] = None) -> ExperimentResult:
     """Run one config with figure-standard duration/warmup."""
     return run_all([config], warmup_ns=warmup_ns)[0]
+
+
+def harvest_configs(names: Optional[Iterable[str]] = None) -> List[ExperimentConfig]:
+    """Every config the panels in ``names`` (default: every panel) submit,
+    deduplicated by cache key, in sorted-panel order.
+
+    Each panel runs against a recorder standing in for ``run_many`` that
+    answers every config with one tiny real result, so nothing is simulated
+    at figure length. Raises ``KeyError`` for an unknown panel name.
+    """
+    global run_many
+    from . import PANELS
+
+    generators = [PANELS[name] for name in sorted(PANELS if names is None else names)]
+    captured: List[ExperimentConfig] = []
+    stand_in = Experiment(ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1))).run()
+
+    def recorder(configs, **kwargs):
+        configs = list(configs)
+        captured.extend(configs)
+        return [stand_in] * len(configs)
+
+    original, run_many = run_many, recorder
+    try:
+        for generator in generators:
+            generator()
+    finally:
+        run_many = original
+
+    unique: Dict[str, ExperimentConfig] = {}
+    for config in captured:
+        unique.setdefault(config_cache_key(config), config)
+    return list(unique.values())
 
 
 def pct(fraction: float) -> str:

@@ -1,8 +1,7 @@
 """Golden-digest plumbing: pin the simulator's observable behaviour.
 
-Every figure generator is run against a recording stub of ``run_many`` to
-harvest the exact experiment configs it would submit (the same trick the
-strict-audit integration test uses), then each unique config is simulated
+The configs every figure panel submits come from
+:func:`repro.figures.base.harvest_configs`; each unique config is simulated
 with shortened measurement windows and reduced to two stable strings:
 
 * the persistent-cache key of the *original* (full-window) config, and
@@ -21,12 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Tuple
 
 from .config import ExperimentConfig
 from .core.cache import CACHE_SCHEMA_VERSION, config_cache_key
 from .core.experiment import Experiment
 from .core.export import result_to_dict
+from .figures.base import harvest_configs
 from .units import msec
 
 #: Shortened measurement windows for the digest sweep. Long enough that the
@@ -35,46 +35,9 @@ from .units import msec
 GOLDEN_DURATION_NS = msec(2)
 GOLDEN_WARMUP_NS = msec(3)
 
-
-def harvest_figure_configs(
-    names: Optional[Collection[str]] = None,
-) -> List[ExperimentConfig]:
-    """Every config any figure generator submits (only the generators in
-    ``names``, when given), in sorted-generator order, deduplicated
-    (full-window form) by cache key."""
-    from .figures import ALL_FIGURES
-    from .figures import base as figures_base
-
-    generators = {}
-    for module in ALL_FIGURES.values():
-        for name in dir(module):
-            if names is not None and name not in names:
-                continue
-            if name.startswith("fig") and callable(getattr(module, name)):
-                generators[name] = getattr(module, name)
-
-    captured: List[ExperimentConfig] = []
-    stand_in = Experiment(
-        ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1))
-    ).run()
-
-    def recording_run_many(configs, **kwargs):
-        configs = list(configs)
-        captured.extend(configs)
-        return [stand_in] * len(configs)
-
-    original = figures_base.run_many
-    figures_base.run_many = recording_run_many
-    try:
-        for name in sorted(generators):
-            generators[name]()
-    finally:
-        figures_base.run_many = original
-
-    unique: Dict[str, ExperimentConfig] = {}
-    for config in captured:
-        unique.setdefault(config_cache_key(config), config)
-    return list(unique.values())
+#: The harvester's name from before it moved to ``figures.base``; the
+#: benchmark's tests import it from here.
+harvest_figure_configs = harvest_configs
 
 
 def result_digest(result) -> str:
@@ -85,22 +48,22 @@ def result_digest(result) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
-def digest_config(config: ExperimentConfig) -> Tuple[str, str]:
-    """``(cache_key_of_full_config, digest_of_shortened_run)`` for one config."""
-    key = config_cache_key(config)
-    shortened = config.replace(
-        duration_ns=GOLDEN_DURATION_NS, warmup_ns=GOLDEN_WARMUP_NS
+def golden_run(config: ExperimentConfig) -> Tuple[str, Experiment, str]:
+    """Run ``config`` at the golden windows: ``(cache key of the full config,
+    the finished experiment, digest of its result)``."""
+    experiment = Experiment(
+        config.replace(duration_ns=GOLDEN_DURATION_NS, warmup_ns=GOLDEN_WARMUP_NS)
     )
-    digest = result_digest(Experiment(shortened).run())
-    return key, digest
+    digest = result_digest(experiment.run())
+    return config_cache_key(config), experiment, digest
 
 
 def compute_golden_document() -> dict:
     """The full golden document: one digest entry per unique figure config."""
-    configs = harvest_figure_configs()
+    configs = harvest_configs()
     digests = {}
     for config in configs:
-        key, digest = digest_config(config)
+        key, _, digest = golden_run(config)
         canonical = config.to_canonical_dict()
         digests[key] = {
             "summary": (

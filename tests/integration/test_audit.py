@@ -5,76 +5,26 @@ figure generator would run (with shortened measurement windows — the
 invariants are instant-exact, so they hold regardless of duration) must pass
 byte, cycle, wire, and event-queue conservation with zero violations.
 
-The configs are harvested by running every figure generator against a
-recording stub of ``run_many``, so new figures and new sweep points are
-audited automatically as they are added.
+The configs are harvested by running every figure panel against a recording
+stand-in for ``run_many``, so new figures and new sweep points are audited
+automatically as they are added. The runs are the golden-digest gate's:
+the session's ``figure_sweep`` fixture (``conftest.py``) audits each
+experiment right after digesting its result.
 """
 
 import pytest
 
 from repro.config import ExperimentConfig
-from repro.core.audit import AuditError, audit_experiment
-from repro.core.cache import config_cache_key
-from repro.core.experiment import Experiment
 from repro.core.runner import run_many
-from repro.figures import ALL_FIGURES
+from repro.figures import PANELS
 from repro.figures import base as figures_base
+from repro.golden import GOLDEN_DURATION_NS, GOLDEN_WARMUP_NS
 from repro.units import msec
 
-#: Shortened windows for the sweep: long enough to reach steady state with
-#: retransmissions/drops in the loss configs, short enough to audit ~130
-#: unique configs in one test run.
-AUDIT_DURATION_NS = msec(2)
-AUDIT_WARMUP_NS = msec(3)
 
-
-def _figure_generators():
-    generators = {}
-    for module in ALL_FIGURES.values():
-        for name in dir(module):
-            if name.startswith("fig") and callable(getattr(module, name)):
-                generators[name] = getattr(module, name)
-    return generators
-
-
-def harvest_figure_configs(monkeypatch):
-    """Every config any figure generator submits, deduplicated by content
-    hash after shortening the measurement windows."""
-    captured = []
-    # One real (tiny) result satisfies every generator's table-building code.
-    stand_in = Experiment(
-        ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1))
-    ).run()
-
-    def recording_run_many(configs, **kwargs):
-        configs = list(configs)
-        captured.extend(configs)
-        return [stand_in] * len(configs)
-
-    monkeypatch.setattr(figures_base, "run_many", recording_run_many)
-    for name, generator in sorted(_figure_generators().items()):
-        generator()
-
-    shortened = [
-        config.replace(duration_ns=AUDIT_DURATION_NS, warmup_ns=AUDIT_WARMUP_NS)
-        for config in captured
-    ]
-    unique = {config_cache_key(config): config for config in shortened}
-    assert len(captured) >= 100, "figure harvest looks implausibly small"
-    return list(unique.values())
-
-
-def test_every_figure_config_passes_strict_audit(monkeypatch):
-    configs = harvest_figure_configs(monkeypatch)
-    assert len(configs) >= 50
-    failures = []
-    for config in configs:
-        experiment = Experiment(config)
-        experiment.run()
-        try:
-            audit_experiment(experiment, strict=True)
-        except AuditError as error:
-            failures.append(f"{config.to_canonical_dict()}:\n{error}")
+def test_every_figure_config_passes_strict_audit(figure_sweep):
+    assert len(figure_sweep.digests) >= 100, "figure harvest looks implausibly small"
+    failures = figure_sweep.audit_failures
     assert not failures, "\n\n".join(failures)
 
 
@@ -82,7 +32,7 @@ def test_audited_run_many_crosses_process_boundary():
     """Audit reports must survive the worker->parent payload round trip."""
     configs = [
         ExperimentConfig(
-            duration_ns=AUDIT_DURATION_NS, warmup_ns=AUDIT_WARMUP_NS, seed=seed
+            duration_ns=GOLDEN_DURATION_NS, warmup_ns=GOLDEN_WARMUP_NS, seed=seed
         )
         for seed in (1, 2)
     ]
@@ -115,17 +65,17 @@ def test_audit_disables_cache(tmp_path):
 @pytest.mark.parametrize("figure_name", ["fig3a"])
 def test_figure_audit_pipeline_end_to_end(figure_name):
     """The CLI path: configure figures for auditing, generate one panel,
-    and check the merged report (the `repro audit fig3a` flow)."""
+    and check the merged report (the `repro figure fig3a --audit` flow)."""
     from repro.core.audit import merge_reports
 
-    generator = _figure_generators()[figure_name]
-    monkey_duration = AUDIT_DURATION_NS
+    generator = PANELS[figure_name]
+    monkey_duration = GOLDEN_DURATION_NS
     original_prepare = figures_base.prepare
 
     def short_prepare(config, warmup_ns=None):
         prepared = original_prepare(config, warmup_ns)
         return prepared.replace(
-            duration_ns=monkey_duration, warmup_ns=AUDIT_WARMUP_NS
+            duration_ns=monkey_duration, warmup_ns=GOLDEN_WARMUP_NS
         )
 
     figures_base.prepare = short_prepare

@@ -11,6 +11,10 @@ behaviour-preserving. The figure configs run with tracing off; the
 ``bulk_traced`` benchmark configs (fig3a and fig12a with tracing on) are
 pinned separately in ``TRACED_DIGESTS``, so the trace payload is pinned too.
 
+Each figure config runs once per session, in the ``figure_sweep`` fixture
+(``conftest.py``) that the strict-audit gate reads too. The traced configs
+are strict-audited here as well, which covers the ``trace.*`` identities.
+
 Regenerate after an intentional behaviour change::
 
     PYTHONPATH=src python tools/gen_golden_digests.py
@@ -21,13 +25,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.audit import AuditError, audit_experiment
 from repro.core.cache import CACHE_SCHEMA_VERSION, config_cache_key
-from repro.golden import (
-    GOLDEN_DURATION_NS,
-    GOLDEN_WARMUP_NS,
-    digest_config,
-    harvest_figure_configs,
-)
+from repro.figures.base import harvest_configs
+from repro.golden import GOLDEN_DURATION_NS, GOLDEN_WARMUP_NS, golden_run
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "figure_digests.json"
 
@@ -36,11 +37,6 @@ GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "figure_digest
 def golden_document():
     with GOLDEN_PATH.open() as handle:
         return json.load(handle)
-
-
-@pytest.fixture(scope="module")
-def harvested_configs():
-    return harvest_figure_configs()
 
 
 def test_golden_file_matches_current_schema(golden_document):
@@ -57,17 +53,16 @@ def test_all_figure_configs_are_pinned(golden_document, harvested_configs):
     assert len(golden_keys) >= 100
 
 
-def test_result_digests_are_byte_identical(golden_document, harvested_configs):
+def test_result_digests_are_byte_identical(golden_document, figure_sweep):
     """Run every pinned config and compare result digests against golden."""
     digests = golden_document["digests"]
     mismatches = []
-    for config in harvested_configs:
-        key, digest = digest_config(config)
+    for key, digest in figure_sweep.digests.items():
         expected = digests[key]["result_sha256"]
         if digest != expected:
             mismatches.append((digests[key]["summary"], expected, digest))
     assert not mismatches, (
-        f"{len(mismatches)} of {len(harvested_configs)} configs diverged "
+        f"{len(mismatches)} of {len(figure_sweep.digests)} configs diverged "
         f"from golden digests; first: {mismatches[0]}"
     )
 
@@ -94,18 +89,25 @@ TRACED_DIGESTS = {
 
 
 def test_traced_result_digests_are_byte_identical():
-    """Run the traced bulk configs and compare digests, trace included."""
+    """Run the traced bulk configs and compare digests, trace included;
+    each run must also pass the strict audit, trace identities included."""
     configs = [
         config.replace(trace=True)
-        for config in harvest_figure_configs(TRACED_PANELS)
+        for config in harvest_configs(TRACED_PANELS)
     ]
     assert {config_cache_key(config) for config in configs} == set(TRACED_DIGESTS)
-    mismatches = []
+    mismatches, audit_failures = [], []
     for config in configs:
-        key, digest = digest_config(config)
+        key, experiment, digest = golden_run(config)
         if digest != TRACED_DIGESTS[key]:
             mismatches.append((key, TRACED_DIGESTS[key], digest))
+        assert experiment.trace is not None, key  # so the audit checks trace.*
+        try:
+            audit_experiment(experiment, strict=True)
+        except AuditError as error:
+            audit_failures.append(f"{key}:\n{error}")
     assert not mismatches, (
         f"{len(mismatches)} of {len(configs)} traced configs diverged "
         f"from golden digests; first: {mismatches[0]}"
     )
+    assert not audit_failures, "\n\n".join(audit_failures)

@@ -1,16 +1,14 @@
-"""repro lint against the real tree: clean baseline, and regression traps.
+"""repro lint against the real tree: a clean tree, and regression traps.
 
 The second half mutates real source files (in memory, never on disk) into
 the shapes of bugs each checker exists to prevent, and asserts the mutation
-is caught as a NEW finding — i.e. one the committed baseline does not
-absorb. This is the proof that the gate would have fired on the historical
-bug, not merely that the checker runs.
+is caught as a NEW finding — i.e. one no pragma allows. This is the proof
+that the gate would have fired on the historical bug, not merely that the
+checker runs.
 """
 
-import json
 from pathlib import Path
 
-from repro.analysis.baseline import load_baseline
 from repro.analysis.lint import run_lint
 from repro.analysis.project import Project
 
@@ -29,26 +27,15 @@ def run_on(sources: dict):
 
 
 class TestCleanTree:
-    def test_committed_baseline_keeps_tree_green(self):
+    def test_tree_is_lint_clean(self):
         report = run_lint()
         assert report.syntax_errors == []
-        assert [f.render() for f in report.baseline.new] == []
-        assert report.baseline.stale == []
+        assert [f.render() for f in report.findings] == []
         assert report.exit_code == 0
-
-    def test_baseline_entries_all_carry_reasons(self):
-        for entry in load_baseline():
-            assert entry.reason, f"baseline entry without a reason: {entry}"
-
-    def test_baseline_is_express_fallbacks_only(self):
-        # The express lane's gated wheel fallbacks were the last accepted
-        # debt, and they left with the lane: the baseline is empty, and
-        # anything appearing here deserves review.
-        assert load_baseline() == []
 
 
 class TestHistoricalBugShapes:
-    def test_deleting_express_from_cache_key_excluded_is_caught(self):
+    def test_marked_not_declared_flag_is_caught(self):
         # The historical bug: a mode flag kept out of the cache key by its
         # metadata marker while its CACHE_KEY_EXCLUDED entry was deleted.
         # Re-add the express flag that way and the gate must fire.
@@ -62,7 +49,7 @@ class TestHistoricalBugShapes:
             + '    express: bool = field(default=True, metadata={"cache_key": False})\n',
         )
         report = run_on(sources)
-        new = [f for f in report.baseline.new if f.rule == "key-marked-not-declared"]
+        new = [f for f in report.findings if f.rule == "key-marked-not-declared"]
         assert len(new) == 1
         assert "express" in new[0].message
         assert report.exit_code == 1
@@ -77,7 +64,7 @@ class TestHistoricalBugShapes:
         report = run_on(sources)
         new = [
             f
-            for f in report.baseline.new
+            for f in report.findings
             if f.rule == "det-wallclock" and f.path == "src/repro/sim/engine.py"
         ]
         assert [f.symbol for f in new] == ["_drift_stamp"]
@@ -93,12 +80,13 @@ class TestHistoricalBugShapes:
         report = run_on(sources)
         new = [
             f
-            for f in report.baseline.new
+            for f in report.findings
             if f.rule == "slots-incomplete-new"
             and f.path == "src/repro/kernel/tcp/endpoint.py"
         ]
         assert len(new) == 1
         assert "trace_ns" in new[0].message
+        assert report.exit_code == 1
 
     def test_unsorted_glob_in_cache_is_caught(self):
         sources = load_tree_sources()
@@ -108,25 +96,15 @@ class TestHistoricalBugShapes:
             target, 'candidates = list(directory.glob("*.tmp.*"))'
         )
         report = run_on(sources)
-        new = [f for f in report.baseline.new if f.rule == "det-fs-order"]
+        new = [f for f in report.findings if f.rule == "det-fs-order"]
         assert [f.path for f in new] == ["src/repro/core/cache.py"]
+        assert report.exit_code == 1
 
 
 class TestCliGate:
-    def test_lint_subcommand_exit_codes(self, capsys, tmp_path):
+    def test_lint_subcommand_exit_codes(self, capsys):
         from repro.cli import main
 
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 new" in out
-
-        # A baseline entry that matches nothing is paid-off debt left on the
-        # ledger: the ratchet must go red.
-        stale = tmp_path / "stale-baseline.json"
-        stale.write_text(json.dumps({"version": 1, "findings": [{
-            "rule": "det-wallclock", "path": "src/repro/sim/engine.py",
-            "symbol": "_gone", "message": "time.time() call", "reason": "fixed",
-        }]}))
-        assert main(["lint", "--baseline", str(stale)]) == 1
-        out = capsys.readouterr().out
-        assert "stale baseline" in out

@@ -32,7 +32,7 @@ def _run_mode(config: ExperimentConfig, audit: bool):
 
 @settings(max_examples=10, deadline=None)
 @given(config=experiment_configs())
-def test_train_pipeline_is_observably_identical(config):
+def test_audit_is_observably_free(config):
     audited_payload, audited_samples, audited_events = _run_mode(config, True)
     plain_payload, plain_samples, plain_events = _run_mode(config, False)
 

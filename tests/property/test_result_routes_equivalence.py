@@ -28,7 +28,7 @@ from .configs import experiment_configs
 
 @settings(max_examples=8, deadline=None)
 @given(config=experiment_configs())
-def test_express_lane_is_observably_identical_four_ways(config):
+def test_result_is_identical_four_ways(config):
     direct = result_to_dict(Experiment(config).run())
 
     with tempfile.TemporaryDirectory() as cache_dir:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import _build_parser, _config_from_args, main
 from repro.config import CongestionControl, NumaPolicy, TrafficPattern
 
@@ -107,16 +109,21 @@ def _shorten_figure_windows(monkeypatch):
     )
 
 
-def test_audit_subcommand_reports_clean_panel(capsys, monkeypatch):
+def test_figure_audit_reports_clean_panel(capsys, monkeypatch):
     _shorten_figure_windows(monkeypatch)
-    assert main(["audit", "fig3a"]) == 0
+    assert main(["figure", "fig3a", "--audit"]) == 0
     captured = capsys.readouterr()
-    assert "conservation checks passed" in captured.out
-    assert "experiments audited" in captured.err
+    assert "conservation checks passed" in captured.err
+    assert "4 experiments simulated" in captured.err
 
 
-def test_audit_subcommand_unknown_panel(capsys):
-    assert main(["audit", "nope"]) == 2
+def test_audit_subcommand_is_gone(capsys):
+    # `repro figure <panel> --audit` replaced it: a script still calling it
+    # fails loudly.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["audit", "fig3a"])
+    assert excinfo.value.code == 2
+    assert "audit" in capsys.readouterr().err
 
 
 def test_trace_subcommand_renders_stage_table(capsys, monkeypatch):

@@ -1,14 +1,27 @@
 """Unit tests for the figure-generator plumbing (structure, not sweeps)."""
 
+import pytest
+
 from repro.core.report import Table
 from repro.core.taxonomy import Category
-from repro.figures import ALL_FIGURES, fig11, fig3, fig4, tables
+from repro.figures import ALL_FIGURES, PANELS, fig11, fig3, fig4, tables
+from repro.figures.base import harvest_configs
 
 
 def test_registry_covers_every_evaluation_figure():
     names = set(ALL_FIGURES)
     assert {f"fig{i}" for i in range(3, 14)} <= names
     assert "tables" in names
+
+
+def test_panels_cover_every_figure_and_both_tables():
+    assert {"fig3a", "fig4", "fig13c", "table1", "table2"} <= set(PANELS)
+    assert PANELS["fig3a"] is fig3.fig3a
+
+
+def test_harvest_rejects_an_unknown_panel():
+    with pytest.raises(KeyError):
+        harvest_configs(["fig3a", "fig99z"])
 
 
 def test_table1_structure():
@@ -45,8 +58,6 @@ def test_fig11_isolation_table_shape():
 
 
 def test_every_figure_module_has_a_generate_all_or_panel():
+    panel_modules = {generator.__module__ for generator in PANELS.values()}
     for name, module in ALL_FIGURES.items():
-        if name == "tables":
-            continue
-        has_panels = any(attr.startswith("fig") for attr in dir(module))
-        assert has_panels, f"{name} exposes no panels"
+        assert module.__name__ in panel_modules, f"{name} exposes no panels"

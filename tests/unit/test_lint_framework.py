@@ -1,15 +1,7 @@
-"""Framework-level tests for repro lint: findings, pragmas, baseline, driver."""
+"""Framework-level tests for repro lint: findings, pragmas, driver."""
 
 import json
 
-import pytest
-
-from repro.analysis.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.findings import Finding
 from repro.analysis.lint import LintReport, render_json, render_text, run_lint
 from repro.analysis.project import Project, SourceFile, const_str_elements
@@ -30,11 +22,6 @@ def make_finding(**overrides):
 
 
 class TestFinding:
-    def test_identity_excludes_line(self):
-        a = make_finding(line=10)
-        b = make_finding(line=99)
-        assert a.identity() == b.identity()
-
     def test_render_includes_location_rule_symbol(self):
         text = make_finding().render()
         assert "src/repro/sim/engine.py:10" in text
@@ -119,73 +106,15 @@ class TestProject:
         assert const_str_elements(non_literal) is None
 
 
-class TestBaseline:
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == []
-
-    def test_roundtrip_preserves_reasons(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        finding = make_finding()
-        write_baseline([finding], path=path)
-        entries = load_baseline(path)
-        assert len(entries) == 1
-        assert entries[0].reason == ""
-        reasoned = BaselineEntry(
-            rule=entries[0].rule,
-            path=entries[0].path,
-            symbol=entries[0].symbol,
-            message=entries[0].message,
-            reason="accepted because reasons",
-        )
-        write_baseline([finding], path=path, previous=[reasoned])
-        assert load_baseline(path)[0].reason == "accepted because reasons"
-
-    def test_apply_splits_new_suppressed_stale(self):
-        covered = make_finding()
-        fresh = make_finding(rule="det-urandom", message="other")
-        entry = BaselineEntry(
-            rule=covered.rule,
-            path=covered.path,
-            symbol=covered.symbol,
-            message=covered.message,
-        )
-        stale = BaselineEntry(
-            rule="gone", path="src/repro/x.py", symbol="f", message="m"
-        )
-        result = apply_baseline([covered, fresh], [entry, stale])
-        assert result.suppressed == [covered]
-        assert result.new == [fresh]
-        assert result.stale == [stale]
-
-    def test_version_mismatch_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
 class TestDriver:
     def test_exit_codes(self):
         clean = LintReport()
         assert clean.exit_code == 0
         dirty = LintReport()
-        dirty.baseline.new.append(make_finding())
+        dirty.findings.append(make_finding())
         assert dirty.exit_code == 1
         broken = LintReport(syntax_errors=["src/repro/bad.py: boom"])
         assert broken.exit_code == 2
-
-    def test_stale_baseline_fails_ratchet(self):
-        project = Project.from_sources({"clean.py": "x = 1\n"})
-        report = run_lint(
-            project,
-            baseline_entries=[
-                BaselineEntry(
-                    rule="gone", path="src/repro/x.py", symbol="f", message="m"
-                )
-            ],
-        )
-        assert report.exit_code == 1
-        assert len(report.baseline.stale) == 1
 
     def test_pragma_suppression_applied_by_driver(self):
         project = Project.from_sources(
@@ -197,15 +126,15 @@ class TestDriver:
                 )
             }
         )
-        report = run_lint(project, baseline_entries=[])
-        assert report.baseline.new == []
+        report = run_lint(project)
+        assert report.findings == []
         assert [f.rule for f in report.pragma_suppressed] == ["det-wallclock"]
 
     def test_render_text_and_json(self):
         project = Project.from_sources(
             {"sim/clock.py": "import time\ndef f():\n    return time.time()\n"}
         )
-        report = run_lint(project, baseline_entries=[])
+        report = run_lint(project)
         text = render_text(report)
         assert "det-wallclock" in text
         assert "1 new" in text

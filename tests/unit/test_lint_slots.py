@@ -140,12 +140,12 @@ def build():
 
 def test_real_tree_is_clean_modulo_pragma():
     # The only accepted finding (napi.py's lazily-stamped trace_ns) is
-    # suppressed by an inline pragma at the site, not by baseline.
+    # suppressed by an inline pragma at the site.
     from repro.analysis.lint import run_lint
 
-    report = run_lint(Project.from_dir(), baseline_entries=[])
+    report = run_lint(Project.from_dir())
     slot_rules = {"slots-incomplete-new", "slots-stray-write"}
-    assert [f for f in report.baseline.new if f.rule in slot_rules] == []
+    assert [f for f in report.findings if f.rule in slot_rules] == []
     pragma_slots = [
         f for f in report.pragma_suppressed if f.rule in slot_rules
     ]

@@ -15,7 +15,6 @@ from repro.core.cache import ResultCache, config_cache_key
 from repro.core.experiment import Experiment
 from repro.core.export import result_to_dict
 from repro.core.runner import RunManyError, RunnerStats, resolve_jobs, run_many
-from repro.core.sweep import run_labeled, run_sweep
 from repro.units import msec
 
 
@@ -131,21 +130,3 @@ def test_failing_config_does_not_discard_the_batch(tmp_path, jobs):
     cached = run_many(good, jobs=jobs, cache=cache, stats=warm)
     assert warm.cache_hits == 2 and warm.experiments_run == 0
     assert payloads(cached) == payloads(run_many(good))
-
-
-def test_run_sweep_parallel_matches_sequential():
-    def make(n):
-        return small(num_flows=n, pattern=TrafficPattern.ONE_TO_ONE)
-
-    sequential = run_sweep((1, 2), make)
-    parallel = run_sweep((1, 2), make, jobs=2)
-    assert [v for v, _ in parallel] == [1, 2]
-    assert payloads([r for _, r in sequential]) == payloads(
-        [r for _, r in parallel]
-    )
-
-
-def test_run_labeled_returns_all_labels():
-    out = run_labeled([("a", small(seed=1)), ("b", small(seed=2))], jobs=2)
-    assert set(out) == {"a", "b"}
-    assert out["a"].total_throughput_gbps > 0

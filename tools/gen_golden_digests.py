@@ -1,7 +1,7 @@
 """Regenerate the golden figure-config digest file.
 
 Harvests every experiment config any figure generator submits, runs each one
-with the shortened audit windows, and records (a) the cache key of the
+with the shortened golden windows, and records (a) the cache key of the
 *original* figure config and (b) a SHA-256 digest of the canonical
 ``result_to_dict`` payload of the shortened run. The committed output
 (``tests/golden/figure_digests.json``) pins the simulator's observable
