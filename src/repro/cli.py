@@ -184,10 +184,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:  # the config rejects itself at construction
+        print(f"repro run: invalid configuration: {exc}", file=sys.stderr)
+        return 2
     jobs, cache, audit = _runner_settings(args)
     stats = RunnerStats()
-    result = run_many([_config_from_args(args)], jobs=jobs, cache=cache,
-                      stats=stats, audit=audit)[0]
+    result = run_many([config], jobs=jobs, cache=cache, stats=stats, audit=audit)[0]
     if stats.cache_hits:
         print("(served from result cache)", file=sys.stderr)
     if args.json:

@@ -192,6 +192,11 @@ class ExperimentConfig:
     # be served from (or poison) untraced cache entries.
     trace: bool = False
 
+    def __post_init__(self) -> None:
+        # A bad config fails where it is built (``replace`` builds too). The
+        # nested configs stay mutable, so ``Experiment`` validates again.
+        self.validate()
+
     def replace(self, **kwargs) -> "ExperimentConfig":
         """Return a copy with top-level fields overridden."""
         return dataclasses.replace(self, **kwargs)

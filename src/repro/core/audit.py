@@ -195,32 +195,34 @@ class ConservationAuditor:
     def _audit_bytes(self) -> None:
         exp = self.experiment
         for host in (exp.sender, exp.receiver):
-            for flow_id, ep in host.endpoints.items():
-                where = f"flow {flow_id} @ {host.name}"
+            for flow_id, tx in host.senders.items():
                 self._check_exact(
-                    "byte.tx_half", where,
-                    ep.app_bytes_written, ep.unsent_bytes + ep.snd_nxt,
+                    "byte.tx_half", f"flow {flow_id} @ {host.name}",
+                    tx.app_bytes_written, tx.unsent_bytes + tx.snd_nxt,
                     "app bytes written != send buffer + bytes pushed to stream",
                 )
+            for flow_id, rx in host.receivers.items():
+                where = f"flow {flow_id} @ {host.name}"
                 self._check_exact(
                     "byte.rx_half", where,
-                    ep.rcv_nxt,
-                    ep.app_bytes_read + ep.socket.unread_bytes + ep.rx_limbo_bytes,
+                    rx.rcv_nxt,
+                    rx.app_bytes_read + rx.socket.unread_bytes + rx.rx_limbo_bytes,
                     "in-order bytes != read + socket queue + in-limbo",
                 )
                 self._check_true(
                     "byte.rx_limbo_nonnegative", where,
-                    ep.rx_limbo_bytes >= 0,
-                    f"rx_limbo_bytes={ep.rx_limbo_bytes}",
+                    rx.rx_limbo_bytes >= 0,
+                    f"rx_limbo_bytes={rx.rx_limbo_bytes}",
                 )
 
-        # Stream-level conservation between the paired endpoints of each flow.
-        for flow_id, snd in exp.sender.endpoints.items():
-            rcv = exp.receiver.endpoints.get(flow_id)
-            if rcv is None:
-                continue
-            for tx, rx in ((snd, rcv), (rcv, snd)):
-                where = f"flow {flow_id} {tx.host.name}->{rx.host.name}"
+        # Stream-level conservation between each sender half and the
+        # receiver half of the same flow on the other host.
+        for tx_host, rx_host in ((exp.sender, exp.receiver), (exp.receiver, exp.sender)):
+            for flow_id, tx in tx_host.senders.items():
+                rx = rx_host.receivers.get(flow_id)
+                if rx is None:
+                    continue
+                where = f"flow {flow_id} {tx_host.name}->{rx_host.name}"
                 self._check_true(
                     "byte.sequence_order", where,
                     tx.snd_una <= rx.rcv_nxt <= tx.snd_nxt,
@@ -239,18 +241,19 @@ class ConservationAuditor:
 
         # Per-host aggregates of the same identities.
         for host in (exp.sender, exp.receiver):
-            eps = host.endpoints.values()
+            txs = host.senders.values()
+            rxs = host.receivers.values()
             self._check_exact(
                 "byte.host_tx", host.name,
-                sum(ep.app_bytes_written for ep in eps),
-                sum(ep.unsent_bytes + ep.snd_nxt for ep in eps),
+                sum(tx.app_bytes_written for tx in txs),
+                sum(tx.unsent_bytes + tx.snd_nxt for tx in txs),
             )
             self._check_exact(
                 "byte.host_rx", host.name,
-                sum(ep.rcv_nxt for ep in eps),
+                sum(rx.rcv_nxt for rx in rxs),
                 sum(
-                    ep.app_bytes_read + ep.socket.unread_bytes + ep.rx_limbo_bytes
-                    for ep in eps
+                    rx.app_bytes_read + rx.socket.unread_bytes + rx.rx_limbo_bytes
+                    for rx in rxs
                 ),
             )
 

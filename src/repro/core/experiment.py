@@ -111,60 +111,69 @@ class Experiment:
         sender_order = self._placement_order(self.sender)
         receiver_order = self._placement_order(self.receiver)
 
-        shared_server_endpoints = []
+        shared_server_receivers = []
         shared_server_core = None
         start_ns = 0
 
         for spec in specs:
+            flow_id, tag = spec.flow_id, spec.tag
             snd_core = sender_order[spec.sender_rank]
             rcv_core = receiver_order[spec.receiver_rank]
-            ep_snd = self.sender.add_endpoint(spec.flow_id, snd_core, spec.tag)
-            ep_rcv = self.receiver.add_endpoint(spec.flow_id, rcv_core, spec.tag)
-            ep_snd.attach_peer(ep_rcv)
-            ep_rcv.attach_peer(ep_snd)
 
             if spec.kind == "stream":
+                # Each host holds only the half the stream runs there.
+                snd = self.sender.add_sender(flow_id, snd_core, tag)
+                rcv = self.receiver.add_receiver(flow_id, rcv_core, tag)
+                snd.attach_peer(rcv)
                 self._spawn(
-                    f"iperf-snd-{spec.flow_id}",
+                    f"iperf-snd-{flow_id}",
                     self.sender,
                     snd_core,
-                    streaming_sender(ep_snd, workload.app_write_bytes),
+                    streaming_sender(snd, workload.app_write_bytes),
                     start_ns,
                 )
                 self._spawn(
-                    f"iperf-rcv-{spec.flow_id}",
+                    f"iperf-rcv-{flow_id}",
                     self.receiver,
                     rcv_core,
-                    streaming_receiver(ep_rcv, workload.app_read_bytes),
+                    streaming_receiver(rcv, workload.app_read_bytes),
                     start_ns,
                 )
             else:
+                # Ping-pong: requests and responses both ride this
+                # connection, so both hosts hold both halves.
+                client = self.sender.add_sender(flow_id, snd_core, tag)
+                self.sender.add_receiver(flow_id, snd_core, tag)
+                server = self.receiver.add_receiver(flow_id, rcv_core, tag)
+                self.receiver.add_sender(flow_id, rcv_core, tag)
+                client.attach_peer(server)
+                server.sender.attach_peer(client.receiver)
                 self._spawn(
-                    f"rpc-client-{spec.flow_id}",
+                    f"rpc-client-{flow_id}",
                     self.sender,
                     snd_core,
-                    rpc_client(ep_snd, workload.rpc_size_bytes),
+                    rpc_client(client, workload.rpc_size_bytes),
                     start_ns,
                 )
                 if spec.shared_server_thread:
-                    shared_server_endpoints.append(ep_rcv)
+                    shared_server_receivers.append(server)
                     shared_server_core = rcv_core
                 else:
                     self._spawn(
-                        f"rpc-server-{spec.flow_id}",
+                        f"rpc-server-{flow_id}",
                         self.receiver,
                         rcv_core,
-                        rpc_server([ep_rcv], workload.rpc_size_bytes),
+                        rpc_server([server], workload.rpc_size_bytes),
                         start_ns,
                     )
             start_ns += THREAD_START_STAGGER_NS
 
-        if shared_server_endpoints:
+        if shared_server_receivers:
             self._spawn(
                 "rpc-server",
                 self.receiver,
                 shared_server_core,
-                rpc_server(shared_server_endpoints, workload.rpc_size_bytes),
+                rpc_server(shared_server_receivers, workload.rpc_size_bytes),
                 0,
             )
 
@@ -205,18 +214,18 @@ class Experiment:
 
     def _counter_snapshot(self) -> Dict[str, int]:
         return {
-            "retransmits": self._sum_endpoint("retransmits"),
-            "timeouts": self._sum_endpoint("timeouts"),
+            "retransmits": self._sum_senders("retransmits"),
+            "timeouts": self._sum_senders("timeouts"),
             "nic_rx_drops": self.receiver.nic.total_rx_drops()
             + self.sender.nic.total_rx_drops(),
             "wire_drops": self.link_to_receiver.frames_dropped
             + self.link_to_sender.frames_dropped,
         }
 
-    def _sum_endpoint(self, attr: str) -> int:
+    def _sum_senders(self, attr: str) -> int:
         total = 0
         for host in (self.sender, self.receiver):
-            total += sum(getattr(ep, attr) for ep in host.endpoints.values())
+            total += sum(getattr(tx, attr) for tx in host.senders.values())
         return total
 
     def _collect(self, duration_ns: int, snapshot: Dict[str, int]) -> ExperimentResult:
@@ -226,7 +235,7 @@ class Experiment:
 
         per_flow: Dict[int, float] = {}
         for host in (self.sender, self.receiver):
-            for flow_id in host.endpoints:
+            for flow_id in host.flows:
                 nbytes = self.metrics.flow_bytes(host.name, flow_id)
                 if nbytes:
                     per_flow[flow_id] = per_flow.get(flow_id, 0.0) + throughput_gbps(
@@ -259,8 +268,8 @@ class Experiment:
             sender_cache_miss_rate=sender_side.sender_cache_miss_rate(),
             copy_latency=self.metrics.latency_stats("receiver"),
             rx_skb_sizes=dict(receiver_side.rx_skb_sizes),
-            retransmits=self._sum_endpoint("retransmits") - snapshot["retransmits"],
-            timeouts=self._sum_endpoint("timeouts") - snapshot["timeouts"],
+            retransmits=self._sum_senders("retransmits") - snapshot["retransmits"],
+            timeouts=self._sum_senders("timeouts") - snapshot["timeouts"],
             nic_rx_drops=(
                 self.receiver.nic.total_rx_drops()
                 + self.sender.nic.total_rx_drops()

@@ -54,8 +54,18 @@ class Table:
         return self.render()
 
 
+#: Below this magnitude ``.2f`` keeps at most one significant digit of a
+#: float: Fig 9's loss rates 1.5e-4 and 1.5e-3 would both read ``0.00`` and
+#: 1.5e-2 would read ``0.01``.
+_FIXED_POINT_FLOOR = 0.05
+
+
 def _format_cell(value: object) -> str:
+    """Floats at two decimals, except a nonzero one that two decimals would
+    collapse, which keeps two significant digits (``1.5e-04``)."""
     if isinstance(value, float):
+        if value != 0 and abs(value) < _FIXED_POINT_FLOOR:
+            return f"{value:.1e}"
         return f"{value:.2f}"
     return str(value)
 

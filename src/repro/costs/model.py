@@ -113,7 +113,7 @@ ChargeTuple = Tuple[Tuple[str, float], ...]
 class CostTables:
     """Memoized per-(operation, batch-size) charge-item tuples.
 
-    The hot producers (TCP endpoint, GRO, NAPI, NIC) previously rebuilt the
+    The hot producers (TCP halves, GRO, NAPI, NIC) previously rebuilt the
     same small ``(op, cycles)`` lists — recomputing the same float products —
     for every skb. These tables compute each distinct batch exactly once and
     hand out shared immutable tuples. Every cached value is produced by the

@@ -113,7 +113,7 @@ class GroEngine:
         records,
         start: int,
         end: int,
-        endpoints,
+        receivers,
         items: ChargeItems,
         frame_to_skb,
         deliver,
@@ -121,7 +121,7 @@ class GroEngine:
         """Feed a run of consecutive data records (``records[start:end]``).
 
         Per-record semantics are exactly :meth:`receive` on each record's
-        skb — records whose flow has no live endpoint are skipped (stray
+        skb — records whose flow has no receiver half here are skipped (stray
         frames of a torn-down flow), charge items land on ``items`` in the
         same order, and every flushed skb is handed to ``deliver``
         immediately after its flush charge. The common merge outcome folds
@@ -133,10 +133,10 @@ class GroEngine:
         """
         if not self.enabled:
             frames = 0
-            endpoints_get = endpoints.get
+            receivers_get = receivers.get
             for i in range(start, end):
                 record = records[i]
-                if endpoints_get(record.frame.flow_id) is None:
+                if receivers_get(record.frame.flow_id) is None:
                     continue
                 frames += 1
                 deliver(frame_to_skb(record))
@@ -147,7 +147,7 @@ class GroEngine:
         held_get = held_map.get
         move_to_end = held_map.move_to_end
         popitem = held_map.popitem
-        endpoints_get = endpoints.get
+        receivers_get = receivers.get
         max_bytes = self.max_merged_bytes
         max_held = self.max_held_flows
         merge_items = self._merge_items
@@ -163,7 +163,7 @@ class GroEngine:
             record = records[i]
             frame = record.frame
             flow_id = frame.flow_id
-            if endpoints_get(flow_id) is None:
+            if receivers_get(flow_id) is None:
                 continue
             frames_in += 1
             held = held_get(flow_id)

@@ -2,7 +2,9 @@
 
 A :class:`Host` owns the hardware (topology, cores, L3/DCA, NIC with one Rx
 queue per core) and the kernel state (page allocator, IOMMU, NAPI contexts,
-TCP endpoints). Flow steering follows the experiment configuration:
+and the TCP halves of the flows that run on it: a :class:`TcpSender` where a
+flow sends, a :class:`TcpReceiver` where it receives). Flow steering follows
+the experiment configuration:
 
 * **aRFS on** — the flow's Rx queue is the one whose IRQ core *is* the
   application core (install may fail when the NIC steering table is full,
@@ -27,7 +29,8 @@ from ..hardware.steering import SteeringEngine
 from ..hardware.topology import Topology
 from .mem import PageAllocator
 from .napi import NapiContext
-from .tcp.endpoint import AutotuneClock, TcpEndpoint
+from .tcp.receiver import AutotuneClock, TcpReceiver
+from .tcp.sender import TcpSender
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.metrics import MetricsHub
@@ -111,9 +114,16 @@ class Host:
             queue = self.nic.add_rx_queue(core)
             self.napis.append(NapiContext(self, queue))
 
-        self.endpoints: Dict[int, TcpEndpoint] = {}
-        #: DRS clocks keyed by the virtual instant they were created: an
-        #: endpoint joins the clock of its registration instant, so its
+        #: The halves of each flow that run on this host: a stream's sender
+        #: host holds only its sender, its receiver host only its receiver,
+        #: and both ends of an RPC connection hold both.
+        self.senders: Dict[int, TcpSender] = {}
+        self.receivers: Dict[int, TcpReceiver] = {}
+        #: Flow id -> the core its softirq (NAPI/TCP) work runs on, set when
+        #: the flow's first half is added (in registration order).
+        self.flows: Dict[int, Core] = {}
+        #: DRS clocks keyed by the virtual instant they were created: a
+        #: receiver joins the clock of its registration instant, so its
         #: first update lands one period after it was added.
         self.autotune_clocks: Dict[int, AutotuneClock] = {}
 
@@ -122,59 +132,86 @@ class Host:
     def core(self, index: int) -> Core:
         return self.topology.cores[index]
 
-    def add_endpoint(
+    def add_sender(
         self, flow_id: int, app_core: Core, flow_tag: str = "long"
-    ) -> TcpEndpoint:
-        """Create a TCP endpoint for ``flow_id`` pinned to ``app_core`` and
-        configure its receive-side steering."""
-        if flow_id in self.endpoints:
-            raise ValueError(f"duplicate flow id {flow_id} on host {self.name}")
-        endpoint = TcpEndpoint(self, flow_id, app_core, flow_tag)
-        self.endpoints[flow_id] = endpoint
+    ) -> TcpSender:
+        """Create the transmit half of ``flow_id`` pinned to ``app_core``."""
+        if flow_id in self.senders:
+            raise ValueError(f"duplicate sender for flow {flow_id} on host {self.name}")
+        sender = TcpSender(self, flow_id, app_core)
+        self.senders[flow_id] = sender
+        sender.softirq_core = self._register_flow(flow_id, app_core, flow_tag)
+        receiver = self.receivers.get(flow_id)
+        if receiver is not None:
+            sender.receiver = receiver
+            receiver.sender = sender
+        return sender
+
+    def add_receiver(
+        self, flow_id: int, app_core: Core, flow_tag: str = "long"
+    ) -> TcpReceiver:
+        """Create the receive half of ``flow_id`` pinned to ``app_core`` and
+        enrol it in this instant's DRS clock."""
+        if flow_id in self.receivers:
+            raise ValueError(
+                f"duplicate receiver for flow {flow_id} on host {self.name}"
+            )
+        receiver = TcpReceiver(self, flow_id, app_core)
+        self.receivers[flow_id] = receiver
         if self.config.tcp.autotune_rx_buffer:
             now = self.engine.now
             clock = self.autotune_clocks.get(now)
             if clock is None:
                 clock = self.autotune_clocks[now] = AutotuneClock(self.engine)
-            clock.register(endpoint)
+            clock.register(receiver)
+        receiver.softirq_core = self._register_flow(flow_id, app_core, flow_tag)
+        sender = self.senders.get(flow_id)
+        if sender is not None:
+            sender.receiver = receiver
+            receiver.sender = sender
+        return receiver
+
+    def _register_flow(self, flow_id: int, app_core: Core, flow_tag: str) -> Core:
+        """Register ``flow_id`` on this host once, when its first half is
+        added: metrics tag, receive-side steering and the sender working
+        set. Returns the flow's softirq core."""
+        softirq_core = self.flows.get(flow_id)
+        if softirq_core is not None:
+            return softirq_core
         self.metrics.register_flow(flow_id, flow_tag)
-        self._steer_flow(endpoint)
+        softirq_core = self.flows[flow_id] = self._steer_flow(flow_id, app_core)
         # Sender-side working set (application write buffer) warms this
         # node's L3; used by the sender-copy miss heuristic.
         self.cache.register_working_set(
             app_core.numa_node, 2 * self.config.workload.app_write_bytes
         )
-        return endpoint
+        return softirq_core
 
-    def _steer_flow(self, endpoint: TcpEndpoint) -> None:
+    def _steer_flow(self, flow_id: int, app_core: Core) -> Core:
+        """Install the flow's receive steering; return its softirq core."""
         from ..config import SteeringMode
 
-        app_core = endpoint.app_core
         queue = self.nic.queues[app_core.core_id]
         if self.config.opts.arfs:
-            if self.steering.install_arfs(endpoint.flow_id, queue):
-                endpoint.softirq_core = app_core
-                return
+            if self.steering.install_arfs(flow_id, queue):
+                return app_core
             # table full: flow falls back to RSS
-            endpoint.softirq_core = self.steering.queue_for(endpoint.flow_id).irq_core
-            return
+            return self.steering.queue_for(flow_id).irq_core
         if self.config.worst_case_irq_mapping:
             remote_core = self.topology.remote_core_for(app_core)
             remote_queue = self.nic.queues[remote_core.core_id]
-            self.steering.pin_flow(endpoint.flow_id, remote_queue)
-            endpoint.softirq_core = remote_core
-            return
-        hash_core = self.steering.queue_for(endpoint.flow_id).irq_core
+            self.steering.pin_flow(flow_id, remote_queue)
+            return remote_core
+        hash_core = self.steering.queue_for(flow_id).irq_core
         if self.config.steering is SteeringMode.RFS:
             # Software RFS: the IRQ lands on the hash-selected core, but
             # TCP processing is forwarded to the application's core.
-            endpoint.softirq_core = app_core
-        else:
-            # RSS and RPS both end up processing on the hash-selected core
-            # (RPS re-hashes in software to the same 4-tuple target).
-            endpoint.softirq_core = hash_core
+            return app_core
+        # RSS and RPS both end up processing on the hash-selected core
+        # (RPS re-hashes in software to the same 4-tuple target).
+        return hash_core
 
-    # --- DCA helpers used by endpoints -------------------------------------------------
+    # --- DCA helpers used by receivers -------------------------------------------------
 
     def dca_consume(self, region_id: int, nbytes: int):
         if self.nic.dca is None:
@@ -202,4 +239,4 @@ class Host:
         return cycles / (self.config.host.cpu_freq_hz * elapsed_ns / 1e9)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Host {self.name} flows={len(self.endpoints)}>"
+        return f"<Host {self.name} flows={len(self.flows)}>"

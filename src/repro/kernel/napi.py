@@ -130,7 +130,8 @@ class NapiContext:
         # grouped per target core, forwarded as one IPI'd job at poll end.
         remote: dict = {}
 
-        endpoints = host.endpoints
+        senders = host.senders
+        receivers = host.receivers
         skb_free_item = tables.skb_free_item
         deliver_skb = self._deliver_skb
         kind_data = Frame.KIND_DATA
@@ -138,15 +139,15 @@ class NapiContext:
         trace = host.trace
         rx_ring = trace.stages["rx_ring"] if trace is not None else None
         if rx_ring is not None and rx_ring.recording:
-            # One rx_ring sample per data completion whose flow has an
-            # endpoint: DMA arrival (the record's stamped arrival time) to
-            # this poll instant. Endpoints are never removed, so this is
+            # One rx_ring sample per data completion whose flow has a
+            # receiver here: DMA arrival (the record's stamped arrival time)
+            # to this poll instant. Receivers are never removed, so this is
             # exactly the set of records the loop below hands to GRO.
             rx_ring.record_many([
                 now - record.arrival_ns
                 for record in batch
                 if record.frame.kind == kind_data
-                and record.frame.flow_id in endpoints
+                and record.frame.flow_id in receivers
             ])
         # Consecutive data records go to GRO as one run (per-record
         # semantics, per-frame lookups hoisted).
@@ -166,17 +167,21 @@ class NapiContext:
                 j = i + 1
                 while j < n and batch[j].frame.kind == kind_data:
                     j += 1
-                gro_run(batch, i, j, endpoints, items,
+                gro_run(batch, i, j, receivers, items,
                         frame_to_skb, deliver_flushed)
                 i = j
                 continue
-            endpoint = endpoints.get(frame.flow_id)
-            if endpoint is not None:  # else: stray, torn-down flow
-                if kind == kind_ack:
+            # ACKs go to the flow's sender half, probes to its receiver
+            # half; a frame with no half here is a stray.
+            if kind == kind_ack:
+                sender = senders.get(frame.flow_id)
+                if sender is not None:
                     items.append(skb_free_item)
-                    endpoint.on_ack_frame(frame.ack, core, items, deferred)
-                elif kind == "probe":
-                    endpoint.on_probe_frame(items, ack_frames)
+                    sender.on_ack_frame(frame.ack, core, items, deferred)
+            elif kind == "probe":
+                receiver = receivers.get(frame.flow_id)
+                if receiver is not None:
+                    receiver.on_probe_frame(items, ack_frames)
             i += 1
 
         flush_items, flushed = self.gro.flush_all()
@@ -234,27 +239,27 @@ class NapiContext:
         remote: dict,
     ) -> None:
         skb.napi_ns = now
-        endpoint = self.host.endpoints.get(skb.flow_id)
-        if endpoint is None:
+        receiver = self.host.receivers.get(skb.flow_id)
+        if receiver is None:
             return
         self.host.metrics.record_rx_skb(self.host.name, skb.payload_bytes)
-        if endpoint.softirq_core is not self.core:
+        if receiver.softirq_core is not self.core:
             # Software steering (RPS/RFS): enqueue onto the target core's
             # backlog and IPI it; the driver-side cost lands here.
             items.append(
                 ("net_rx_action", self.costs.rps_backlog_enqueue_cycles)
             )
-            remote.setdefault(endpoint.softirq_core, []).append((endpoint, skb))
+            remote.setdefault(receiver.softirq_core, []).append((receiver, skb))
             return
-        endpoint.on_data_skb(skb, self.core, items, deferred, ack_frames)
+        receiver.on_data_skb(skb, self.core, items, deferred, ack_frames)
 
     def _forward_to_core(self, target_core, pairs) -> None:
         """Run the TCP half of a poll batch on the steering target core."""
         items: ChargeItems = [("handle_irq_event", self.costs.irq_cycles * 0.5)]
         deferred: List[Callable[[], None]] = []
         ack_frames: List[Frame] = []
-        for endpoint, skb in pairs:
-            endpoint.on_data_skb(skb, target_core, items, deferred, ack_frames)
+        for receiver, skb in pairs:
+            receiver.on_data_skb(skb, target_core, items, deferred, ack_frames)
 
         def done() -> None:
             for action in deferred:

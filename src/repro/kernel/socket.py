@@ -17,6 +17,11 @@ from .skb import Skb
 class Socket:
     """Per-connection receive queue with byte-level accounting."""
 
+    __slots__ = (
+        "flow_id", "rx_buffer_bytes", "_queue", "_head_offset", "unread_bytes",
+        "waiter",
+    )
+
     def __init__(self, flow_id: int, rx_buffer_bytes: int) -> None:
         self.flow_id = flow_id
         self.rx_buffer_bytes = rx_buffer_bytes

@@ -1,6 +1,8 @@
-"""TCP: endpoints, transmit/receive halves, and congestion control."""
+"""TCP: the transmit and receive halves of a connection, and congestion
+control."""
 
-from .endpoint import TcpEndpoint
 from .ack import AckInfo
+from .receiver import TcpReceiver
+from .sender import TcpSender
 
-__all__ = ["TcpEndpoint", "AckInfo"]
+__all__ = ["AckInfo", "TcpReceiver", "TcpSender"]

@@ -248,7 +248,7 @@ class TraceHub:
 
     def reset(self) -> None:
         """Discard every recording (in place: recorder references held by
-        the NIC/link/endpoints stay live)."""
+        the NIC/link/TCP halves stay live)."""
         for side in self.sides.values():
             side.clear()
 

@@ -14,58 +14,61 @@ from __future__ import annotations
 from typing import Callable, Generator, List, Sequence
 
 from ..kernel.syscall import RecvOp, SendOp
-from ..kernel.tcp.endpoint import TcpEndpoint
+from ..kernel.tcp.receiver import TcpReceiver
+from ..kernel.tcp.sender import TcpSender
 
 BodyFactory = Callable[[object], Generator]
 
 
-def streaming_sender(endpoint: TcpEndpoint, write_bytes: int) -> BodyFactory:
+def streaming_sender(sender: TcpSender, write_bytes: int) -> BodyFactory:
     """iperf sender: write ``write_bytes`` forever."""
 
     def body(thread) -> Generator:
         while True:
-            yield SendOp(endpoint, write_bytes)
+            yield SendOp(sender, write_bytes)
 
     return body
 
 
-def streaming_receiver(endpoint: TcpEndpoint, read_bytes: int) -> BodyFactory:
+def streaming_receiver(receiver: TcpReceiver, read_bytes: int) -> BodyFactory:
     """iperf receiver: drain the socket forever."""
 
     def body(thread) -> Generator:
         while True:
-            yield RecvOp([endpoint], read_bytes)
+            yield RecvOp([receiver], read_bytes)
 
     return body
 
 
-def rpc_client(endpoint: TcpEndpoint, rpc_bytes: int) -> BodyFactory:
-    """netperf-style client: send a request, wait for the full response."""
+def rpc_client(sender: TcpSender, rpc_bytes: int) -> BodyFactory:
+    """netperf-style client: send a request on ``sender``, wait for the full
+    response on the same connection's receive half."""
 
     def body(thread) -> Generator:
         while True:
-            yield SendOp(endpoint, rpc_bytes)
+            yield SendOp(sender, rpc_bytes)
             received = 0
             while received < rpc_bytes:
-                _, nbytes = yield RecvOp([endpoint], rpc_bytes - received)
+                _, nbytes = yield RecvOp([sender.receiver], rpc_bytes - received)
                 received += nbytes
 
     return body
 
 
-def rpc_server(endpoints: Sequence[TcpEndpoint], rpc_bytes: int) -> BodyFactory:
+def rpc_server(receivers: Sequence[TcpReceiver], rpc_bytes: int) -> BodyFactory:
     """RPC server multiplexing any number of ping-pong connections in one
-    thread (the Fig-10 receiver application)."""
+    thread (the Fig-10 receiver application). It answers each completed
+    request on the transmit half of the connection it arrived on."""
 
-    eps: List[TcpEndpoint] = list(endpoints)
+    rxs: List[TcpReceiver] = list(receivers)
 
     def body(thread) -> Generator:
-        progress = {ep.flow_id: 0 for ep in eps}
+        progress = {rx.flow_id: 0 for rx in rxs}
         while True:
-            ep, nbytes = yield RecvOp(eps, rpc_bytes)
-            progress[ep.flow_id] += nbytes
-            if progress[ep.flow_id] >= rpc_bytes:
-                progress[ep.flow_id] = 0
-                yield SendOp(ep, rpc_bytes)
+            rx, nbytes = yield RecvOp(rxs, rpc_bytes)
+            progress[rx.flow_id] += nbytes
+            if progress[rx.flow_id] >= rpc_bytes:
+                progress[rx.flow_id] = 0
+                yield SendOp(rx.sender, rpc_bytes)
 
     return body

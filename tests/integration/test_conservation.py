@@ -18,8 +18,8 @@ def build_and_run(seed=1, **kwargs):
 
 def test_receiver_never_acks_unsent_data():
     experiment, _ = build_and_run()
-    for flow_id, snd in experiment.sender.endpoints.items():
-        rcv = experiment.receiver.endpoints[flow_id]
+    for flow_id, snd in experiment.sender.senders.items():
+        rcv = experiment.receiver.receivers[flow_id]
         assert rcv.rcv_nxt <= snd.snd_nxt
         assert snd.snd_una <= rcv.rcv_nxt
 
@@ -28,7 +28,7 @@ def test_all_flows_make_progress_one_to_one():
     experiment, _ = build_and_run(
         pattern=TrafficPattern.ONE_TO_ONE, num_flows=8
     )
-    for flow_id in experiment.receiver.endpoints:
+    for flow_id in experiment.receiver.receivers:
         assert experiment.metrics.flow_bytes("receiver", flow_id) > 0
 
 

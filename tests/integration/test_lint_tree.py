@@ -73,8 +73,8 @@ class TestHistoricalBugShapes:
     def test_dropped_slot_assignment_in_frame_fast_path_is_caught(self):
         sources = load_tree_sources()
         target = "            frame.trace_ns = None\n"
-        assert target in sources["kernel/tcp/endpoint.py"]
-        sources["kernel/tcp/endpoint.py"] = sources["kernel/tcp/endpoint.py"].replace(
+        assert target in sources["kernel/tcp/sender.py"]
+        sources["kernel/tcp/sender.py"] = sources["kernel/tcp/sender.py"].replace(
             target, "", 1
         )
         report = run_on(sources)
@@ -82,7 +82,7 @@ class TestHistoricalBugShapes:
             f
             for f in report.findings
             if f.rule == "slots-incomplete-new"
-            and f.path == "src/repro/kernel/tcp/endpoint.py"
+            and f.path == "src/repro/kernel/tcp/sender.py"
         ]
         assert len(new) == 1
         assert "trace_ns" in new[0].message

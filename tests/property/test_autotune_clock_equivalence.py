@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from repro.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.core.export import result_to_dict
-from repro.kernel.tcp.endpoint import AUTOTUNE_PERIOD_NS
+from repro.kernel.tcp.receiver import AUTOTUNE_PERIOD_NS
 
 from .configs import experiment_configs
 
@@ -52,7 +52,8 @@ def _run(config: ExperimentConfig, reference: bool):
         )
         for host in ("sender", "receiver")
     }
-    endpoints = len(experiment.sender.endpoints)
+    # The most receive halves any one host holds (each one autotunes).
+    endpoints = max(len(experiment.sender.receivers), len(experiment.receiver.receivers))
     return payload, reservoirs, experiment.engine.events_fired, endpoints
 
 

@@ -8,8 +8,7 @@ including events appended to an instant while it drains, and regardless of
 pop-on-cancel and the stale heap entries it leaves. This test interprets
 randomized programs of schedule / cancel / re-arm operations (including
 scheduling and cancelling *during* event callbacks, and delays up to
-2**42 ns) against both engines and requires identical fire logs. The test
-names date from the timer-wheel engine this one replaced.
+2**42 ns) against both engines and requires identical fire logs.
 """
 
 import heapq
@@ -132,7 +131,7 @@ def _interpret(engine, program):
 
 @given(program=_ops)
 @settings(max_examples=200, deadline=None)
-def test_wheel_matches_reference_heap(program):
+def test_engine_matches_reference_heap(program):
     wheel_log = _interpret(Engine(), program)
     heap_log = _interpret(_RefEngine(), program)
     assert wheel_log == heap_log
@@ -140,5 +139,5 @@ def test_wheel_matches_reference_heap(program):
 
 @given(program=_ops)
 @settings(max_examples=50, deadline=None)
-def test_wheel_is_deterministic_across_runs(program):
+def test_engine_is_deterministic_across_runs(program):
     assert _interpret(Engine(), program) == _interpret(Engine(), program)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from repro.config import ExperimentConfig, LinkConfig, TrafficPattern
 from repro.core.experiment import Experiment
 from repro.core.export import result_to_dict
-from repro.kernel.tcp.endpoint import TcpEndpoint
+from repro.kernel.tcp.sender import TcpSender
 from repro.units import msec
 
 from .configs import experiment_configs
@@ -63,9 +63,9 @@ RTO_EXAMPLE = ExperimentConfig(
 def _run(config: ExperimentConfig, reference: bool):
     experiment = Experiment(config)
     if reference:
-        with mock.patch.object(TcpEndpoint, "_arm_rto", _eager_arm_rto), \
-                mock.patch.object(TcpEndpoint, "_cancel_rto", _eager_cancel_rto), \
-                mock.patch.object(TcpEndpoint, "_rto_fire", _eager_rto_fire):
+        with mock.patch.object(TcpSender, "_arm_rto", _eager_arm_rto), \
+                mock.patch.object(TcpSender, "_cancel_rto", _eager_cancel_rto), \
+                mock.patch.object(TcpSender, "_rto_fire", _eager_rto_fire):
             result = experiment.run()
     else:
         result = experiment.run()
@@ -79,7 +79,7 @@ def _run(config: ExperimentConfig, reference: bool):
     timeouts = sum(
         endpoint.timeouts
         for host in (experiment.sender, experiment.receiver)
-        for endpoint in host.endpoints.values()
+        for endpoint in host.senders.values()
     )
     return result_to_dict(result), reservoirs, timeouts
 

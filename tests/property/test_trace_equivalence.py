@@ -9,8 +9,7 @@ Checked on random configs across the dimensions that stress the stamping
 rules: loss (dropped frames must not record wire stages), LRO (ring
 completions merge), RPC interleave (both directions tracing), DCTCP. The
 telescoping identity and the auditor's cross-checks must hold on every
-traced run. (The test name dates from the frame-train wire mode, which the
-traced payload once had to match too; that mode is gone.)
+traced run.
 """
 
 from hypothesis import given, settings
@@ -30,7 +29,7 @@ def _run(config, trace):
 
 @settings(max_examples=8, deadline=None)
 @given(config=experiment_configs())
-def test_tracing_perturbs_nothing_and_is_train_invariant(config):
+def test_tracing_perturbs_nothing(config):
     _, untraced = _run(config, trace=False)
     traced_result, traced = _run(config, trace=True)
 

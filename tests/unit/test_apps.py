@@ -12,13 +12,18 @@ from repro.workloads.apps import (
 )
 
 
-def make_endpoint():
+def make_sender():
     experiment = Experiment(ExperimentConfig(duration_ns=msec(1)))
-    return experiment.sender.endpoints[1]
+    return experiment.sender.senders[1]
+
+
+def make_receiver():
+    experiment = Experiment(ExperimentConfig(duration_ns=msec(1)))
+    return experiment.receiver.receivers[1]
 
 
 def test_streaming_sender_yields_sends():
-    endpoint = make_endpoint()
+    endpoint = make_sender()
     body = streaming_sender(endpoint, 4096)(None)
     for _ in range(3):
         op = body.send(None)
@@ -27,7 +32,7 @@ def test_streaming_sender_yields_sends():
 
 
 def test_streaming_receiver_yields_recvs():
-    endpoint = make_endpoint()
+    endpoint = make_receiver()
     body = streaming_receiver(endpoint, 8192)(None)
     op = body.send(None)
     assert isinstance(op, RecvOp)
@@ -36,7 +41,7 @@ def test_streaming_receiver_yields_recvs():
 
 
 def test_rpc_client_alternates_send_and_recv():
-    endpoint = make_endpoint()
+    endpoint = make_sender()
     body = rpc_client(endpoint, 4096)(None)
     first = body.send(None)
     assert isinstance(first, SendOp) and first.nbytes == 4096
@@ -50,7 +55,7 @@ def test_rpc_client_alternates_send_and_recv():
 
 
 def test_rpc_server_responds_after_full_request():
-    endpoint = make_endpoint()
+    endpoint = make_receiver()
     body = rpc_server([endpoint], 4096)(None)
     op = body.send(None)
     assert isinstance(op, RecvOp)
@@ -71,7 +76,7 @@ def test_rpc_server_tracks_progress_per_connection():
             workload=WorkloadConfig(rpc_size_bytes=kb(4)),
         )
     )
-    eps = list(experiment.receiver.endpoints.values())
+    eps = list(experiment.receiver.receivers.values())
     body = rpc_server(eps, 4096)(None)
     body.send(None)
     # interleave partial requests from two connections

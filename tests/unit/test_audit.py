@@ -152,7 +152,7 @@ def test_unclassifiable_operation_is_caught(finished):
 def test_injected_byte_conjuring_is_caught(finished):
     """Bytes appearing in the stream with no application write must break
     the transmit-half identity (and the cross-host stream identity)."""
-    endpoint = next(iter(finished.sender.endpoints.values()))
+    endpoint = next(iter(finished.sender.senders.values()))
     endpoint.app_bytes_written += 4096
     try:
         report = audit_experiment(finished)
@@ -165,7 +165,7 @@ def test_injected_byte_conjuring_is_caught(finished):
 def test_injected_rx_double_count_is_caught(finished):
     """A receive-side double count (delivering the same skb twice would bump
     app bytes without advancing rcv_nxt) breaks the receive-half identity."""
-    endpoint = next(iter(finished.receiver.endpoints.values()))
+    endpoint = next(iter(finished.receiver.receivers.values()))
     endpoint.app_bytes_read += 1500
     try:
         report = audit_experiment(finished)

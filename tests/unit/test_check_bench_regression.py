@@ -6,7 +6,7 @@ timings with synthetic numbers and exercise the decision logic: a healthy
 run passes, each ceiling and floor trips individually and names what
 tripped, ``--update`` rewrites the committed values without being able to
 weaken the hard-coded trace-overhead ceiling, and layer ceilings follow
-shares, not raw profiled seconds.
+shares, not raw profiled seconds. Memory ceilings gate ``peak_rss_mb``.
 """
 
 import importlib.util
@@ -23,6 +23,7 @@ _spec.loader.exec_module(tool)
 
 ENGINE_S = {"schedule_run": 0.03, "cancel_churn": 0.12}
 WALL_S = {"bulk": 1.5, "bulk_traced": 1.7, "lossy": 3.0, "rpc": 3.0, "all_to_all": 3.1}
+PEAK_RSS_MB = {"bulk": 24.0, "bulk_traced": 24.5, "lossy": 24.2, "rpc": 24.1, "all_to_all": 27.0}
 SHARES = {
     "sim": 0.10, "hardware.link": 0.04, "hardware.nic": 0.15, "hardware.cache": 0.05,
     "hardware.cpu": 0.11, "kernel.napi": 0.14, "kernel.tcp": 0.31,
@@ -37,14 +38,16 @@ COMMITTED = {
         name: {layer: SHARES[layer] * wall for layer in GATED}
         for name, wall in WALL_S.items()
     },
+    "peak_rss_mb": PEAK_RSS_MB,
 }
 
 
-def _records(wall_s, shares, self_s_scale, failed):
+def _records(wall_s, shares, self_s_scale, failed, peak_rss_mb):
     """Stub ``bench_records``: ``run`` and ``layers`` records by workload."""
     runs = {
         name: {"workload": name, "attempted": 10, "failed": failed,
-               "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+               "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                           "peak_rss_mb": {"value": peak_rss_mb[name], "unit": "MB"}}}
         for name, wall in wall_s.items()
     }
     layers = {}
@@ -60,12 +63,12 @@ def _records(wall_s, shares, self_s_scale, failed):
 
 def _run_gate(tmp_path, monkeypatch, capsys, *, engine=ENGINE_S, wall_s=WALL_S,
               shares=SHARES, committed=COMMITTED, update=False, self_s_scale=1.0,
-              failed=0):
+              failed=0, peak_rss_mb=PEAK_RSS_MB):
     """Run ``main()`` with stubbed measurements; return (exit code, stderr)."""
     perf_gate = tmp_path / "perf_gate.json"
     if committed is not None:
         perf_gate.write_text(json.dumps(committed))
-    records = _records(wall_s, shares, self_s_scale, failed)
+    records = _records(wall_s, shares, self_s_scale, failed, peak_rss_mb)
     monkeypatch.setattr(tool, "PERF_GATE", perf_gate)
     monkeypatch.setattr(tool, "bench_records", lambda command: records[command])
     monkeypatch.setattr(tool, "engine_seconds", lambda: dict(engine))
@@ -119,6 +122,21 @@ def test_cost_within_tolerance_headroom_passes(tmp_path, monkeypatch, capsys):
     assert code == 0, err
 
 
+def test_peak_rss_ceiling_trips(tmp_path, monkeypatch, capsys):
+    # 9% more memory on every workload is inside the 10% peak_rss_mb bound.
+    code, err = _run_gate(tmp_path, monkeypatch, capsys,
+                          peak_rss_mb={name: mb * 1.09 for name, mb in PEAK_RSS_MB.items()})
+    assert code == 0, err
+    # 15% more on all_to_all alone trips its ceiling, and only that one.
+    grown = dict(PEAK_RSS_MB, all_to_all=PEAK_RSS_MB["all_to_all"] * 1.15)
+    code, err = _run_gate(tmp_path, monkeypatch, capsys, peak_rss_mb=grown)
+    failures = [line for line in err.splitlines() if line.startswith("REGRESSION")]
+    assert code == 1
+    assert len(failures) == 1
+    assert "all_to_all peak_rss_mb" in failures[0] and "MB" in failures[0]
+    assert "wall_s" not in err
+
+
 def test_trace_overhead_ceiling_trips(tmp_path, monkeypatch, capsys):
     traced = WALL_S["bulk"] * (1 + tool.MAX_TRACE_OVERHEAD + 0.05)
     wall_s = dict(WALL_S, bulk_traced=traced)
@@ -158,6 +176,7 @@ def test_update_rewrites_baseline_with_hard_floor(tmp_path, monkeypatch, capsys)
     assert doc["engine_s"] == ENGINE_S
     assert doc["wall_s"] == WALL_S
     assert doc["layer_s"] == COMMITTED["layer_s"]
+    assert doc["peak_rss_mb"] == PEAK_RSS_MB
     # A gate run against the freshly written values passes.
     code, err = _run_gate(tmp_path, monkeypatch, capsys, committed=doc)
     assert code == 0
@@ -170,7 +189,7 @@ def test_update_rewrites_baseline_with_hard_floor(tmp_path, monkeypatch, capsys)
                         committed=None, update=True)
     assert code == 0
     doc = json.loads((tmp_path / "perf_gate.json").read_text())
-    assert set(doc) == {"comment", "engine_s", "wall_s", "layer_s"}
+    assert set(doc) == {"comment", "engine_s", "wall_s", "layer_s", "peak_rss_mb"}
     code, err = _run_gate(tmp_path, monkeypatch, capsys, wall_s=wall_s, committed=doc)
     assert code == 1
     assert "tracing" in err

@@ -37,6 +37,12 @@ def test_run_flag_mapping():
     config.validate()
 
 
+def test_run_rejects_bad_config_before_simulating(capsys):
+    assert main(["run", "--flows", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "num_flows" in err
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -53,52 +53,78 @@ def test_replace_returns_modified_copy():
 def test_validate_rejects_zero_flows():
     with pytest.raises(ValueError):
         ExperimentConfig(num_flows=0).validate()
+    # Construction alone raises, and so does a replace() that breaks it.
+    with pytest.raises(ValueError, match="num_flows"):
+        ExperimentConfig(num_flows=0)
+    with pytest.raises(ValueError, match="num_flows"):
+        ExperimentConfig().replace(num_flows=0)
 
 
 def test_validate_rejects_nonpositive_duration():
     with pytest.raises(ValueError):
         ExperimentConfig(duration_ns=0).validate()
+    with pytest.raises(ValueError, match="duration_ns"):
+        ExperimentConfig(duration_ns=0)
+    with pytest.raises(ValueError, match="duration_ns"):
+        ExperimentConfig().replace(duration_ns=0)
 
 
 def test_validate_rejects_negative_warmup():
     with pytest.raises(ValueError):
         ExperimentConfig(warmup_ns=-1).validate()
+    with pytest.raises(ValueError, match="warmup_ns"):
+        ExperimentConfig(warmup_ns=-1)
 
 
 def test_validate_rejects_more_flows_than_cores():
-    config = ExperimentConfig(pattern=TrafficPattern.ONE_TO_ONE, num_flows=25)
+    with pytest.raises(ValueError):
+        ExperimentConfig(pattern=TrafficPattern.ONE_TO_ONE, num_flows=25)
+    # A field set after construction is still caught by validate(), which
+    # Experiment runs again.
+    config = ExperimentConfig(pattern=TrafficPattern.ONE_TO_ONE)
+    config.num_flows = 25
     with pytest.raises(ValueError):
         config.validate()
 
 
 def test_validate_rejects_more_rpc_clients_than_cores():
     # One RPC client per sender core: 30 clients would index past core 24.
-    config = ExperimentConfig(pattern=TrafficPattern.RPC_INCAST, num_flows=30)
+    with pytest.raises(ValueError, match="exceeds"):
+        ExperimentConfig(pattern=TrafficPattern.RPC_INCAST, num_flows=30)
+    config = ExperimentConfig(pattern=TrafficPattern.RPC_INCAST)
+    config.num_flows = 30
     with pytest.raises(ValueError, match="exceeds"):
         config.validate()
 
 
 def test_validate_rejects_loss_without_switch():
-    config = ExperimentConfig(link=LinkConfig(loss_rate=0.01, has_switch=False))
     with pytest.raises(ValueError):
+        ExperimentConfig(link=LinkConfig(loss_rate=0.01, has_switch=False))
+    # Nested configs stay mutable after construction, so validate() (which
+    # Experiment runs again) still catches a field broken later.
+    config = ExperimentConfig()
+    config.link.loss_rate = 0.01
+    with pytest.raises(ValueError, match="has_switch"):
         config.validate()
 
 
 def test_validate_rejects_loss_rate_of_one():
     with pytest.raises(ValueError):
         ExperimentConfig(link=LinkConfig(loss_rate=1.0, has_switch=True)).validate()
+    with pytest.raises(ValueError, match="loss_rate"):
+        ExperimentConfig(link=LinkConfig(loss_rate=1.0, has_switch=True))
 
 
 @pytest.mark.parametrize(
-    "config",
+    "fields",
     [
-        ExperimentConfig(host=HostConfig(cores_per_node=0)),
-        ExperimentConfig(host=HostConfig(cpu_freq_hz=0)),
-        ExperimentConfig(cost_overrides={"no_such_cost_cycles": 1.0}),
-        ExperimentConfig(host=HostConfig(nic_numa_node=-1)),
-        ExperimentConfig(host=HostConfig(numa_nodes=2, nic_numa_node=2)),
-        ExperimentConfig(link=LinkConfig(propagation_ns=-1)),
-        ExperimentConfig(nic=NicConfig(rx_descriptors=0)),
+        dict(host=HostConfig(cores_per_node=0)),
+        dict(host=HostConfig(cpu_freq_hz=0)),
+        dict(cost_overrides={"no_such_cost_cycles": 1.0}),
+        dict(host=HostConfig(nic_numa_node=-1)),
+        dict(host=HostConfig(numa_nodes=2, nic_numa_node=2)),
+        dict(link=LinkConfig(propagation_ns=-1)),
+        dict(nic=NicConfig(rx_descriptors=0)),
     ],
     ids=[
         "cores_per_node",
@@ -110,7 +136,13 @@ def test_validate_rejects_loss_rate_of_one():
         "rx_descriptors",
     ],
 )
-def test_validate_rejects_bad_host_link_nic_and_cost_fields(config):
+def test_validate_rejects_bad_host_link_nic_and_cost_fields(fields):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**fields)
+    # The same fields set after construction are still caught by validate().
+    config = ExperimentConfig()
+    for name, value in fields.items():
+        setattr(config, name, value)
     with pytest.raises(ValueError):
         config.validate()
 

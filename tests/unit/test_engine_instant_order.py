@@ -1,12 +1,8 @@
-"""Timer-ordering contracts of the engine, as the clock producers rely on them.
-
-CPU job completions and TCP retransmission deadlines were once dispatched
-from a separate deadline-sorted express lane; they are ordinary engine
-events now. These tests pin the contracts the lane had to keep on the
-engine alone: exact firing times, time order regardless of registration
-order, scheduling order within an instant, same-pass firing for entries
-added mid-drain, far-future (2**41 ns) events, and ``run(until=...)``
-boundaries.
+"""Per-instant ordering contracts of the engine, as the clock producers
+(CPU job completions, TCP retransmission deadlines) rely on them: exact
+firing times, time order regardless of registration order, scheduling order
+within an instant, same-pass firing for events added mid-drain, far-future
+(2**41 ns) events, and ``run(until=...)`` boundaries.
 """
 
 import pytest
@@ -14,7 +10,7 @@ import pytest
 from repro.sim.engine import Engine
 
 
-def test_express_entry_fires_at_its_time():
+def test_event_fires_at_its_time():
     engine = Engine()
     fired = []
     engine.schedule_at(500, fired.append, "x")
@@ -25,7 +21,7 @@ def test_express_entry_fires_at_its_time():
     assert engine.pending_events() == 0
 
 
-def test_express_without_arg_calls_bare():
+def test_event_without_args_calls_bare():
     engine = Engine()
     fired = []
     engine.schedule_at(100, lambda: fired.append("bare"))
@@ -33,21 +29,21 @@ def test_express_without_arg_calls_bare():
     assert fired == ["bare"]
 
 
-def test_express_entries_sort_by_time():
+def test_events_fire_in_time_order():
     engine = Engine()
     order = []
-    # Separate blocks, registered out of order...
+    # Separate instants, registered out of order...
     engine.schedule_at(3000, order.append, "c")
     engine.schedule_at(1000, order.append, "a")
     engine.schedule_at(2000, order.append, "b")
-    # ...and two entries sharing one 256 ns block, also reversed.
+    # ...and two close instants, also reversed.
     engine.schedule_at(1010, order.append, "a2")
     engine.schedule_at(1005, order.append, "a1")
     engine.run()
     assert order == ["a", "a1", "a2", "b", "c"]
 
 
-def test_express_cannot_schedule_in_the_past():
+def test_cannot_schedule_in_the_past():
     engine = Engine()
     engine.schedule(100, lambda: None)
     engine.run()
@@ -58,7 +54,7 @@ def test_express_cannot_schedule_in_the_past():
         engine.schedule(-1, lambda: None)
 
 
-def test_same_instant_wheel_and_express_fire_in_registration_order():
+def test_same_instant_events_fire_in_registration_order():
     # ``schedule`` and ``schedule_at`` append to the same per-instant list,
     # so two events at the same instant interleave by registration order
     # whichever entry point each came through.
@@ -77,8 +73,8 @@ def test_same_instant_wheel_and_express_fire_in_registration_order():
     assert order == ["absolute", "relative"]
 
 
-def test_express_registered_mid_drain_fires_in_same_pass():
-    # An entry scheduled from inside a callback, for the very instant being
+def test_event_registered_mid_drain_fires_in_same_pass():
+    # An event scheduled from inside a callback, for the very instant being
     # drained, fires in this pass — after "second", because it is appended
     # to the instant's list at registration time.
     engine = Engine()
@@ -95,7 +91,7 @@ def test_express_registered_mid_drain_fires_in_same_pass():
     assert engine.now == 1000
 
 
-def test_express_ahead_of_wheel_block_dispatches_off_heap():
+def test_far_future_event_waits_for_nearer_one():
     # A far-future event waits while a nearer one fires first, then fires at
     # its exact time. Each counts once.
     engine = Engine()
@@ -109,7 +105,7 @@ def test_express_ahead_of_wheel_block_dispatches_off_heap():
     assert engine.events_fired == 2
 
 
-def test_run_until_does_not_fire_future_express_entries():
+def test_run_until_does_not_fire_future_events():
     engine = Engine()
     fired = []
     engine.schedule_at(10, fired.append, 1)

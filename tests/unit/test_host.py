@@ -7,7 +7,7 @@ from repro.core.metrics import MetricsHub
 from repro.core.profiler import CpuProfiler
 from repro.costs.calibration import default_cost_model
 from repro.kernel.host import Host
-from repro.kernel.tcp.endpoint import AUTOTUNE_PERIOD_NS
+from repro.kernel.tcp.receiver import AUTOTUNE_PERIOD_NS, TcpReceiver
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
@@ -28,14 +28,14 @@ def test_host_has_one_rx_queue_per_core():
 
 def test_arfs_steers_to_app_core():
     host, _ = make_host(ExperimentConfig(opts=OptimizationConfig.all()))
-    endpoint = host.add_endpoint(1, host.core(3))
+    endpoint = host.add_receiver(1, host.core(3))
     assert endpoint.softirq_core is host.core(3)
     assert host.steering.queue_for(1).irq_core is host.core(3)
 
 
 def test_worst_case_mapping_pins_remote_node():
     host, _ = make_host(ExperimentConfig(opts=OptimizationConfig.none()))
-    endpoint = host.add_endpoint(1, host.core(0))
+    endpoint = host.add_receiver(1, host.core(0))
     assert endpoint.softirq_core.numa_node != host.core(0).numa_node
 
 
@@ -43,8 +43,8 @@ def test_arfs_table_overflow_falls_back_to_rss():
     config = ExperimentConfig()
     config.nic.arfs_table_capacity = 1
     host, _ = make_host(config)
-    first = host.add_endpoint(1, host.core(0))
-    second = host.add_endpoint(2, host.core(1))
+    first = host.add_receiver(1, host.core(0))
+    second = host.add_receiver(2, host.core(1))
     assert first.softirq_core is host.core(0)
     # second flow could hash anywhere; it must at least be consistent
     assert host.steering.queue_for(2).irq_core is second.softirq_core
@@ -53,9 +53,9 @@ def test_arfs_table_overflow_falls_back_to_rss():
 
 def test_duplicate_flow_id_rejected():
     host, _ = make_host()
-    host.add_endpoint(1, host.core(0))
+    host.add_receiver(1, host.core(0))
     with pytest.raises(ValueError):
-        host.add_endpoint(1, host.core(1))
+        host.add_receiver(1, host.core(1))
 
 
 def test_utilization_from_profiler_cycles():
@@ -93,7 +93,7 @@ def _autotune_events(host):
 def test_one_autotune_event_per_period_for_many_endpoints():
     host, _ = make_host()
     for flow_id in range(1, 7):
-        host.add_endpoint(flow_id, host.core(flow_id))
+        host.add_receiver(flow_id, host.core(flow_id))
     assert len(host.autotune_clocks) == 1
     assert _autotune_events(host) == [AUTOTUNE_PERIOD_NS]
     assert host.engine.pending_events() == 1
@@ -102,19 +102,22 @@ def test_one_autotune_event_per_period_for_many_endpoints():
     assert host.engine.pending_events() == 1
 
 
-def test_later_endpoint_first_ticks_one_period_after_registration():
+def test_later_endpoint_first_ticks_one_period_after_registration(monkeypatch):
     host, _ = make_host()
     engine = host.engine
     ticks = {1: [], 2: []}
+    monkeypatch.setattr(
+        TcpReceiver, "_autotune_tick",
+        lambda self: ticks[self.flow_id].append(engine.now),
+    )
 
     def watch(endpoint):
         # A nonzero delivered count keeps the clock from skipping the update.
         endpoint._delivered_since_autotune = 1
-        endpoint._autotune_tick = lambda: ticks[endpoint.flow_id].append(engine.now)
 
-    watch(host.add_endpoint(1, host.core(0)))
+    watch(host.add_receiver(1, host.core(0)))
     engine.run(until=100_000)
-    watch(host.add_endpoint(2, host.core(1)))
+    watch(host.add_receiver(2, host.core(1)))
     assert sorted(host.autotune_clocks) == [0, 100_000]
     engine.run(until=3 * AUTOTUNE_PERIOD_NS)
     assert ticks[1] == [AUTOTUNE_PERIOD_NS, 2 * AUTOTUNE_PERIOD_NS, 3 * AUTOTUNE_PERIOD_NS]
@@ -123,7 +126,7 @@ def test_later_endpoint_first_ticks_one_period_after_registration():
 
 def test_autotune_off_registers_nothing():
     host, _ = make_host(ExperimentConfig(tcp=TcpConfig(autotune_rx_buffer=False)))
-    host.add_endpoint(1, host.core(0))
-    host.add_endpoint(2, host.core(1))
+    host.add_receiver(1, host.core(0))
+    host.add_receiver(2, host.core(1))
     assert host.autotune_clocks == {}
     assert host.engine.pending_events() == 0

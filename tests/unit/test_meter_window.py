@@ -52,7 +52,7 @@ def test_no_metrics_side_exists_before_window():
     config = ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1))
     experiment = Experiment(config)
     experiment.engine.run(until=config.warmup_ns)
-    assert experiment.receiver.endpoints[1].app_bytes_read > 0
+    assert experiment.receiver.receivers[1].app_bytes_read > 0
     # No side, hence no reservoir RNG has drawn anything yet.
     assert experiment.metrics._sides == {}
     experiment.run()
@@ -88,7 +88,7 @@ def test_skb_enqueued_before_window_records_all_receive_stages():
     config = ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1), trace=True)
     experiment = Experiment(config)
     experiment.engine.run(until=config.warmup_ns)
-    rcv = experiment.receiver.endpoints[1]
+    rcv = experiment.receiver.receivers[1]
     queue, _ = rcv.socket.peek_skbs()
     queued = [skb for skb in queue if skb.napi_ns is not None]
     assert queued and all(skb.trace_ns is not None for skb in queued)

@@ -27,7 +27,7 @@ def inject_frames(experiment, count, flow_id=1, size=8960):
 
 
 def napi_for_flow(experiment, flow_id=1):
-    endpoint = experiment.receiver.endpoints[flow_id]
+    endpoint = experiment.receiver.receivers[flow_id]
     queue = experiment.receiver.steering.queue_for(flow_id)
     return queue.napi, endpoint
 
@@ -91,7 +91,7 @@ def test_rfs_forwards_tcp_processing_to_app_core():
         worst_case_irq_mapping=False,
         steering=SteeringMode.RFS,
     )
-    endpoint = experiment.receiver.endpoints[1]
+    endpoint = experiment.receiver.receivers[1]
     irq_core = experiment.receiver.steering.queue_for(1).irq_core
     # RFS: TCP runs on the app core even when IRQs land elsewhere
     assert endpoint.softirq_core is endpoint.app_core

@@ -15,6 +15,21 @@ def test_add_row_and_render():
     assert "1.50" in text
 
 
+def test_small_nonzero_floats_keep_two_significant_digits():
+    """Fig 9's loss rates stay apart instead of reading 0.00, 0.00 and 0.01;
+    zero and ordinary floats keep two decimals."""
+    table = Table("t", ["loss_rate", "gbps"])
+    for loss, gbps in ((0.0, 47.32), (1.5e-4, 47.32), (1.5e-3, 60.71), (1.5e-2, 51.9)):
+        table.add_row(loss, gbps)
+    rows = [line.split() for line in table.render().splitlines()[4:]]
+    assert rows == [
+        ["0.00", "47.32"],
+        ["1.5e-04", "47.32"],
+        ["1.5e-03", "60.71"],
+        ["1.5e-02", "51.90"],
+    ]
+
+
 def test_wrong_arity_rejected():
     table = Table("t", ["a", "b"])
     with pytest.raises(ValueError):

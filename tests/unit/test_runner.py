@@ -116,7 +116,10 @@ def test_failing_config_does_not_discard_the_batch(tmp_path, jobs):
     """One raising config still lets the other two run and be cached, and
     the error names the failing config by cache key."""
     good = [small(seed=1), small(seed=2)]
-    bad = small(num_flows=0)  # rejected by validate() inside the worker
+    # Built valid, then broken: construction would already reject it, and
+    # the worker's Experiment must reject it by validating again.
+    bad = small()
+    bad.num_flows = 0
     cache = ResultCache(tmp_path)
     stats = RunnerStats()
     with pytest.raises(RunManyError) as info:

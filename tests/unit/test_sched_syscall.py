@@ -44,7 +44,7 @@ def test_threads_progress_through_states():
 def test_finite_app_body_completes():
     """A generator that stops ends the thread cleanly."""
     experiment = Experiment(ExperimentConfig(duration_ns=msec(1)))
-    sender_ep = experiment.sender.endpoints[1]
+    sender_ep = experiment.sender.senders[1]
 
     def body(thread):
         yield SendOp(sender_ep, 1000)
@@ -67,6 +67,6 @@ def test_multi_socket_recv_op_serves_whichever_is_ready():
     experiment = Experiment(config)
     result = experiment.run()
     # every client made progress through the shared server thread
-    for flow_id in experiment.receiver.endpoints:
+    for flow_id in experiment.receiver.receivers:
         assert experiment.metrics.flow_bytes("receiver", flow_id) > 0
     assert result.total_throughput_gbps > 0

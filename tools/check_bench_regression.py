@@ -3,7 +3,8 @@
 
 Every measurement is checked against ``benchmarks/perf_gate.json``. All
 times are seconds at the reference host speed (``bench.probe``), so the
-committed values transfer across machines. The gate fails on:
+committed values transfer across machines. Memory ceilings are MB of peak
+RSS. The gate fails on:
 
 * **Failures** — any ``python -m bench`` record with ``failed > 0``.
 * **Workload ceilings** — a workload's median ``wall_s`` from
@@ -12,6 +13,9 @@ committed values transfer across machines. The gate fails on:
 * **Layer ceilings** — a layer's reference seconds, its profiled share from
   ``python -m bench layers`` times the workload's ``wall_s``, above its
   committed value by the same bound. Failures name the workload and layer.
+* **Memory ceilings** — a workload's median ``peak_rss_mb`` from
+  ``python -m bench run`` above its committed value by more than the
+  ``peak_rss_mb`` bound in ``BENCHMARK.json``.
 * **Trace overhead** — ``bulk_traced`` ``wall_s`` over ``bulk``'s above
   ``MAX_TRACE_OVERHEAD``.
 * **Engine floors** — the best reference seconds of the two
@@ -106,6 +110,9 @@ def measure() -> tuple:
         if record["failed"]
     ]
     wall_s = {name: record["metrics"]["wall_s"]["value"] for name, record in runs.items()}
+    peak_rss_mb = {
+        name: record["metrics"]["peak_rss_mb"]["value"] for name, record in runs.items()
+    }
     layer_s = {
         name: {
             metric[: -len(".share")]: entry["value"] * wall_s[name]
@@ -115,21 +122,28 @@ def measure() -> tuple:
         for name, record in layers.items()
         if name in wall_s
     }
-    return {"engine_s": engine_s, "wall_s": wall_s, "layer_s": layer_s}, failures
+    measured = {
+        "engine_s": engine_s, "wall_s": wall_s, "layer_s": layer_s,
+        "peak_rss_mb": peak_rss_mb,
+    }
+    return measured, failures
 
 
-def _over(label: str, now, committed: float, headroom: float) -> list:
+def _over(label: str, now, committed: float, headroom: float, unit: str = "s") -> list:
     if now is None:
         return [f"{label}: gated but not measured"]
     if now > committed * (1 + headroom):
         return [
-            f"{label}: {now:.4f} s is {now / committed - 1:.1%} above the committed "
-            f"{committed:.4f} s (ceiling +{headroom:.0%})"
+            f"{label}: {now:.4f} {unit} is {now / committed - 1:.1%} above the "
+            f"committed {committed:.4f} {unit} (ceiling +{headroom:.0%})"
         ]
     return []
 
 
-def check(measured: dict, committed: dict, wall_bound: float) -> list:
+def check(measured: dict, committed: dict, bounds: dict) -> list:
+    """Failure messages; ``bounds`` maps ``BENCHMARK.json`` end-to-end metric
+    names to their fractional bounds."""
+    wall_bound = bounds["wall_s"]
     failures = []
     for name, ceiling in committed["engine_s"].items():
         failures += _over(f"engine {name}", measured["engine_s"].get(name),
@@ -140,6 +154,9 @@ def check(measured: dict, committed: dict, wall_bound: float) -> list:
         now = measured["layer_s"].get(name, {})
         for layer, ceiling in layers.items():
             failures += _over(f"{name} layer {layer}", now.get(layer), ceiling, wall_bound)
+    for name, ceiling in committed.get("peak_rss_mb", {}).items():
+        failures += _over(f"{name} peak_rss_mb", measured["peak_rss_mb"].get(name),
+                          ceiling, bounds["peak_rss_mb"], unit="MB")
     bulk, traced = measured["wall_s"].get("bulk"), measured["wall_s"].get("bulk_traced")
     if bulk and traced and traced / bulk - 1 > MAX_TRACE_OVERHEAD:
         failures.append(
@@ -160,12 +177,12 @@ def main() -> int:
         print(f"engine {name}: {seconds:.4f} s")
     for name, seconds in measured["wall_s"].items():
         layers = ", ".join(f"{layer} {s:.3f}" for layer, s in measured["layer_s"].get(name, {}).items())
-        print(f"{name}: wall_s {seconds:.3f} s ({layers})")
+        print(f"{name}: wall_s {seconds:.3f} s, peak_rss_mb "
+              f"{measured['peak_rss_mb'].get(name, 0):.2f} ({layers})")
 
     if not args.update:
-        bounds = json.loads(BENCHMARK.read_text())["end_to_end"]
-        wall_bound = next(b["bound"] for b in bounds if b["name"] == "wall_s")
-        failures += check(measured, json.loads(PERF_GATE.read_text()), wall_bound)
+        bounds = {b["name"]: b["bound"] for b in json.loads(BENCHMARK.read_text())["end_to_end"]}
+        failures += check(measured, json.loads(PERF_GATE.read_text()), bounds)
     elif not failures:  # a run with failed experiments never becomes the baseline
         doc = {"comment": "reference seconds; regenerate with "
                           "tools/check_bench_regression.py --update", **measured}
