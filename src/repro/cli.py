@@ -9,6 +9,7 @@ Usage examples::
     python -m repro figure fig8c --export /tmp/fig8c.csv
     python -m repro figure fig3a --no-cache      # force re-simulation
     python -m repro figure fig3a --audit         # conservation-audit every run
+    python -m repro figure all --jobs 2          # every panel, one after another
     python -m repro trace fig3a                  # per-stage latency breakdown
     python -m repro list
 
@@ -117,8 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true", help="emit JSON")
     _add_runner_args(run)
 
-    figure = sub.add_parser("figure", help="regenerate one paper figure panel")
-    figure.add_argument("name", help="e.g. fig3a, fig8c, table1")
+    figure = sub.add_parser(
+        "figure", help="regenerate one paper figure panel, or `all` of them"
+    )
+    figure.add_argument("name", help="e.g. fig3a, fig8c, table1, or all")
     figure.add_argument("--export", help="write the table to a .csv/.json file")
     _add_runner_args(figure)
 
@@ -215,51 +218,28 @@ def _audit_exit_code(report) -> int:
     return 1 if report is not None and not report.ok else 0
 
 
-def _run_panel(generator, jobs, cache, audit: bool, trace: bool):
-    """Run one figure panel's generator under the given runner settings.
+def _panel(name: str, jobs, cache, audit: bool, trace: bool):
+    """Run one figure panel under the given runner settings; print its table
+    (the per-stage latency table when tracing) to stdout, and its trace
+    identity check and audit report to stderr.
 
-    Returns ``(table, audit_report, trace_report)``: the merged
-    :class:`~repro.core.audit.AuditReport` (``None`` when auditing is off)
-    and the merged :class:`~repro.trace.TraceReport` (``None`` when tracing
-    is off).
+    Returns ``(printed table, exit code)``. Runner counters accumulate in
+    ``figures_base.STATS``.
     """
     from .core.audit import merge_reports
     from .trace import TraceReport
 
     figures_base.configure(jobs=jobs, cache=cache, audit=audit, trace=trace)
-    figures_base.STATS.reset()
     try:
-        table = generator()
+        table = PANELS[name]()
         # Merge before the finally clause's configure() clears the lists.
         report = merge_reports(figures_base.AUDIT_REPORTS) if audit else None
         trace_report = TraceReport.merge(figures_base.TRACE_REPORTS) if trace else None
     finally:
         figures_base.configure()  # restore the sequential, uncached default
-    return table, report, trace_report
-
-
-def cmd_panel(args: argparse.Namespace) -> int:
-    """``repro figure`` and ``repro trace``: run one panel, print its table
-    (the per-stage latency table when tracing) and any audit report, and
-    export what was printed."""
-    trace = args.command == "trace"
-    generator = PANELS.get(args.name)
-    if generator is None:
-        print(f"unknown panel {args.name!r}; try `python -m repro list`",
-              file=sys.stderr)
-        return 2
-    jobs, cache, audit = _runner_settings(args)
-    table, report, trace_report = _run_panel(generator, jobs, cache, audit, trace)
-    stats = figures_base.STATS
-    if stats.experiments_run or stats.cache_hits:
-        print(
-            f"runner: {stats.experiments_run} experiments simulated, "
-            f"{stats.cache_hits} served from cache",
-            file=sys.stderr,
-        )
     violations = []
     if trace_report is not None:
-        table = trace_report.to_table(f"{args.name}: per-stage latency")
+        table = trace_report.to_table(f"{name}: per-stage latency")
     print(table.render())
     if trace_report is not None:
         checks, violations = trace_report.check_identity()
@@ -275,12 +255,46 @@ def cmd_panel(args: argparse.Namespace) -> int:
             )
     if report is not None:
         print(report.render(), file=sys.stderr)
+    return table, 1 if violations else _audit_exit_code(report)
+
+
+def cmd_panel(args: argparse.Namespace) -> int:
+    """``repro figure`` and ``repro trace``: run one panel (or ``all`` of
+    them, in sorted order, each followed by a blank line), print its table
+    (the per-stage latency table when tracing) and any audit report, and
+    export what was printed."""
+    trace = args.command == "trace"
+    if args.name == "all":
+        if args.export:
+            print(f"repro {args.command}: --export takes one panel, not all",
+                  file=sys.stderr)
+            return 2
+        names = sorted(PANELS)
+    elif args.name in PANELS:
+        names = [args.name]
+    else:
+        print(f"unknown panel {args.name!r}; try `python -m repro list`",
+              file=sys.stderr)
+        return 2
+    jobs, cache, audit = _runner_settings(args)
+    figures_base.STATS.reset()
+    code = 0
+    for name in names:
+        table, panel_code = _panel(name, jobs, cache, audit, trace)
+        code = max(code, panel_code)
+        if args.name == "all":
+            print()
+    stats = figures_base.STATS
+    if stats.experiments_run or stats.cache_hits:
+        print(
+            f"runner: {stats.experiments_run} experiments simulated, "
+            f"{stats.cache_hits} served from cache",
+            file=sys.stderr,
+        )
     if args.export:
         export_table(table, args.export)
         print(f"\nwritten to {args.export}")
-    if violations:
-        return 1
-    return _audit_exit_code(report)
+    return code
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

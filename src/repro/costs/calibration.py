@@ -44,7 +44,7 @@ def zero_copy_cost_model() -> CostModel:
 
     Models ``MSG_ZEROCOPY``/TCP-``mmap``-style stacks: payload copies are free
     (pinning and page-table costs folded into a small per-call overhead).
-    Used by the ablation benchmarks.
+    Used by the ``ablation_zero_copy`` panel (``figures/ablations.py``).
     """
     return default_cost_model().replace(
         copy_per_byte_l3_hit=0.0,

@@ -8,7 +8,7 @@ placement stops mattering (panel c).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import (
     ExperimentConfig,
@@ -94,14 +94,3 @@ def fig10c(size_kb: int = 4) -> Table:
             pct(result.receiver_cache_miss_rate),
         )
     return table
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _all_opt_results()
-    return {"fig10a": fig10a(), "fig10b": fig10b(shared), "fig10c": fig10c()}
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

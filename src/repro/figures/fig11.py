@@ -7,7 +7,7 @@ for application-aware core scheduling.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import ExperimentConfig, TrafficPattern, WorkloadConfig
 from ..core.report import Table, render_breakdown_table
@@ -56,7 +56,7 @@ def fig11b(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
     )
 
 
-def isolation_comparison(num_short: int = 16) -> Table:
+def fig11_isolation(num_short: int = 16) -> Table:
     """The §3.7 headline: long/short throughput in isolation vs mixed."""
     long_alone, short_alone, mixed = run_all([
         _config(0),
@@ -77,18 +77,3 @@ def isolation_comparison(num_short: int = 16) -> Table:
         mixed.throughput_by_tag_gbps.get("short", 0.0),
     )
     return table
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _results()
-    return {
-        "fig11a": fig11a(shared),
-        "fig11b": fig11b(shared),
-        "fig11_isolation": isolation_comparison(),
-    }
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

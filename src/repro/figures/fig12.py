@@ -8,7 +8,7 @@ memory-management share of CPU at both ends.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import ExperimentConfig, HostConfig, OptimizationConfig
 from ..core.report import Table, render_breakdown_table
@@ -63,14 +63,3 @@ def fig12c(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
         "Fig 12c: receiver CPU breakdown",
         [(label, r.receiver_breakdown) for label, r in results],
     )
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _results()
-    return {"fig12a": fig12a(), "fig12b": fig12b(shared), "fig12c": fig12c(shared)}
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

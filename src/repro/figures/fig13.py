@@ -7,7 +7,7 @@ signature is extra sender-side scheduling from fq pacing-timer wakeups.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import CongestionControl, ExperimentConfig, LinkConfig, TcpConfig
 from ..core.report import Table, render_breakdown_table
@@ -61,18 +61,3 @@ def fig13c(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
         "Fig 13c: receiver CPU breakdown per congestion control",
         [(label, r.receiver_breakdown) for label, r in results],
     )
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _results()
-    return {
-        "fig13a": fig13a(shared),
-        "fig13b": fig13b(shared),
-        "fig13c": fig13c(shared),
-    }
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

@@ -11,7 +11,7 @@ Panels:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import ExperimentConfig, NicConfig, OptimizationConfig, TcpConfig
 from ..core.report import Table, render_breakdown_table
@@ -144,22 +144,3 @@ def fig3f(buffers_kb: Tuple[int, ...] = LATENCY_BUFFERS_KB) -> Table:
             result.total_throughput_gbps,
         )
     return table
-
-
-def generate_all() -> Dict[str, Table]:
-    """All Fig-3 panels (sharing one ladder run for a/b/c/d)."""
-    ladder = _ladder_results()
-    return {
-        "fig3a": fig3a(ladder),
-        "fig3b": fig3b(ladder),
-        "fig3c": fig3c(ladder),
-        "fig3d": fig3d(ladder),
-        "fig3e": fig3e(),
-        "fig3f": fig3f(),
-    }
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

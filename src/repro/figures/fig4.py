@@ -33,7 +33,3 @@ def fig4(data: Dict[str, ExperimentResult] = None) -> Table:
             label, result.throughput_per_core_gbps, pct(result.receiver_cache_miss_rate)
         )
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(fig4().render())

@@ -8,7 +8,7 @@ overheads fall (pageset recycling).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import ExperimentConfig, OptimizationConfig, TrafficPattern
 from ..core.report import Table, render_breakdown_table
@@ -64,14 +64,3 @@ def fig5c(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
         "Fig 5c: one-to-one receiver CPU breakdown",
         [(f"{n} flows", r.receiver_breakdown) for n, r in results],
     )
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _all_opt_results()
-    return {"fig5a": fig5a(), "fig5b": fig5b(shared), "fig5c": fig5c(shared)}
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

@@ -7,7 +7,7 @@ itself barely changes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import ExperimentConfig, OptimizationConfig, TrafficPattern
 from ..core.report import Table, render_breakdown_table
@@ -70,14 +70,3 @@ def fig6c(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
             n, result.throughput_per_core_gbps, pct(result.receiver_cache_miss_rate)
         )
     return table
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _all_opt_results()
-    return {"fig6a": fig6a(), "fig6b": fig6b(shared), "fig6c": fig6c(shared)}
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

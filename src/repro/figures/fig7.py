@@ -7,7 +7,7 @@ peaking near ~89Gbps from a single core around 8 flows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import ExperimentConfig, OptimizationConfig, TrafficPattern
 from ..core.report import Table, render_breakdown_table
@@ -76,14 +76,3 @@ def fig7c(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
             pct(result.sender_cache_miss_rate),
         )
     return table
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _all_opt_results()
-    return {"fig7a": fig7a(), "fig7b": fig7b(shared), "fig7c": fig7c(shared)}
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

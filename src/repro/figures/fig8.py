@@ -7,7 +7,7 @@ per-byte packet processing overheads climb.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import ExperimentConfig, OptimizationConfig, TrafficPattern
 from ..core.report import Table, render_breakdown_table
@@ -88,14 +88,3 @@ def fig8c(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
             full / total if total else 0.0,
         )
     return table
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _all_opt_results()
-    return {"fig8a": fig8a(), "fig8b": fig8b(shared), "fig8c": fig8c(shared)}
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

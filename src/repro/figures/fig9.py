@@ -7,7 +7,7 @@ netdevice shares of CPU at both ends while total throughput falls.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import ExperimentConfig, LinkConfig
 from ..core.report import Table, render_breakdown_table
@@ -71,19 +71,3 @@ def fig9d(results: List[Tuple[float, ExperimentResult]] = None) -> Table:
         "Fig 9d: receiver CPU breakdown vs drop rate",
         [(f"loss={p}", r.receiver_breakdown) for p, r in results],
     )
-
-
-def generate_all() -> Dict[str, Table]:
-    shared = _results()
-    return {
-        "fig9a": fig9a(shared),
-        "fig9b": fig9b(shared),
-        "fig9c": fig9c(shared),
-        "fig9d": fig9d(shared),
-    }
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in generate_all().values():
-        print(table.render())
-        print()

@@ -57,9 +57,3 @@ def table2() -> Table:
     ):
         table.add_row(mode.value.upper(), _STEERING_DESCRIPTIONS[mode])
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(table1().render())
-    print()
-    print(table2().render())

@@ -213,11 +213,6 @@ class Host:
 
     # --- DCA helpers used by receivers -------------------------------------------------
 
-    def dca_consume(self, region_id: int, nbytes: int):
-        if self.nic.dca is None:
-            return 0, nbytes
-        return self.nic.dca.consume(region_id, nbytes)
-
     def dca_discard(self, region_id: int) -> None:
         if self.nic.dca is not None:
             self.nic.dca.discard(region_id)

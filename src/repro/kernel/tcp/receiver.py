@@ -53,8 +53,8 @@ class TcpReceiver:
         "host", "flow_id", "app_core", "costs", "tables", "engine", "tcp_cfg",
         "trace", "mss", "softirq_core", "sender", "rcv_nxt", "socket", "_ooo",
         "_segs_since_ack", "_bytes_since_ack", "_ecn_pending",
-        "_advertised_free", "_delack_event", "acks_sent", "dup_acks_sent",
-        "app_bytes_read", "rx_limbo_bytes", "_delivered_since_autotune",
+        "_advertised_free", "_delack_event", "acks_sent", "app_bytes_read",
+        "rx_limbo_bytes", "_delivered_since_autotune",
     )
 
     def __init__(self, host: "Host", flow_id: int, app_core: "Core") -> None:
@@ -83,7 +83,6 @@ class TcpReceiver:
         self._advertised_free = self.socket.rx_buffer_bytes
         self._delack_event = None
         self.acks_sent = 0
-        self.dup_acks_sent = 0
         #: Total bytes the application has drained from the socket.
         self.app_bytes_read = 0
         #: Bytes committed to the receive stream (``rcv_nxt`` advanced) whose
@@ -277,8 +276,6 @@ class TcpReceiver:
         self._ecn_pending = False
         self._advertised_free = window
         self.acks_sent += 1
-        if dup:
-            self.dup_acks_sent += 1
         # direct slot assignment (bypassing __init__): one frame per ACK sent
         frame = Frame.__new__(Frame)
         frame.flow_id = self.flow_id

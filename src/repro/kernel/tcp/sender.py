@@ -69,7 +69,7 @@ class TcpSender:
         "host", "flow_id", "app_core", "costs", "tables", "engine", "opts",
         "trace", "_tx_stamps", "mss", "gso_size", "cc", "softirq_core",
         "receiver", "snd_una", "snd_nxt", "unsent_bytes", "app_bytes_written",
-        "retx_bytes", "sndbuf_bytes", "rwnd_bytes", "segments", "_writer",
+        "sndbuf_bytes", "rwnd_bytes", "segments", "_writer",
         "_tx_active", "_dupacks", "_recovery_point", "_last_sack_walk_ns",
         "_rtt_sample", "srtt_ns", "rttvar_ns", "_rto_deadline", "_rto_event",
         "_rto_backoff", "_probe_event", "_pacer_event", "retransmits",
@@ -110,8 +110,6 @@ class TcpSender:
         #: conservation auditor holds ``app_bytes_written == unsent_bytes +
         #: snd_nxt`` at every instant.
         self.app_bytes_written = 0
-        #: Payload bytes re-emitted by retransmissions (duplicate wire bytes).
-        self.retx_bytes = 0
         self.sndbuf_bytes = cfg.tcp.tx_buffer_bytes
         self.rwnd_bytes = 0  # set when the peer attaches
         self.segments: Deque[_Segment] = deque()
@@ -520,7 +518,6 @@ class TcpSender:
             if segment.end_seq <= self.snd_una:
                 continue  # acked in the meantime
             self.retransmits += 1
-            self.retx_bytes += segment.length
             seg_items, nframes = self.tables.segmentation(
                 segment.length, self.mss, self.opts.tso_gro
             )

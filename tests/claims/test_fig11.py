@@ -1,29 +1,24 @@
-"""Benchmarks regenerating Fig 11 (mixed long/short flows, §3.7)."""
+"""Fig 11: mixed long and short flows on one core (§3.7)."""
 
 from repro.figures import fig11
 
-from .conftest import show
 
-
-def test_fig11a_mixing_degrades_throughput(once):
-    results = once(fig11._results, (0, 16))
+def test_fig11a_mixing_degrades_throughput():
+    results = fig11._results((0, 16))
     table = fig11.fig11a(results)
-    show(table)
     per_core = table.column("thpt_per_core_gbps")
     assert per_core[1] < 0.75 * per_core[0]  # paper: ~43% drop
 
 
-def test_fig11b_breakdown(once):
-    results = once(fig11._results, (0, 16))
+def test_fig11b_breakdown():
+    results = fig11._results((0, 16))
     table = fig11.fig11b(results)
-    show(table)
     copy_col = table.columns.index("data copy")
     assert float(table.rows[1][copy_col]) > 0.25  # copy still dominant
 
 
-def test_fig11_isolation_comparison(once):
-    table = once(fig11.isolation_comparison)
-    show(table)
+def test_fig11_isolation_comparison():
+    table = fig11.fig11_isolation()
     isolated, mixed = table.rows
     assert mixed[1] < isolated[1]  # long flow loses when mixed
     assert mixed[2] < isolated[2]  # short flows lose too

@@ -1,25 +1,20 @@
-"""Benchmarks regenerating Fig 12 (DCA and IOMMU, §3.8-§3.9)."""
+"""Fig 12: DCA and IOMMU (§3.8-§3.9)."""
 
 from repro.core.taxonomy import Category
 from repro.figures import fig12
 
-from .conftest import show
 
-
-def test_fig12a_host_configs(once):
-    table = once(fig12.fig12a)
-    show(table)
+def test_fig12a_host_configs():
+    table = fig12.fig12a()
     all_opt = {row[0]: row[2] for row in table.rows if row[1] == "+aRFS"}
     assert all_opt["DCA Disabled"] < all_opt["Default"]
     assert all_opt["IOMMU Enabled"] < all_opt["Default"]
 
 
-def test_fig12bc_iommu_memory_blowup(once):
-    results = once(fig12._results)
-    table_b = fig12.fig12b(results)
+def test_fig12bc_iommu_memory_blowup():
+    results = fig12._results()
+    fig12.fig12b(results)
     table_c = fig12.fig12c(results)
-    show(table_b)
-    show(table_c)
     mem_col = table_c.columns.index(Category.MEMORY.label)
     rows = {row[0]: float(row[mem_col]) for row in table_c.rows}
     assert rows["IOMMU Enabled"] > rows["Default"] + 0.10

@@ -1,13 +1,10 @@
-"""Benchmarks regenerating Fig 7 (outcast, §3.4)."""
+"""Fig 7: outcast (§3.4)."""
 
 from repro.figures import fig7
 
-from .conftest import show
 
-
-def test_fig7a_sender_core_efficiency(once):
-    table = once(fig7.fig7a, flows=(1, 8))
-    show(table)
+def test_fig7a_sender_core_efficiency():
+    table = fig7.fig7a(flows=(1, 8))
     all_opt = [row for row in table.rows if row[1] == "+aRFS"]
     # a single sender core sustains close to the paper's ~89Gbps at 8 flows
     assert all_opt[1][2] > 70
@@ -15,17 +12,15 @@ def test_fig7a_sender_core_efficiency(once):
     assert all_opt[1][3] > all_opt[0][3]
 
 
-def test_fig7b_copy_still_dominant(once):
-    results = once(fig7._all_opt_results, (8,))
+def test_fig7b_copy_still_dominant():
+    results = fig7._all_opt_results((8,))
     table = fig7.fig7b(results)
-    show(table)
     copy = float(table.rows[0][table.columns.index("data copy")])
     assert copy > 0.30
 
 
-def test_fig7c_sender_cache_warm(once):
-    results = once(fig7._all_opt_results, (8,))
+def test_fig7c_sender_cache_warm():
+    results = fig7._all_opt_results((8,))
     table = fig7.fig7c(results)
-    show(table)
     miss = float(table.rows[0][3].rstrip("%"))
     assert miss < 35

@@ -1,34 +1,28 @@
-"""Benchmarks regenerating Fig 9 (in-network loss, §3.6)."""
+"""Fig 9: in-network loss (§3.6)."""
 
 from repro.core.taxonomy import Category
 from repro.figures import fig9
 
-from .conftest import show
 
-
-def test_fig9a_throughput_vs_loss(once):
-    results = once(fig9._results, (0.0, 1.5e-3, 1.5e-2))
+def test_fig9a_throughput_vs_loss():
+    results = fig9._results((0.0, 1.5e-3, 1.5e-2))
     table = fig9.fig9a(results)
-    show(table)
     totals = table.column("total_thpt_gbps")
     assert totals[0] > totals[1] > totals[2]
     assert table.column("retransmits")[2] > 0
 
 
-def test_fig9b_utilization_vs_loss(once):
-    results = once(fig9._results, (0.0, 1.5e-2))
+def test_fig9b_utilization_vs_loss():
+    results = fig9._results((0.0, 1.5e-2))
     table = fig9.fig9b(results)
-    show(table)
     receivers = table.column("receiver_util_pct")
     assert receivers[1] < receivers[0]
 
 
-def test_fig9cd_breakdowns_shift_to_protocol(once):
-    results = once(fig9._results, (0.0, 1.5e-2))
-    table_c = fig9.fig9c(results)
+def test_fig9cd_breakdowns_shift_to_protocol():
+    results = fig9._results((0.0, 1.5e-2))
+    fig9.fig9c(results)
     table_d = fig9.fig9d(results)
-    show(table_c)
-    show(table_d)
     tcp_col = table_d.columns.index(Category.TCPIP.label)
     clean, lossy = table_d.rows
     assert float(lossy[tcp_col]) > float(clean[tcp_col])

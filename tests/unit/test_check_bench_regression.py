@@ -7,6 +7,7 @@ run passes, each ceiling and floor trips individually and names what
 tripped, ``--update`` rewrites the committed values without being able to
 weaken the hard-coded trace-overhead ceiling, and layer ceilings follow
 shares, not raw profiled seconds. Memory ceilings gate ``peak_rss_mb``.
+The two engine micro-benchmarks the gate times must fire every event.
 """
 
 import importlib.util
@@ -207,3 +208,11 @@ def test_calibration_normalization_is_machine_independent(tmp_path, monkeypatch,
         ]
         assert verdicts[0] == verdicts[1]
         assert verdicts[0][0] == expected
+
+
+def test_engine_schedule_run():
+    assert tool._schedule_and_run() == tool.NUM_EVENTS
+
+
+def test_engine_cancel_churn():
+    assert tool._cancel_churn() == tool.NUM_EVENTS

@@ -64,6 +64,23 @@ def test_figure_export(tmp_path, capsys):
     assert "mechanism" in path.read_text()
 
 
+def test_figure_all_prints_each_panel_then_a_blank_line(capsys, monkeypatch):
+    from repro import cli
+    from repro.figures import tables
+
+    monkeypatch.setattr(cli, "PANELS", {"table2": tables.table2, "table1": tables.table1})
+    assert main(["figure", "all"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"{tables.table1().render()}\n\n{tables.table2().render()}\n\n"
+
+
+def test_figure_all_refuses_export(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    assert main(["figure", "all", "--export", str(path)]) == 2
+    assert "--export" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_run_json_output(capsys):
     code = main([
         "run", "--duration-ms", "2", "--warmup-ms", "2", "--json",

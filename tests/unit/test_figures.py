@@ -52,12 +52,12 @@ def test_fig4_two_placements():
 
 
 def test_fig11_isolation_table_shape():
-    table = fig11.isolation_comparison(num_short=1)
+    table = fig11.fig11_isolation(num_short=1)
     assert len(table.rows) == 2
     assert table.columns == ["workload", "long_gbps", "short_gbps"]
 
 
-def test_every_figure_module_has_a_generate_all_or_panel():
+def test_every_figure_module_exposes_a_panel():
     panel_modules = {generator.__module__ for generator in PANELS.values()}
     for name, module in ALL_FIGURES.items():
         assert module.__name__ in panel_modules, f"{name} exposes no panels"

@@ -71,13 +71,6 @@ def test_utilization_zero_elapsed():
     assert host.utilization_cores(0) == 0.0
 
 
-def test_dca_consume_when_disabled_misses():
-    config = ExperimentConfig()
-    config.host.dca_enabled = False
-    host, _ = make_host(config)
-    assert host.dca_consume(1, 100) == (0, 100)
-
-
 # --- receive-buffer autotuning clock --------------------------------------------
 
 

@@ -18,9 +18,9 @@ RSS. The gate fails on:
   ``peak_rss_mb`` bound in ``BENCHMARK.json``.
 * **Trace overhead** — ``bulk_traced`` ``wall_s`` over ``bulk``'s above
   ``MAX_TRACE_OVERHEAD``.
-* **Engine floors** — the best reference seconds of the two
-  ``benchmarks/test_bench_engine.py`` workloads above their committed values
-  by more than ``ENGINE_TOLERANCE``.
+* **Engine floors** — the best reference seconds of the two engine
+  micro-benchmarks (``_schedule_and_run``, ``_cancel_churn``) above their
+  committed values by more than ``ENGINE_TOLERANCE``.
 
 Usage::
 
@@ -42,7 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from bench.probe import SpeedProbe  # noqa: E402
-from benchmarks.test_bench_engine import _cancel_churn, _schedule_and_run  # noqa: E402
+
+from repro.sim.engine import Engine  # noqa: E402
 
 PERF_GATE = ROOT / "benchmarks" / "perf_gate.json"
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -57,9 +58,59 @@ ENGINE_TOLERANCE = 0.25
 #: between and after the two bench runs. The best of all of them counts, so
 #: one slow stretch of a shared host cannot decide the verdict.
 ENGINE_REPEAT = 10
-ENGINE_WORKLOADS = {"schedule_run": _schedule_and_run, "cancel_churn": _cancel_churn}
+#: Events each engine micro-benchmark fires.
+NUM_EVENTS = 50_000
 #: Layers too small, and their shares too noisy, to gate.
 UNGATED_LAYERS = frozenset({"workloads", "core.runner", "unattributed"})
+
+
+def _schedule_and_run() -> int:
+    """The plain schedule/fire loop with ``NUM_EVENTS`` pending at once;
+    returns the events fired."""
+    engine = Engine()
+    fired = 0
+
+    def tick() -> None:
+        nonlocal fired
+        fired += 1
+
+    for i in range(NUM_EVENTS):
+        engine.schedule(i % 977, tick)
+    engine.run()
+    return fired
+
+
+def _cancel_churn() -> int:
+    """Re-armed timers: every tick re-schedules the timer that fired it (so
+    ``old`` has already left the queue) and arms and at once cancels a
+    far-future one: one cancel per tick, each an arm-then-cancel (the eager
+    delayed-ACK / pacing re-arm pattern). Returns the ticks fired."""
+    engine = Engine()
+    fired = 0
+    timer = None
+
+    def tick() -> None:
+        nonlocal fired, timer
+        fired += 1
+        if fired < NUM_EVENTS:
+            old = timer
+            timer = engine.schedule(100, tick)
+            engine.schedule(50, noop)
+            if old is not None:
+                old.cancel()
+            # Arm-and-cancel immediately: pop-on-cancel drops the event and,
+            # as the heap's last leaf, its instant too.
+            engine.schedule(1_000_000, noop).cancel()
+
+    def noop() -> None:
+        pass
+
+    timer = engine.schedule(0, tick)
+    engine.run()
+    return fired
+
+
+ENGINE_WORKLOADS = {"schedule_run": _schedule_and_run, "cancel_churn": _cancel_churn}
 
 
 def bench_records(command: str) -> dict:
