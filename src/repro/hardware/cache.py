@@ -110,70 +110,70 @@ class DcaRegion:
 
     # --- data path ------------------------------------------------------------------
 
-    def _track(self, region_id: int) -> None:
-        if region_id not in self._key_index:
-            self._key_index[region_id] = len(self._keys)
-            self._keys.append(region_id)
-
-    def _untrack(self, region_id: int) -> None:
-        index = self._key_index.pop(region_id, None)
-        if index is None:
-            return
-        last = self._keys.pop()
-        if last != region_id:
-            self._keys[index] = last
-            self._key_index[last] = index
-
-    def _remove(self, region_id: int) -> int:
-        nbytes = self._resident.pop(region_id, 0)
-        if nbytes:
-            self._occupancy -= nbytes
-        self._untrack(region_id)
-        return nbytes
-
     def dma_write(self, region_id: int, nbytes: int) -> None:
         """A NIC DMA of ``nbytes`` lands in the cache slice as ``region_id``.
 
         Evicts uniformly-random resident regions with a hazard proportional
         to occupancy (see module docstring), plus a hard-capacity backstop.
+        Each eviction swap-removes its victim from ``_keys`` inline (as
+        :meth:`consume` does): tens of thousands of victims a run.
         """
         if not self.enabled or nbytes <= 0:
             return
         self.bytes_written += nbytes
-        self._evict_debt += nbytes * (self._occupancy / self._hazard_cap)
+        occupancy = self._occupancy
+        debt = self._evict_debt + nbytes * (occupancy / self._hazard_cap)
         # Accumulate when a region grows (LRO appends to an existing region).
         resident = self._resident
+        keys = self._keys
+        key_index = self._key_index
         prev = resident.get(region_id)
         if prev is None:
             resident[region_id] = nbytes
-            self._key_index[region_id] = len(self._keys)
-            self._keys.append(region_id)
+            key_index[region_id] = len(keys)
+            keys.append(region_id)
         else:
             resident[region_id] = prev + nbytes
-        self._occupancy += nbytes
-        keys = self._keys
+        occupancy += nbytes
         randrange = self.rng.randrange
-        while self._evict_debt > 0 and len(keys) > 1:
+        evicted_bytes = 0
+        while debt > 0 and len(keys) > 1:
             victim = keys[randrange(len(keys))]
             if victim == region_id:
                 continue  # the incoming write itself stays resident
-            evicted = self._remove(victim)
-            self._evict_debt -= evicted
-            self.bytes_evicted += evicted
+            evicted = resident.pop(victim, 0)
+            occupancy -= evicted
+            index = key_index.pop(victim, None)
+            if index is not None:
+                last = keys.pop()
+                if last != victim:
+                    keys[index] = last
+                    key_index[last] = index
+            debt -= evicted
+            evicted_bytes += evicted
         # Backstop: the slice can never physically hold more than capacity.
         cap = self._effective_capacity
-        while self._occupancy > cap and len(keys) > 1:
+        while occupancy > cap and len(keys) > 1:
             victim = keys[randrange(len(keys))]
             if victim == region_id:
                 continue
-            evicted = self._remove(victim)
-            self.bytes_evicted += evicted
+            evicted = resident.pop(victim, 0)
+            occupancy -= evicted
+            index = key_index.pop(victim, None)
+            if index is not None:
+                last = keys.pop()
+                if last != victim:
+                    keys[index] = last
+                    key_index[last] = index
+            evicted_bytes += evicted
+        self._occupancy = occupancy
+        self._evict_debt = debt
+        self.bytes_evicted += evicted_bytes
 
     def consume(self, region_id: int, nbytes: int) -> Tuple[int, int]:
         """The application copies ``region_id`` out of the cache.
 
         Returns ``(hit_bytes, miss_bytes)`` and removes the region.
-        (``_remove``/``_untrack`` inlined: this runs once per DMA region.)
         """
         resident = self._resident.pop(region_id, 0)
         if resident:
@@ -190,7 +190,7 @@ class DcaRegion:
 
     def discard(self, region_id: int) -> None:
         """Drop a region without consuming it (e.g. the frame was dropped)."""
-        self._remove(region_id)
+        self.consume(region_id, 0)
 
 
 class L3CacheModel:

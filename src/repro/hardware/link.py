@@ -155,7 +155,8 @@ class Link:
             self.frames_sent += len(frames)
             self.bytes_sent += bytes_sent
             self._free_at = t
-            return list(frames), bytes_sent, t
+            # The caller's batch itself: callers hand over a fresh list.
+            return frames, bytes_sent, t
         delivered: List[Frame] = []
         append = delivered.append
         wire_deltas: Optional[List[int]] = [] if trace is not None else None
@@ -215,8 +216,10 @@ class Link:
         if delivered:
             self.frames_in_flight += len(delivered)
             self.bytes_in_flight += delivered_bytes
-            self.engine.schedule_at(
-                self.arrival_time(t), self._deliver_batch, deliver, delivered, delivered_bytes
+            # ``t`` is never before now, so the delay is never negative.
+            self.engine.schedule(
+                self.arrival_time(t) - self.engine.now,
+                self._deliver_batch, deliver, delivered, delivered_bytes,
             )
 
     def _deliver_batch(

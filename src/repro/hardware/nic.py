@@ -191,11 +191,11 @@ class Nic:
             # Single active flow: round-robin degenerates to draining the one
             # queue in order, so skip the per-round key snapshots.
             (flow_id, queue), = self._tx_flows.items()
-            take = min(self.TX_BATCH_FRAMES, len(queue))
-            for _ in range(take):
-                batch.append(queue.popleft())
-            if not queue:
+            if len(queue) <= self.TX_BATCH_FRAMES:
                 del self._tx_flows[flow_id]
+                return list(queue)
+            for _ in range(self.TX_BATCH_FRAMES):
+                batch.append(queue.popleft())
         while self._tx_flows and len(batch) < self.TX_BATCH_FRAMES:
             # one round: a small quantum of frames from every active flow
             for flow_id in list(self._tx_flows.keys()):
@@ -224,7 +224,9 @@ class Nic:
             self._tx_drain_pending = False
             return
         self.tx_frames += len(batch)
-        batch_bytes = sum(f.wire_bytes for f in batch)
+        batch_bytes = 0
+        for frame in batch:
+            batch_bytes += frame.wire_bytes
         self.tx_bytes += batch_bytes
         self.tx_link.transmit(batch, self._deliver)
         if self._tx_flows:
@@ -244,47 +246,51 @@ class Nic:
         so an IRQ decision sees the whole arriving batch.
         """
         now = self.engine.now
-        touched: Dict[int, RxQueue] = {}
+        # Wire stamps are consumed from the first frame on; samples are
+        # collected only once the measurement window is open.
+        wire = wire_deltas = None
+        if self.trace is not None:
+            wire = self.trace.stages["wire"]
+            if wire.recording:
+                wire_deltas = []
         queue_for = self.steering.queue_for
         lro = self.lro
         dca = self.dca
-        trace = self.trace
-        # Wire stamps are consumed from the first frame on; samples are
-        # collected only once the measurement window is open.
-        wire = trace.stages["wire"] if trace is not None else None
-        wire_deltas: Optional[List[int]] = (
-            [] if wire is not None and wire.recording else None
-        )
-        region_counter = self._region_counter
-        rx_frames = 0
-        rx_bytes = 0
-        kind_data = Frame.KIND_DATA
-        dca_write = dca.dma_write if dca is not None else None
+        # A disabled slice ignores every write, so it is not called at all.
+        dca_write = dca.dma_write if dca is not None and dca.enabled else None
         dca_node = dca.node_id if dca is not None else -1
+        region_counter = self._region_counter
+        rx_bytes = 0
+        dropped = 0
+        kind_data = Frame.KIND_DATA
+        new_record = RxFrameRecord.__new__
+        # Queues to notify, in the order they first took a frame.
+        touched: List[RxQueue] = []
         # Steering is fixed for the duration of one ingest (aRFS reprograms
         # between events, never mid-batch) and wire batches are runs of
         # same-flow frames, so one (flow -> queue) memo elides most lookups.
         last_flow = -1
-        last_queue = None
+        queue = last_touched = None
         for frame in frames:
             flow_id = frame.flow_id
-            if flow_id == last_flow:
-                queue = last_queue
-            else:
+            if flow_id != last_flow:
                 queue = queue_for(flow_id)
                 last_flow = flow_id
-                last_queue = queue
                 if not queue.active:
                     queue.active = True
                     self._update_dca_footprint()
             if queue.avail_descriptors <= 0:
+                dropped += 1
                 queue.dropped_no_descriptor += 1
                 queue.dropped_no_descriptor_bytes += frame.wire_bytes
                 continue
             queue.avail_descriptors -= 1
             queue.pending_frames += 1
-            rx_frames += 1
             rx_bytes += frame.wire_bytes
+            if queue is not last_touched:
+                if queue not in touched:
+                    touched.append(queue)
+                last_touched = queue
             is_data = frame.kind == kind_data
             if wire is not None and frame.trace_ns is not None:
                 if wire_deltas is not None:
@@ -292,13 +298,10 @@ class Nic:
                 frame.trace_ns = None
 
             if lro and is_data and self._try_lro_merge(queue, frame):
-                touched[queue.queue_id] = queue
                 continue
 
             region_counter += 1
-            region_id = region_counter
             payload = frame.payload_bytes
-            pages = (payload + PAGE_BYTES - 1) // PAGE_BYTES if payload else 0
             if (
                 dca_write is not None
                 and is_data
@@ -306,23 +309,22 @@ class Nic:
                 and queue.page_node == dca_node
             ):
                 # DDIO pushes the DMA into the NIC-local L3's DCA slice.
-                dca_write(region_id, payload)
+                dca_write(region_counter, payload)
             # direct field assignment (bypassing __init__): per-frame hot path
-            record = RxFrameRecord.__new__(RxFrameRecord)
+            record = new_record(RxFrameRecord)
             record.frame = frame
-            record.region_id = region_id
+            record.region_id = region_counter
             record.page_node = queue.page_node
-            record.pages = pages
+            record.pages = (payload + PAGE_BYTES - 1) // PAGE_BYTES if payload else 0
             record.arrival_ns = now
             record.nframes = 1
             queue.pending.append(record)
-            touched[queue.queue_id] = queue
         self._region_counter = region_counter
-        self.rx_frames += rx_frames
+        self.rx_frames += len(frames) - dropped
         self.rx_bytes += rx_bytes
         if wire_deltas is not None:
             wire.record_many(wire_deltas)
-        for queue in touched.values():
+        for queue in touched:
             if queue.napi is not None:
                 queue.napi.notify()
 

@@ -76,9 +76,8 @@ class NapiContext:
         self.irqs += 1
         self._last_activity_ns = self.host.engine.now
         items: ChargeItems = [("handle_irq_event", self.costs.irq_cycles)]
-        self.core.submit_work(
-            ("softirq", self.core.core_id), items, self._poll, PRIORITY_SOFTIRQ
-        )
+        core = self.core
+        core.submit_work(core.softirq_context, items, self._poll, PRIORITY_SOFTIRQ)
 
     def _take_batch(self) -> Tuple[List["RxFrameRecord"], int]:
         rxq = self.rxq
@@ -118,11 +117,15 @@ class NapiContext:
         for record in batch:
             total_pages += record.pages
         items: ChargeItems = list(tables.napi_head(nframes, len(batch)))
-        items.extend(host.iommu.unmap_charges(total_pages))
+        # A disabled IOMMU charges nothing, so it is not asked.
+        iommu = host.iommu if host.iommu.enabled else None
+        if iommu is not None:
+            items.extend(iommu.unmap_charges(total_pages))
         # Replenish the ring: new pages + fresh IOMMU mappings for them.
         self.rxq.replenish(nframes)
         items.extend(host.allocator.alloc(core.key, total_pages))
-        items.extend(host.iommu.map_charges(total_pages))
+        if iommu is not None:
+            items.extend(iommu.map_charges(total_pages))
 
         deferred: List[Callable[[], None]] = []
         ack_frames: List[Frame] = []
@@ -137,13 +140,12 @@ class NapiContext:
         kind_data = Frame.KIND_DATA
         kind_ack = Frame.KIND_ACK
         trace = host.trace
-        rx_ring = trace.stages["rx_ring"] if trace is not None else None
-        if rx_ring is not None and rx_ring.recording:
+        if trace is not None and trace.stages["rx_ring"].recording:
             # One rx_ring sample per data completion whose flow has a
             # receiver here: DMA arrival (the record's stamped arrival time)
             # to this poll instant. Receivers are never removed, so this is
             # exactly the set of records the loop below hands to GRO.
-            rx_ring.record_many([
+            trace.stages["rx_ring"].record_many([
                 now - record.arrival_ns
                 for record in batch
                 if record.frame.kind == kind_data
@@ -185,21 +187,23 @@ class NapiContext:
             i += 1
 
         flush_items, flushed = self.gro.flush_all()
-        items.extend(flush_items)
-        for done_skb in flushed:
-            self._deliver_skb(done_skb, now, items, deferred, ack_frames, remote)
+        if flushed:
+            items.extend(flush_items)
+            for done_skb in flushed:
+                deliver_skb(done_skb, now, items, deferred, ack_frames, remote)
 
         def done() -> None:
             for action in deferred:
                 action()
             if ack_frames:
-                self.host.nic.transmit(ack_frames)
-            for target_core, skbs in remote.items():
-                self._forward_to_core(target_core, skbs)
+                host.nic.transmit(ack_frames)
+            if remote:
+                for target_core, skbs in remote.items():
+                    self._forward_to_core(target_core, skbs)
             if self.rxq.pending:
                 # Budget exhausted with work left: repoll without a new IRQ.
-                self.core.submit_work(
-                    ("softirq", self.core.core_id),
+                core.submit_work(
+                    core.softirq_context,
                     [("net_rx_action", self.costs.napi_poll_overhead * 0.3)],
                     self._poll,
                     PRIORITY_SOFTIRQ,
@@ -207,7 +211,7 @@ class NapiContext:
             else:
                 self.scheduled = False
 
-        core.submit_work(("softirq", core.core_id), items, done, PRIORITY_SOFTIRQ)
+        core.submit_work(core.softirq_context, items, done, PRIORITY_SOFTIRQ)
 
     def _frame_to_skb(self, record: "RxFrameRecord") -> Skb:
         # Fields are assigned directly (bypassing Skb.__init__): this runs
@@ -268,5 +272,5 @@ class NapiContext:
                 self.host.nic.transmit(ack_frames)
 
         target_core.submit_work(
-            ("softirq", target_core.core_id), items, done, PRIORITY_SOFTIRQ
+            target_core.softirq_context, items, done, PRIORITY_SOFTIRQ
         )

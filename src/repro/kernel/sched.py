@@ -50,24 +50,20 @@ class AppThread:
             raise RuntimeError(f"thread {self.name} already started")
         self.state = ThreadState.RUNNABLE
         self._gen = self._body_factory(self)
-        self._advance(None)
+        self.complete_op(None)
 
-    def _advance(self, value: Any) -> None:
-        """Resume the generator with ``value`` and execute the next syscall."""
-        assert self._gen is not None
+    def complete_op(self, value: Any) -> None:
+        """Called by the kernel when the thread's pending operation finishes:
+        resume the body with ``value`` and execute its next syscall."""
+        if self.state is ThreadState.DONE:
+            return
+        self.state = ThreadState.RUNNABLE
         try:
             op = self._gen.send(value)
         except StopIteration:
             self.state = ThreadState.DONE
             return
         op.execute(self)
-
-    def complete_op(self, value: Any) -> None:
-        """Called by the kernel when the thread's pending operation finishes."""
-        if self.state is ThreadState.DONE:
-            return
-        self.state = ThreadState.RUNNABLE
-        self._advance(value)
 
     def block(self) -> None:
         """Mark the thread as blocked inside the kernel."""

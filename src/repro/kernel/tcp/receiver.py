@@ -97,9 +97,6 @@ class TcpReceiver:
                 self.socket.rx_buffer_bytes, AUTOTUNE_FLOOR_BYTES
             )
 
-    def _softirq_context(self, core: "Core"):
-        return ("softirq", core.core_id)
-
     def _lock_cost(self) -> float:
         """Socket-lock cost: contended when app and softirq contexts run on
         different cores (the §3.1 no-aRFS lock overhead)."""
@@ -138,7 +135,8 @@ class TcpReceiver:
         if skb.seq == rcv_nxt:
             self.rcv_nxt = end_seq
             ready = [skb]
-            ready.extend(self._pull_ooo(poll_core, items))
+            if self._ooo:
+                ready.extend(self._pull_ooo(poll_core, items))
             ready_bytes = 0
             for piece in ready:
                 ready_bytes += piece.payload_bytes
@@ -309,7 +307,7 @@ class TcpReceiver:
         ack_frames: List[Frame] = []
         self._emit_ack(items, ack_frames, dup=False)
         core.submit_work(
-            self._softirq_context(core),
+            core.softirq_context,
             items,
             lambda: self.host.nic.transmit(ack_frames),
             PRIORITY_SOFTIRQ,
@@ -389,8 +387,7 @@ class TcpReceiver:
             )
 
         update_frames: List[Frame] = []
-        window = self.socket.advertised_window()
-        if self._advertised_free <= 2 * self.mss and window >= max(
+        if self._advertised_free <= 2 * self.mss and self.socket.advertised_window() >= max(
             4 * self.mss, self.socket.rx_buffer_bytes // 16
         ):
             self._emit_ack(items, update_frames, dup=False)

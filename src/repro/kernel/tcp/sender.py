@@ -139,9 +139,6 @@ class TcpSender:
         (handshake abstracted)."""
         self.rwnd_bytes = peer.socket.advertised_window()
 
-    def _softirq_context(self, core: "Core"):
-        return ("softirq", core.core_id)
-
     def _lock_cost(self) -> float:
         """Socket-lock cost: contended when app and softirq contexts run on
         different cores (the §3.1 no-aRFS lock overhead)."""
@@ -227,6 +224,8 @@ class TcpSender:
         if self.cc.uses_pacing:
             self._pacer_push(core)
             return
+        if self.unsent_bytes <= 0:
+            return  # nothing to send, and so no zero-window probe either
         burst = min(self.unsent_bytes, self._window_space(), TX_BURST_BYTES)
         if burst <= 0:
             self._maybe_schedule_zero_window_probe()
@@ -276,9 +275,11 @@ class TcpSender:
             xmit_record = trace.stage("tx_xmit").record
 
         items.extend(tables.tx_tail(nskbs))
-        pages = (emitted + PAGE_BYTES - 1) // PAGE_BYTES
-        items.extend(self.host.iommu.map_charges(pages))
-        items.extend(self.host.iommu.unmap_charges(pages))
+        iommu = self.host.iommu
+        if iommu.enabled:  # a disabled IOMMU charges nothing
+            pages = (emitted + PAGE_BYTES - 1) // PAGE_BYTES
+            items.extend(iommu.map_charges(pages))
+            items.extend(iommu.unmap_charges(pages))
 
         if self._rtt_sample is None:
             self._rtt_sample = (self.snd_nxt, self.engine.now)
@@ -333,7 +334,7 @@ class TcpSender:
         if burst <= 0:
             self._maybe_schedule_zero_window_probe()
             return
-        context = self._softirq_context(self.app_core)
+        context = self.app_core.softirq_context
         self._emit_burst(burst, self.app_core, context, PRIORITY_SOFTIRQ)
         rate = self.cc.pacing_rate_bps()
         gap_ns = max(1000, int(burst * 8 * 1e9 / rate))
@@ -344,7 +345,7 @@ class TcpSender:
         if self.unsent_bytes <= 0:
             return
         # The fq pacer's hrtimer wakes the transmit path: scheduling overhead.
-        context = self._softirq_context(self.app_core)
+        context = self.app_core.softirq_context
         items: ChargeItems = [("hrtimer_wakeup", self.costs.pacer_timer_cycles)]
         self.app_core.submit_work(
             context, items, lambda: self._pacer_push(self.app_core), PRIORITY_SOFTIRQ
@@ -414,17 +415,21 @@ class TcpSender:
 
     def _after_ack(self, poll_core: "Core") -> None:
         self._wake_writer_if_space(poll_core)
-        self.try_push(poll_core, self._softirq_context(poll_core), PRIORITY_SOFTIRQ)
+        self.try_push(poll_core, poll_core.softirq_context, PRIORITY_SOFTIRQ)
 
     def _clean_rtx_queue(self, ack_seq: int, core: "Core", items: ChargeItems) -> None:
         freed_skbs = 0
         freed_pages = 0
-        while self.segments and self.segments[0].end_seq <= ack_seq:
-            segment = self.segments.popleft()
+        segments = self.segments
+        while segments:
+            segment = segments[0]
+            if segment.seq + segment.length > ack_seq:
+                break
+            segments.popleft()
             freed_skbs += 1
             freed_pages += segment.pages
-        if self.segments and self.segments[0].seq < ack_seq:
-            head = self.segments[0]
+        if segments and segments[0].seq < ack_seq:
+            head = segments[0]
             taken = ack_seq - head.seq
             head.seq = ack_seq
             head.length -= taken
@@ -440,7 +445,7 @@ class TcpSender:
                     core.key, core.numa_node, freed_pages, self.app_core.numa_node
                 )
             )
-        if not self.segments:
+        if not segments:
             self._cancel_rto()
 
     def _wake_writer_if_space(self, waker_core: "Core") -> None:
@@ -531,7 +536,7 @@ class TcpSender:
             )
         if not frames:
             return
-        context = self._softirq_context(core)
+        context = core.softirq_context
 
         def done() -> None:
             self.host.nic.transmit(frames)
@@ -542,6 +547,8 @@ class TcpSender:
     # --- timers ----------------------------------------------------------------------------------
 
     def _current_rto(self) -> int:
+        """The RTO an arm would use now (``_arm_rto`` inlines this
+        arithmetic: it runs on every ACK and transmit completion)."""
         if self.srtt_ns <= 0:
             base = 4 * TCP_MIN_RTO_NS
         else:
@@ -557,7 +564,17 @@ class TcpSender:
         if not self.segments:
             self._rto_deadline = None
             return
-        deadline = self.engine.now + self._current_rto()
+        srtt = self.srtt_ns
+        if srtt <= 0:
+            rto = 4 * TCP_MIN_RTO_NS
+        else:
+            rto = int(srtt + 4 * self.rttvar_ns)
+            if rto < TCP_MIN_RTO_NS:
+                rto = TCP_MIN_RTO_NS
+        rto *= self._rto_backoff
+        if rto > TCP_MAX_RTO_NS:
+            rto = TCP_MAX_RTO_NS
+        deadline = self.engine.now + rto
         self._rto_deadline = deadline
         event = self._rto_event
         if event is not None:
@@ -604,7 +621,7 @@ class TcpSender:
         if self.unsent_bytes <= 0 or self.rwnd_bytes > 0:
             self.try_push(
                 self.softirq_core,
-                self._softirq_context(self.softirq_core),
+                self.softirq_core.softirq_context,
                 PRIORITY_SOFTIRQ,
             )
             return

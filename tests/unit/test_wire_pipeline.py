@@ -43,7 +43,7 @@ def _deliveries(experiment, link):
 # --- wiring -------------------------------------------------------------------
 
 
-def test_pipeline_wired_by_default():
+def test_nics_wired_host_to_host():
     experiment = _experiment()
     sender, receiver = experiment.sender, experiment.receiver
     assert sender.nic.tx_link is experiment.link_to_receiver
@@ -54,7 +54,7 @@ def test_pipeline_wired_by_default():
     assert receiver.nic._deliver == sender.nic.handle_rx
 
 
-def test_no_train_unwires_the_pipeline(capsys):
+def test_removed_mode_flags_are_rejected(capsys):
     # The mode switches are gone: a script still passing them fails loudly
     # instead of silently running the one remaining pipeline.
     for flag in ("--no-train", "--no-express"):
@@ -73,7 +73,7 @@ INCAST_DIGEST = "25d64e692049d929d7095596ca51bd1e2b6df15f73d2df06ea4a8cbceb0b970
 STANDIN_DIGEST = "6e9f18f911a537854e45ecbb53a16ffb573909f5ed0520b606e63133b0ce111c"
 
 
-def test_train_mode_identical_results_fewer_events():
+def test_default_config_digest_and_event_count():
     experiment = _experiment()
     assert result_digest(experiment.run()) == DEFAULT_DIGEST
     # Frame trains reached these results with 106 events. The per-event
@@ -85,12 +85,12 @@ def test_train_mode_identical_results_fewer_events():
     assert experiment.engine.events_fired == 772
 
 
-def test_incast_mode_identical_results():
+def test_incast_config_digest():
     experiment = _experiment(pattern=TrafficPattern.INCAST, num_flows=4)
     assert result_digest(experiment.run()) == INCAST_DIGEST
 
 
-def test_standin_finish_orders_same_instant_arrival_like_legacy():
+def test_same_instant_arrival_fires_before_job_finish():
     """A lossy-switch DCTCP incast where an arrival and a CPU job finish land
     on the same instant. The frame-train wake that stood in for the finish
     once replayed the arrival after the poll instead of before it, thinning
@@ -109,7 +109,7 @@ def test_standin_finish_orders_same_instant_arrival_like_legacy():
 # --- wire mechanics -----------------------------------------------------------
 
 
-def test_trains_settled_up_to_run_end():
+def test_run_end_leaves_only_later_events_queued():
     experiment = _experiment()
     experiment.run()
     end_ns = experiment.config.warmup_ns + experiment.config.duration_ns
@@ -123,7 +123,7 @@ def test_trains_settled_up_to_run_end():
     )
 
 
-def test_train_inflight_matches_link_counters():
+def test_link_inflight_matches_queued_deliveries():
     experiment = _experiment()
     experiment.run()
     for link in (experiment.link_to_receiver, experiment.link_to_sender):
@@ -147,7 +147,7 @@ def test_train_inflight_matches_link_counters():
 DEFAULT_CACHE_KEY = "537b9803988b9db770b4904c991175c794010dfe96116173d2301c522c01c81a"
 
 
-def test_frame_trains_flag_excluded_from_cache_key():
+def test_removed_mode_flag_not_in_cache_key():
     config = ExperimentConfig()
     assert config_cache_key(config) == DEFAULT_CACHE_KEY
     assert "frame_trains" not in config.to_canonical_dict()
