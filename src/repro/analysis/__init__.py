@@ -1,6 +1,6 @@
 """Static analysis (``repro lint``): AST checkers proving repo invariants.
 
-The three checkers and the framework they share are documented in
+The two checkers and the framework they share are documented in
 DESIGN.md §12. Entry point: :func:`repro.analysis.lint.run_lint` (wired to
 the ``repro lint`` CLI subcommand).
 """

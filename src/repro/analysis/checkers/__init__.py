@@ -7,13 +7,12 @@ globally before reporting, so it carries no semantics.
 
 from __future__ import annotations
 
-from . import cache_key, determinism, slots
+from . import determinism, slots
 
 #: id -> check function, in registration order.
 CHECKERS = {
     determinism.CHECKER_ID: determinism.check,
-    cache_key.CHECKER_ID: cache_key.check,
     slots.CHECKER_ID: slots.check,
 }
 
-__all__ = ["CHECKERS", "cache_key", "determinism", "slots"]
+__all__ = ["CHECKERS", "determinism", "slots"]

@@ -189,14 +189,6 @@ class ScopeVisitor(ast.NodeVisitor):
     def qualname(self) -> str:
         return ".".join(self._scope) if self._scope else "<module>"
 
-    @property
-    def enclosing_class(self) -> Optional[str]:
-        """Innermost enclosing class name, if the scope stack holds one."""
-        for name in reversed(self._scope):
-            if name[:1].isupper():  # repo convention: classes are CapWords
-                return name
-        return None
-
     def generic_visit_scoped(self, node: ast.AST, name: str) -> None:
         self._scope.append(name)
         try:

@@ -138,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the repro static-analysis checkers (determinism, "
-        "cache-key completeness, slots discipline) "
-        "over src/repro; exits non-zero on any finding no pragma allows",
+        "slots discipline) over src/repro; exits non-zero on any finding "
+        "no pragma allows",
     )
     lint.add_argument("--json", action="store_true",
                       help="emit the full report as JSON")

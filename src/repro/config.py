@@ -259,37 +259,18 @@ class ExperimentConfig:
 _COST_FIELDS = frozenset(f.name for f in dataclasses.fields(CostModel))
 
 
-#: ``ExperimentConfig`` fields deliberately excluded from the
-#: content-addressed cache key. Declared here (not just via per-field
-#: ``metadata``) so the exclusion list is a single reviewable contract;
-#: ``repro lint`` (the cache-key checker) enforces that this set and the
-#: ``cache_key: False`` field markers stay in two-way sync and that
-#: :func:`_canonicalize` actually consults it. Only simulator-implementation
-#: switches whose output equivalence is gated elsewhere (golden digests +
-#: equivalence property tests) belong here; today there are none.
-CACHE_KEY_EXCLUDED = frozenset()
-
-
 def _canonicalize(value: object) -> object:
     """Recursively convert config values into JSON-stable primitives.
 
-    Dataclasses become field-name dicts, enums their values, and dict keys are
-    stringified and sorted so ``json.dumps(..., sort_keys=True)`` over the
-    output is a stable canonical encoding.
-
-    Fields are dropped from the output iff their definition carries
-    ``metadata={"cache_key": False}`` *and* (for ``ExperimentConfig``) their
-    name appears in :data:`CACHE_KEY_EXCLUDED` — the two declarations are
-    kept in sync by ``repro lint``.
+    Dataclasses become field-name dicts of every field, enums their values,
+    and dict keys are stringified and sorted so ``json.dumps(...,
+    sort_keys=True)`` over the output is a stable canonical encoding. No
+    field is left out: every config field is part of the cache key.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        excluded = (
-            CACHE_KEY_EXCLUDED if isinstance(value, ExperimentConfig) else frozenset()
-        )
         return {
             f.name: _canonicalize(getattr(value, f.name))
             for f in dataclasses.fields(value)
-            if f.metadata.get("cache_key", True) and f.name not in excluded
         }
     if isinstance(value, enum.Enum):
         return value.value

@@ -22,12 +22,11 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ..config import CACHE_KEY_EXCLUDED, ExperimentConfig
+from ..config import ExperimentConfig
 from .export import result_from_dict, result_to_dict
 from .results import ExperimentResult
 
 __all__ = [
-    "CACHE_KEY_EXCLUDED",
     "CACHE_SCHEMA_VERSION",
     "ResultCache",
     "config_cache_key",

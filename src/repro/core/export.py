@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Union
 
 from ..trace import TraceReport
 from .audit import AuditReport
@@ -155,14 +154,6 @@ def write(path: str, content: str) -> None:
         handle.write(content)
 
 
-def export_result(result: ExperimentResult, path: str) -> None:
-    """Export a result to ``path`` (.json or .csv inferred from suffix)."""
-    if path.endswith(".json"):
-        write(path, result_to_json(result))
-        return
-    raise ValueError(f"unsupported export format for {path!r} (use .json)")
-
-
 def export_table(table: Table, path: str) -> None:
     """Export a figure table to ``path`` (.json or .csv by suffix)."""
     if path.endswith(".csv"):
@@ -171,6 +162,3 @@ def export_table(table: Table, path: str) -> None:
         write(path, table_to_json(table))
     else:
         raise ValueError(f"unsupported export format for {path!r} (use .csv/.json)")
-
-
-Exportable = Union[ExperimentResult, Table]

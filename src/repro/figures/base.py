@@ -74,25 +74,21 @@ def configure(
     TRACE_REPORTS.clear()
 
 
-def prepare(
-    config: ExperimentConfig, warmup_ns: Optional[int] = None
-) -> ExperimentConfig:
+def prepare(config: ExperimentConfig) -> ExperimentConfig:
     """Apply the figure-standard duration/warmup (and tracing) to
     ``config``."""
-    if warmup_ns is None:
-        warmup_ns = WARMUP_NS[config.pattern]
-    return config.replace(duration_ns=DURATION_NS, warmup_ns=warmup_ns, trace=_TRACE)
+    return config.replace(
+        duration_ns=DURATION_NS, warmup_ns=WARMUP_NS[config.pattern], trace=_TRACE
+    )
 
 
-def run_all(
-    configs: Iterable[ExperimentConfig], warmup_ns: Optional[int] = None
-) -> List[ExperimentResult]:
+def run_all(configs: Iterable[ExperimentConfig]) -> List[ExperimentResult]:
     """Run a figure's whole batch of configs with figure-standard windows.
 
     Results come back in input order; independent configs fan out across the
     configured worker pool and are served from the result cache when warm.
     """
-    prepared = [prepare(config, warmup_ns) for config in configs]
+    prepared = [prepare(config) for config in configs]
     results = run_many(prepared, jobs=_JOBS, cache=_CACHE, stats=STATS, audit=_AUDIT)
     if _AUDIT:
         AUDIT_REPORTS.extend(
@@ -104,11 +100,6 @@ def run_all(
             result.trace for result in results if result.trace is not None
         )
     return results
-
-
-def run(config: ExperimentConfig, warmup_ns: Optional[int] = None) -> ExperimentResult:
-    """Run one config with figure-standard duration/warmup."""
-    return run_all([config], warmup_ns=warmup_ns)[0]
 
 
 def harvest_configs(names: Optional[Iterable[str]] = None) -> List[ExperimentConfig]:

@@ -18,17 +18,42 @@ collapse towards single frames and per-byte processing overheads rise.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..constants import MAX_GSO_SIZE
 from ..costs.model import CostModel
 from .skb import Skb
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..hardware.nic import RxFrameRecord
 
 ChargeItems = List[Tuple[str, float]]
 
 #: Maximum number of flows GRO holds concurrently: 8 hash buckets times
 #: MAX_GRO_SKBS (8) entries per bucket in kernel 5.4.
 GRO_MAX_HELD_FLOWS = 64
+
+
+def frame_to_skb(record: "RxFrameRecord") -> Skb:
+    """Build the skb for one received wire frame."""
+    # Fields are assigned directly (bypassing Skb.__init__): this runs
+    # once per received wire frame and is the hottest allocation site.
+    frame = record.frame
+    payload = frame.payload_bytes
+    # trace_ns is deliberately left unset: it is only read under
+    # config.trace, and that path stamps it before any read.
+    skb = Skb.__new__(Skb)  # repro-lint: allow[slots-incomplete-new] trace_ns lazily stamped on the trace path
+    skb.flow_id = frame.flow_id
+    skb.seq = frame.seq
+    skb.payload_bytes = payload
+    skb.nframes = record.nframes
+    skb.pages = record.pages
+    skb.page_node = record.page_node
+    skb.regions = [(record.region_id, payload)]
+    skb.napi_ns = record.arrival_ns
+    skb.is_retransmit = False
+    skb.ecn = frame.ecn_marked
+    return skb
 
 
 class GroEngine:
@@ -41,15 +66,13 @@ class GroEngine:
         max_merged_bytes: int = MAX_GSO_SIZE,
         max_held_flows: int = GRO_MAX_HELD_FLOWS,
     ) -> None:
-        self.costs = costs
         self.tables = costs.tables()
         self.enabled = enabled
         self.max_merged_bytes = max_merged_bytes
         self.max_held_flows = max_held_flows
         self._held: "OrderedDict[int, Skb]" = OrderedDict()
         # shared immutable charge batches for the two steady-state outcomes
-        # (merge succeeded / new flow held, nothing flushed) — identical
-        # content and order to the lists the general path builds
+        # (merge succeeded / new flow held, nothing flushed)
         tables = self.tables
         self._merge_items: Tuple = (tables.gro_receive_item,) + tables.gro_merge_pair
         self._recv_only_items: Tuple = (tables.gro_receive_item,)
@@ -58,56 +81,6 @@ class GroEngine:
         self.skbs_out = 0
         self.merges = 0
 
-    def receive(self, skb: Skb) -> Tuple[ChargeItems, List[Skb]]:
-        """Feed one frame-skb into GRO.
-
-        Returns CPU charge items plus any skbs flushed to the stack as a
-        consequence (completed merges evicted by this frame).
-        """
-        self.frames_in += 1
-        if not self.enabled:
-            self.skbs_out += 1
-            return (), [skb]
-
-        held_map = self._held
-        flow_id = skb.flow_id
-        held = held_map.get(flow_id)
-        if held is not None:
-            payload = skb.payload_bytes
-            if (
-                held.payload_bytes + payload <= self.max_merged_bytes
-                and held.seq + held.payload_bytes == skb.seq
-                and held.page_node == skb.page_node
-            ):
-                held.payload_bytes += payload
-                held.nframes += skb.nframes
-                held.pages += skb.pages
-                held.regions.extend(skb.regions)
-                held.ecn = held.ecn or skb.ecn
-                if len(held_map) > 1:  # moving the only entry is a no-op
-                    held_map.move_to_end(flow_id)
-                self.merges += 1
-                # the merged-in skb struct is released
-                return self._merge_items, ()
-            # cannot merge: flush what we held for this flow
-            del held_map[flow_id]
-            flushed = [held]
-        else:
-            flushed = []
-
-        held_map[flow_id] = skb
-        held_map.move_to_end(flow_id)
-        if len(held_map) > self.max_held_flows:
-            _, evicted = held_map.popitem(last=False)
-            flushed.append(evicted)
-        if not flushed:
-            return self._recv_only_items, ()
-        self.skbs_out += len(flushed)
-        return (
-            (self.tables.gro_receive_item, self.tables.gro_flush(len(flushed))),
-            flushed,
-        )
-
     def receive_run(
         self,
         records,
@@ -115,22 +88,23 @@ class GroEngine:
         end: int,
         receivers,
         items: ChargeItems,
-        frame_to_skb,
         deliver,
     ) -> None:
         """Feed a run of consecutive data records (``records[start:end]``).
 
-        Per-record semantics are exactly :meth:`receive` on each record's
-        skb — records whose flow has no receiver half here are skipped (stray
-        frames of a torn-down flow), charge items land on ``items`` in the
-        same order, and every flushed skb is handed to ``deliver``
-        immediately after its flush charge. The common merge outcome folds
-        the raw frame record straight into the held skb, so ``frame_to_skb``
-        builds an skb only when one must be held or passed through.
-        Batching hoists the per-frame attribute/method lookups out of the
-        hottest loop in the simulator; the state machine must stay in
-        lockstep with :meth:`receive`.
+        Records whose flow has no receiver half here are skipped (stray
+        frames of a torn-down flow). Each record either merges into the skb
+        held for its flow or is held itself, flushing the held skb it could
+        not merge with and, when too many flows are held, evicting the least
+        recently used one. Charge items land on ``items`` in record order,
+        and every flushed skb is handed to ``deliver`` immediately after its
+        flush charge. The common merge outcome folds the raw frame record
+        straight into the held skb, so :func:`frame_to_skb` builds an skb
+        only when one must be held or passed through. Batching hoists the
+        per-frame attribute/method lookups out of the hottest loop in the
+        simulator.
         """
+        to_skb = frame_to_skb
         if not self.enabled:
             frames = 0
             receivers_get = receivers.get
@@ -139,7 +113,7 @@ class GroEngine:
                 if receivers_get(record.frame.flow_id) is None:
                     continue
                 frames += 1
-                deliver(frame_to_skb(record))
+                deliver(to_skb(record))
             self.frames_in += frames
             self.skbs_out += frames
             return
@@ -192,7 +166,7 @@ class GroEngine:
                 flushed_held = None
             # flow_id is absent either way, so plain insertion already lands
             # the fresh skb at the (most-recent) end of the held map.
-            held_map[flow_id] = frame_to_skb(record)
+            held_map[flow_id] = to_skb(record)
             evicted = None
             if len(held_map) > max_held:
                 _, evicted = popitem(last=False)
@@ -219,6 +193,3 @@ class GroEngine:
         self._held.clear()
         self.skbs_out += len(flushed)
         return (self.tables.gro_flush(len(flushed)),), flushed
-
-    def held_flows(self) -> int:
-        return len(self._held)

@@ -154,7 +154,6 @@ class NapiContext:
         # Consecutive data records go to GRO as one run (per-record
         # semantics, per-frame lookups hoisted).
         gro_run = self.gro.receive_run
-        frame_to_skb = self._frame_to_skb
 
         def deliver_flushed(skb: Skb) -> None:
             deliver_skb(skb, now, items, deferred, ack_frames, remote)
@@ -169,8 +168,7 @@ class NapiContext:
                 j = i + 1
                 while j < n and batch[j].frame.kind == kind_data:
                     j += 1
-                gro_run(batch, i, j, receivers, items,
-                        frame_to_skb, deliver_flushed)
+                gro_run(batch, i, j, receivers, items, deliver_flushed)
                 i = j
                 continue
             # ACKs go to the flow's sender half, probes to its receiver
@@ -212,26 +210,6 @@ class NapiContext:
                 self.scheduled = False
 
         core.submit_work(core.softirq_context, items, done, PRIORITY_SOFTIRQ)
-
-    def _frame_to_skb(self, record: "RxFrameRecord") -> Skb:
-        # Fields are assigned directly (bypassing Skb.__init__): this runs
-        # once per received wire frame and is the hottest allocation site.
-        frame = record.frame
-        payload = frame.payload_bytes
-        # trace_ns is deliberately left unset: it is only read under
-        # config.trace, and that path stamps it before any read.
-        skb = Skb.__new__(Skb)  # repro-lint: allow[slots-incomplete-new] trace_ns lazily stamped on the trace path
-        skb.flow_id = frame.flow_id
-        skb.seq = frame.seq
-        skb.payload_bytes = payload
-        skb.nframes = record.nframes
-        skb.pages = record.pages
-        skb.page_node = record.page_node
-        skb.regions = [(record.region_id, payload)]
-        skb.napi_ns = record.arrival_ns
-        skb.is_retransmit = False
-        skb.ecn = frame.ecn_marked
-        return skb
 
     def _deliver_skb(
         self,

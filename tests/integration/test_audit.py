@@ -72,8 +72,8 @@ def test_figure_audit_pipeline_end_to_end(figure_name):
     monkey_duration = GOLDEN_DURATION_NS
     original_prepare = figures_base.prepare
 
-    def short_prepare(config, warmup_ns=None):
-        prepared = original_prepare(config, warmup_ns)
+    def short_prepare(config):
+        prepared = original_prepare(config)
         return prepared.replace(
             duration_ns=monkey_duration, warmup_ns=GOLDEN_WARMUP_NS
         )

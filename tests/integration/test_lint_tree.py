@@ -35,25 +35,6 @@ class TestCleanTree:
 
 
 class TestHistoricalBugShapes:
-    def test_marked_not_declared_flag_is_caught(self):
-        # The historical bug: a mode flag kept out of the cache key by its
-        # metadata marker while its CACHE_KEY_EXCLUDED entry was deleted.
-        # Re-add the express flag that way and the gate must fire.
-        sources = load_tree_sources()
-        anchor = "    trace: bool = False\n"
-        assert anchor in sources["config.py"]
-        assert "CACHE_KEY_EXCLUDED = frozenset()" in sources["config.py"]
-        sources["config.py"] = sources["config.py"].replace(
-            anchor,
-            anchor
-            + '    express: bool = field(default=True, metadata={"cache_key": False})\n',
-        )
-        report = run_on(sources)
-        new = [f for f in report.findings if f.rule == "key-marked-not-declared"]
-        assert len(new) == 1
-        assert "express" in new[0].message
-        assert report.exit_code == 1
-
     def test_wallclock_in_engine_is_caught(self):
         sources = load_tree_sources()
         sources["sim/engine.py"] += (

@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 
 from repro.costs.calibration import default_cost_model
 from repro.kernel.gro import GroEngine
-from repro.kernel.skb import Skb
 
-
-def frame(flow, seq, size):
-    return Skb(flow_id=flow, seq=seq, payload_bytes=size, nframes=1,
-               pages=1, page_node=0, regions=[((flow, seq), size)])
+from ..unit.test_gro import feed, frame_record
 
 
 #: streams of (flow, size) tuples; sequence numbers are made contiguous
@@ -23,19 +19,18 @@ streams = st.lists(
 
 
 def run_gro(stream, enabled=True):
+    """Feed the stream to GRO as one NAPI run, then end the poll."""
     gro = GroEngine(default_cost_model(), enabled=enabled)
     next_seq = {}
-    out = []
-    total_in = 0
+    records = []
     for flow, size in stream:
         seq = next_seq.get(flow, 0)
         next_seq[flow] = seq + size
-        total_in += size
-        _, flushed = gro.receive(frame(flow, seq, size))
-        out.extend(flushed)
+        records.append(frame_record(flow, seq, size, region=(flow, seq), pages=1))
+    _, out = feed(gro, *records)
     _, flushed = gro.flush_all()
     out.extend(flushed)
-    return total_in, out
+    return sum(size for _, size in stream), out
 
 
 @given(stream=streams)

@@ -4,9 +4,9 @@ The gate itself runs ``python -m bench`` on every workload, which is far too
 slow for unit tests — so these tests stub the bench records and the engine
 timings with synthetic numbers and exercise the decision logic: a healthy
 run passes, each ceiling and floor trips individually and names what
-tripped, ``--update`` rewrites the committed values without being able to
-weaken the hard-coded trace-overhead ceiling, and layer ceilings follow
-shares, not raw profiled seconds. Memory ceilings gate ``peak_rss_mb``.
+tripped, ``--update`` keeps each committed value a run stays within its
+bound of and cannot weaken the hard-coded trace-overhead ceiling, and layer
+ceilings follow shares, not raw profiled seconds. Memory ceilings gate ``peak_rss_mb``.
 The two engine micro-benchmarks the gate times must fire every event.
 """
 
@@ -41,6 +41,7 @@ COMMITTED = {
     },
     "peak_rss_mb": PEAK_RSS_MB,
 }
+BOUNDS = {b["name"]: b["bound"] for b in json.loads(tool.BENCHMARK.read_text())["end_to_end"]}
 
 
 def _records(wall_s, shares, self_s_scale, failed, peak_rss_mb):
@@ -194,6 +195,68 @@ def test_update_rewrites_baseline_with_hard_floor(tmp_path, monkeypatch, capsys)
     code, err = _run_gate(tmp_path, monkeypatch, capsys, wall_s=wall_s, committed=doc)
     assert code == 1
     assert "tracing" in err
+
+
+def _scaled(values, factor):
+    """``values`` (nested dicts of numbers) with every number times ``factor``."""
+    if isinstance(values, dict):
+        return {key: _scaled(value, factor) for key, value in values.items()}
+    return values * factor
+
+
+def test_merge_keeps_committed_values_within_their_bound():
+    # Half of each metric's bound, up and down: one slow run loosens no
+    # ceiling and one lucky run tightens no floor.
+    for direction in (1, -1):
+        measured = {
+            "engine_s": _scaled(ENGINE_S, 1 + direction * tool.ENGINE_TOLERANCE / 2),
+            "wall_s": _scaled(WALL_S, 1 + direction * BOUNDS["wall_s"] / 2),
+            "layer_s": _scaled(COMMITTED["layer_s"], 1 + direction * BOUNDS["wall_s"] / 2),
+            "peak_rss_mb": _scaled(PEAK_RSS_MB, 1 + direction * BOUNDS["peak_rss_mb"] / 2),
+        }
+        assert tool.merge_baseline(COMMITTED, measured, BOUNDS) == COMMITTED
+
+
+def test_merge_takes_values_past_their_bound():
+    engine = dict(ENGINE_S, schedule_run=ENGINE_S["schedule_run"] * 0.5)
+    wall_s = dict(WALL_S, rpc=WALL_S["rpc"] * 1.5)
+    layer_s = _scaled(COMMITTED["layer_s"], 1.0)
+    layer_s["bulk"]["kernel.napi"] *= 0.5
+    peak_rss_mb = dict(PEAK_RSS_MB, lossy=PEAK_RSS_MB["lossy"] * 1.5)
+    measured = {"engine_s": engine, "wall_s": wall_s, "layer_s": layer_s,
+                "peak_rss_mb": peak_rss_mb}
+    assert tool.merge_baseline(COMMITTED, measured, BOUNDS) == measured
+
+
+def test_merge_bound_is_the_metrics_own():
+    # One change between the wall_s bound and the engine tolerance: the
+    # engine floor keeps its value, the wall_s ceiling takes the new one.
+    factor = 1 - (BOUNDS["wall_s"] + tool.ENGINE_TOLERANCE) / 2
+    assert BOUNDS["wall_s"] < 1 - factor < tool.ENGINE_TOLERANCE
+    measured = {"engine_s": _scaled(ENGINE_S, factor), "wall_s": _scaled(WALL_S, factor)}
+    merged = tool.merge_baseline(COMMITTED, measured, BOUNDS)
+    assert merged == {"engine_s": ENGINE_S, "wall_s": measured["wall_s"]}
+
+
+def test_merge_adds_new_keys_and_drops_unmeasured_ones():
+    layer_s = {name: dict(layers) for name, layers in COMMITTED["layer_s"].items()
+               if name != "rpc"}
+    layer_s["bulk"]["kernel.new"] = 0.5
+    del layer_s["lossy"]["kernel.napi"]
+    wall_s = dict(WALL_S, incast=2.0)
+    del wall_s["rpc"]
+    merged = tool.merge_baseline(COMMITTED, {"wall_s": wall_s, "layer_s": layer_s}, BOUNDS)
+    assert merged == {"wall_s": wall_s, "layer_s": layer_s}
+
+
+def test_update_merges_into_the_committed_values(tmp_path, monkeypatch, capsys):
+    # A run a little slower everywhere re-baselines to the same file.
+    code, _ = _run_gate(tmp_path, monkeypatch, capsys, update=True,
+                        engine=_scaled(ENGINE_S, 1.1), wall_s=_scaled(WALL_S, 1.1),
+                        peak_rss_mb=_scaled(PEAK_RSS_MB, 1.05))
+    assert code == 0
+    doc = json.loads((tmp_path / "perf_gate.json").read_text())
+    assert {key: value for key, value in doc.items() if key != "comment"} == COMMITTED
 
 
 def test_calibration_normalization_is_machine_independent(tmp_path, monkeypatch, capsys):

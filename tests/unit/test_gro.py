@@ -1,20 +1,27 @@
 """Unit tests for the GRO engine."""
 
 from repro.costs.calibration import default_cost_model
+from repro.hardware.link import Frame
+from repro.hardware.nic import RxFrameRecord
 from repro.kernel.gro import GRO_MAX_HELD_FLOWS, GroEngine
-from repro.kernel.skb import Skb
 
 
-def frame_skb(flow=1, seq=0, size=9000, region=None, node=0):
-    return Skb(
-        flow_id=flow,
-        seq=seq,
-        payload_bytes=size,
-        nframes=1,
-        pages=3,
-        page_node=node,
-        regions=[(region if region is not None else seq, size)],
+def frame_record(flow=1, seq=0, size=9000, region=None, node=0, pages=3, ecn=False):
+    frame = Frame(flow, Frame.KIND_DATA, seq, size, size)
+    frame.ecn_marked = ecn
+    return RxFrameRecord(
+        frame, region if region is not None else seq, node, pages, arrival_ns=0
     )
+
+
+def feed(gro, *records):
+    """Run ``records`` through ``GroEngine.receive_run`` as one NAPI run of
+    data completions, every flow with a receiver; returns the charge items
+    and the skbs delivered up the stack, in order."""
+    items, delivered = [], []
+    receivers = {record.frame.flow_id: True for record in records}
+    gro.receive_run(records, 0, len(records), receivers, items, delivered.append)
+    return items, delivered
 
 
 def make_gro(enabled=True, **kwargs):
@@ -23,9 +30,9 @@ def make_gro(enabled=True, **kwargs):
 
 def test_in_sequence_frames_merge():
     gro = make_gro()
-    gro.receive(frame_skb(seq=0))
-    _, flushed = gro.receive(frame_skb(seq=9000))
-    assert list(flushed) == []
+    feed(gro, frame_record(seq=0))
+    _, flushed = feed(gro, frame_record(seq=9000))
+    assert flushed == []
     _, flushed = gro.flush_all()
     assert len(flushed) == 1
     assert flushed[0].payload_bytes == 18000
@@ -35,8 +42,8 @@ def test_in_sequence_frames_merge():
 
 def test_out_of_sequence_flushes_held():
     gro = make_gro()
-    gro.receive(frame_skb(seq=0))
-    _, flushed = gro.receive(frame_skb(seq=50_000))  # gap
+    feed(gro, frame_record(seq=0))
+    _, flushed = feed(gro, frame_record(seq=50_000))  # gap
     assert len(flushed) == 1
     assert flushed[0].seq == 0
 
@@ -45,7 +52,7 @@ def test_size_limit_respected():
     gro = make_gro(max_merged_bytes=64 * 1024)
     flushed_total = []
     for i in range(10):
-        _, flushed = gro.receive(frame_skb(seq=i * 9000))
+        _, flushed = feed(gro, frame_record(seq=i * 9000))
         flushed_total.extend(flushed)
     _, flushed = gro.flush_all()
     flushed_total.extend(flushed)
@@ -55,9 +62,9 @@ def test_size_limit_respected():
 
 def test_different_flows_held_separately():
     gro = make_gro()
-    gro.receive(frame_skb(flow=1, seq=0))
-    gro.receive(frame_skb(flow=2, seq=0))
-    gro.receive(frame_skb(flow=1, seq=9000))
+    feed(gro, frame_record(flow=1, seq=0))
+    feed(gro, frame_record(flow=2, seq=0))
+    feed(gro, frame_record(flow=1, seq=9000))
     _, flushed = gro.flush_all()
     sizes = sorted(skb.payload_bytes for skb in flushed)
     assert sizes == [9000, 18000]
@@ -65,9 +72,9 @@ def test_different_flows_held_separately():
 
 def test_held_flow_limit_evicts_oldest():
     gro = make_gro(max_held_flows=2)
-    gro.receive(frame_skb(flow=1, seq=0))
-    gro.receive(frame_skb(flow=2, seq=0))
-    _, flushed = gro.receive(frame_skb(flow=3, seq=0))
+    feed(gro, frame_record(flow=1, seq=0))
+    feed(gro, frame_record(flow=2, seq=0))
+    _, flushed = feed(gro, frame_record(flow=3, seq=0))
     assert len(flushed) == 1
     assert flushed[0].flow_id == 1  # oldest evicted
 
@@ -78,24 +85,22 @@ def test_default_held_limit_matches_kernel():
 
 def test_disabled_gro_passes_through():
     gro = make_gro(enabled=False)
-    items, flushed = gro.receive(frame_skb(seq=0))
-    assert list(items) == []
+    items, flushed = feed(gro, frame_record(seq=0))
+    assert items == []
     assert len(flushed) == 1 and flushed[0].nframes == 1
 
 
 def test_cross_numa_frames_not_merged():
     gro = make_gro()
-    gro.receive(frame_skb(seq=0, node=0))
-    _, flushed = gro.receive(frame_skb(seq=9000, node=1))
+    feed(gro, frame_record(seq=0, node=0))
+    _, flushed = feed(gro, frame_record(seq=9000, node=1))
     assert len(flushed) == 1  # node change forces a flush
 
 
 def test_ecn_mark_propagates_through_merge():
     gro = make_gro()
-    gro.receive(frame_skb(seq=0))
-    marked = frame_skb(seq=9000)
-    marked.ecn = True
-    gro.receive(marked)
+    feed(gro, frame_record(seq=0))
+    feed(gro, frame_record(seq=9000, ecn=True))
     _, flushed = gro.flush_all()
     assert flushed[0].ecn
 
@@ -105,9 +110,9 @@ def test_byte_conservation():
     total_in = 0
     out = []
     for i in range(25):
-        skb = frame_skb(seq=i * 9000, size=9000)
-        total_in += skb.payload_bytes
-        _, flushed = gro.receive(skb)
+        record = frame_record(seq=i * 9000, size=9000)
+        total_in += record.frame.payload_bytes
+        _, flushed = feed(gro, record)
         out.extend(flushed)
     _, flushed = gro.flush_all()
     out.extend(flushed)
@@ -116,8 +121,7 @@ def test_byte_conservation():
 
 def test_statistics():
     gro = make_gro()
-    for i in range(4):
-        gro.receive(frame_skb(seq=i * 9000))
+    feed(gro, *[frame_record(seq=i * 9000) for i in range(4)])
     gro.flush_all()
     assert gro.frames_in == 4
     assert gro.merges == 3

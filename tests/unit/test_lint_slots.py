@@ -139,7 +139,7 @@ def build():
 
 
 def test_real_tree_is_clean_modulo_pragma():
-    # The only accepted finding (napi.py's lazily-stamped trace_ns) is
+    # The only accepted finding (gro.py's lazily-stamped trace_ns) is
     # suppressed by an inline pragma at the site.
     from repro.analysis.lint import run_lint
 
@@ -149,5 +149,5 @@ def test_real_tree_is_clean_modulo_pragma():
     pragma_slots = [
         f for f in report.pragma_suppressed if f.rule in slot_rules
     ]
-    assert [f.path for f in pragma_slots] == ["src/repro/kernel/napi.py"]
+    assert [f.path for f in pragma_slots] == ["src/repro/kernel/gro.py"]
     assert "trace_ns" in pragma_slots[0].message

@@ -1,5 +1,6 @@
 """Unit tests for content-addressed cache keying and the on-disk store."""
 
+import dataclasses
 import json
 
 from repro.config import (
@@ -47,9 +48,19 @@ def test_every_top_level_field_change_changes_the_key():
         base.replace(worst_case_irq_mapping=False),
         base.replace(steering=SteeringMode.RFS),
         base.replace(cost_overrides={"syscall_cycles": 600.0}),
+        base.replace(trace=True),
     ]
     keys = [key(base)] + [key(v) for v in variants]
     assert len(set(keys)) == len(keys), "some field change did not change the key"
+    # Each variant changes one field, and together they change every field
+    # the dataclass declares: a new field must join the list to pass.
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    changed = [
+        [name for name in fields if getattr(v, name) != getattr(base, name)]
+        for v in variants
+    ]
+    assert all(len(names) == 1 for names in changed)
+    assert {names[0] for names in changed} == set(fields)
 
 
 def test_nested_field_change_changes_the_key():

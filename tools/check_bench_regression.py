@@ -22,6 +22,11 @@ RSS. The gate fails on:
   micro-benchmarks (``_schedule_and_run``, ``_cancel_churn``) above their
   committed values by more than ``ENGINE_TOLERANCE``.
 
+``--update`` re-baselines through :func:`merge_baseline`: a committed value
+stays wherever the new measurement is within that metric's bound of it, so
+one slow or lucky run can neither loosen a ceiling nor tighten a floor past
+what a normal run meets.
+
 Usage::
 
     python tools/check_bench_regression.py            # about 3 minutes
@@ -217,10 +222,45 @@ def check(measured: dict, committed: dict, bounds: dict) -> list:
     return failures
 
 
+def _merge(committed, measured, bound: float):
+    if isinstance(measured, dict):
+        committed = committed if isinstance(committed, dict) else {}
+        return {
+            key: _merge(committed.get(key), value, bound)
+            for key, value in measured.items()
+        }
+    if committed is not None and abs(measured - committed) <= committed * bound:
+        return committed
+    return measured
+
+
+def merge_baseline(committed: dict, measured: dict, bounds: dict) -> dict:
+    """The values ``--update`` commits, from the committed ones and one run.
+
+    A committed value stays wherever the run measured within that metric's
+    bound of it, up or down: ``bounds["wall_s"]`` for workload and layer
+    seconds, ``bounds["peak_rss_mb"]`` for memory, ``ENGINE_TOLERANCE`` for
+    the engine floors. Elsewhere the run's value is taken. Keys the run
+    measured for the first time are added; committed keys it no longer
+    measures are dropped.
+    """
+    section_bounds = {
+        "engine_s": ENGINE_TOLERANCE,
+        "wall_s": bounds["wall_s"],
+        "layer_s": bounds["wall_s"],
+        "peak_rss_mb": bounds["peak_rss_mb"],
+    }
+    return {
+        section: _merge(committed.get(section), values, section_bounds[section])
+        for section, values in measured.items()
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
-                        help="rewrite benchmarks/perf_gate.json from this run")
+                        help="re-baseline benchmarks/perf_gate.json: take this "
+                        "run's values where they moved past their bound")
     args = parser.parse_args()
 
     measured, failures = measure()
@@ -231,12 +271,14 @@ def main() -> int:
         print(f"{name}: wall_s {seconds:.3f} s, peak_rss_mb "
               f"{measured['peak_rss_mb'].get(name, 0):.2f} ({layers})")
 
+    bounds = {b["name"]: b["bound"] for b in json.loads(BENCHMARK.read_text())["end_to_end"]}
     if not args.update:
-        bounds = {b["name"]: b["bound"] for b in json.loads(BENCHMARK.read_text())["end_to_end"]}
         failures += check(measured, json.loads(PERF_GATE.read_text()), bounds)
     elif not failures:  # a run with failed experiments never becomes the baseline
+        committed = json.loads(PERF_GATE.read_text()) if PERF_GATE.exists() else {}
         doc = {"comment": "reference seconds; regenerate with "
-                          "tools/check_bench_regression.py --update", **measured}
+                          "tools/check_bench_regression.py --update",
+               **merge_baseline(committed, measured, bounds)}
         PERF_GATE.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"perf gate updated: {PERF_GATE}")
         return 0
