@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=[c.value for c in CongestionControl])
     run.add_argument("--loss", type=float, default=0.0,
                      help="random drop rate at an in-path switch")
-    run.add_argument("--rx-buffer-kb", type=int, default=0,
-                     help="pin the TCP Rx buffer (disables autotuning)")
+    run.add_argument("--rx-buffer-kb", type=int,
+                     help="pin the TCP Rx buffer (default: autotuned)")
     run.add_argument("--ring", type=int, default=0, help="NIC Rx descriptors")
     run.add_argument("--rpc-kb", type=int, default=4, help="RPC message size")
     run.add_argument("--rpc-flows", type=int, default=0,
@@ -157,10 +157,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         arfs=not args.no_arfs,
         lro=args.lro,
     )
-    tcp = TcpConfig(congestion_control=CongestionControl(args.cc))
-    if args.rx_buffer_kb:
-        tcp.rx_buffer_bytes = kb(args.rx_buffer_kb)
-        tcp.autotune_rx_buffer = False
+    tcp = TcpConfig(
+        rx_buffer_bytes=None if args.rx_buffer_kb is None else kb(args.rx_buffer_kb),
+        congestion_control=CongestionControl(args.cc),
+    )
     nic = NicConfig()
     if args.ring:
         nic.rx_descriptors = args.ring

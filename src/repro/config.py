@@ -2,7 +2,9 @@
 
 ``ExperimentConfig`` fully describes one run: the traffic pattern and workload,
 which stack optimizations are enabled (the paper's incremental columns), host
-hardware parameters, TCP parameters, and link/switch behaviour.
+features, TCP parameters, and link/switch behaviour. The §2.2 testbed the
+paper never varies lives in :mod:`repro.constants`; a field exists here only
+where a panel, a benchmark workload or a command-line flag varies it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
+from typing import Optional
 
 from . import constants
 from .costs.model import CostModel
@@ -101,22 +104,14 @@ class OptimizationConfig:
 class NicConfig:
     """NIC parameters (Mellanox ConnectX-5-like)."""
 
-    num_queues: int = constants.DEFAULT_NIC_NUM_QUEUES
     rx_descriptors: int = constants.DEFAULT_NIC_RX_DESCRIPTORS
-    tx_descriptors: int = constants.DEFAULT_NIC_TX_DESCRIPTORS
-    arfs_table_capacity: int = constants.ARFS_TABLE_CAPACITY
 
 
 @dataclass
 class HostConfig:
-    """Host hardware parameters (paper §2.2 testbed)."""
+    """Host features the paper toggles; the §2.2 testbed itself (topology,
+    clock, L3 and DDIO slice) is fixed in :mod:`repro.constants`."""
 
-    numa_nodes: int = constants.NUM_NUMA_NODES
-    cores_per_node: int = constants.CORES_PER_NUMA_NODE
-    cpu_freq_hz: float = constants.CPU_FREQ_HZ
-    nic_numa_node: int = constants.NIC_NUMA_NODE
-    l3_cache_bytes: int = constants.L3_CACHE_BYTES
-    dca_fraction: float = constants.DCA_FRACTION_OF_L3
     dca_enabled: bool = True      # DDIO on by default (§3.8)
     iommu_enabled: bool = False   # IOMMU off by default (§3.9)
     # How strongly large NIC-descriptor footprints dilute effective DCA
@@ -128,35 +123,25 @@ class HostConfig:
 class TcpConfig:
     """TCP parameters."""
 
-    rx_buffer_bytes: int = constants.DEFAULT_TCP_RX_BUFFER_BYTES
-    tx_buffer_bytes: int = constants.DEFAULT_TCP_TX_BUFFER_BYTES
-    # The kernel autotunes the Rx buffer by default (DRS); §3.1's tuning
-    # experiments (Fig 3e/3f) override it with a fixed size (footnote 6).
-    autotune_rx_buffer: bool = True
-    autotune_max_bytes: int = kb(4096)
+    # None: the kernel autotunes the Rx buffer (DRS) from its 64 KB floor.
+    # §3.1's tuning experiments (Fig 3e/3f) pin it to a fixed size in bytes
+    # instead (footnote 6).
+    rx_buffer_bytes: Optional[int] = None
     congestion_control: CongestionControl = CongestionControl.CUBIC
-    init_cwnd_segments: int = constants.TCP_INIT_CWND_SEGMENTS
-    delayed_ack_timeout_ns: int = constants.DELAYED_ACK_TIMEOUT_NS
-    ack_every_n_segments: int = constants.ACK_EVERY_N_SEGMENTS
 
 
 @dataclass
 class LinkConfig:
     """Link and optional in-path switch (§3.6)."""
 
-    bandwidth_bps: float = constants.LINK_BANDWIDTH_BPS
-    propagation_ns: int = constants.LINK_PROPAGATION_NS
     loss_rate: float = 0.0          # random drop probability at the switch
     has_switch: bool = False        # §3.6 inserts a switch between the hosts
-    ecn_threshold_bytes: int = 9000 * 65  # DCTCP marking threshold (~65 jumbo frames)
 
 
 @dataclass
 class WorkloadConfig:
     """Application workload parameters."""
 
-    app_write_bytes: int = constants.DEFAULT_APP_WRITE_BYTES
-    app_read_bytes: int = constants.DEFAULT_APP_READ_BYTES
     rpc_size_bytes: int = kb(4)       # request == response size (§3.7)
     num_rpc_flows: int = 0            # short flows mixed with long flows (Fig 11)
     include_long_flow: bool = True    # MIXED pattern: drop the long flow to
@@ -220,7 +205,7 @@ class ExperimentConfig:
             raise ValueError("duration_ns must be positive")
         if self.warmup_ns < 0:
             raise ValueError("warmup_ns must be >= 0")
-        total_cores = self.host.numa_nodes * self.host.cores_per_node
+        total_cores = constants.NUM_NUMA_NODES * constants.CORES_PER_NUMA_NODE
         if self.pattern in (
             TrafficPattern.ONE_TO_ONE,
             TrafficPattern.INCAST,
@@ -236,20 +221,14 @@ class ExperimentConfig:
             raise ValueError("loss_rate must be in [0, 1)")
         if self.link.loss_rate > 0 and not self.link.has_switch:
             raise ValueError("packet loss requires has_switch=True (drops happen there)")
-        host = self.host
-        if host.numa_nodes < 1 or host.cores_per_node < 1:
-            raise ValueError("numa_nodes and cores_per_node must be >= 1")
-        if host.cpu_freq_hz <= 0:
-            raise ValueError("cpu_freq_hz must be positive")
-        if not 0 <= host.nic_numa_node < host.numa_nodes:
-            raise ValueError(
-                f"nic_numa_node {host.nic_numa_node} is outside "
-                f"[0, {host.numa_nodes})"
-            )
-        if self.link.propagation_ns < 0:
-            raise ValueError("propagation_ns must be >= 0")
         if self.nic.rx_descriptors < 1:
             raise ValueError("rx_descriptors must be >= 1")
+        if self.tcp.rx_buffer_bytes is not None and self.tcp.rx_buffer_bytes < 1:
+            raise ValueError("a pinned rx_buffer_bytes must be >= 1")
+        if self.workload.rpc_size_bytes < 1:
+            raise ValueError("rpc_size_bytes must be >= 1")
+        if self.workload.num_rpc_flows < 0:
+            raise ValueError("num_rpc_flows must be >= 0")
         unknown = set(self.cost_overrides) - _COST_FIELDS
         if unknown:
             raise ValueError(f"unknown cost_overrides keys: {sorted(unknown)}")

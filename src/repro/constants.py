@@ -4,6 +4,11 @@ The paper's servers: 4-socket NUMA Intel Xeon Gold 6128 @ 3.4GHz, 6 cores per
 socket, 32KB/1MB/20MB L1/L2/L3, 256GB RAM, 100Gbps Mellanox ConnectX-5 Ex NIC
 attached to one socket, Ubuntu 16.04 with kernel 5.4.43, DDIO on,
 hyperthreading and IOMMU off by default.
+
+The paper measures this one testbed and varies only the stack and the
+traffic, so none of these values is a config field: the simulator reads them
+here directly. Hardware models still take them as constructor arguments,
+which unit tests drive with other values.
 """
 
 from __future__ import annotations
@@ -17,15 +22,11 @@ NUM_NUMA_NODES = 4
 CORES_PER_NUMA_NODE = 6
 NIC_NUMA_NODE = 0
 
-L1_CACHE_BYTES = kb(32)
-L2_CACHE_BYTES = mb(1)
 L3_CACHE_BYTES = mb(20)
 
 # DDIO can only use ~18% (~3MB) of L3 in the paper's setup (§3.1, footnote 7).
 DCA_FRACTION_OF_L3 = 0.18
-DCA_CACHE_BYTES = int(L3_CACHE_BYTES * DCA_FRACTION_OF_L3)
 
-CACHE_LINE_BYTES = 64
 PAGE_BYTES = 4096
 
 # --- link ----------------------------------------------------------------------
@@ -34,6 +35,8 @@ LINK_BANDWIDTH_BPS = 100e9
 # One-way propagation on a directly-connected pair (no switch): sub-us.
 LINK_PROPAGATION_NS = usec(1)
 SWITCH_FORWARD_NS = usec(1)
+# DCTCP marking threshold at the switch queue (~65 jumbo frames).
+ECN_THRESHOLD_BYTES = 9000 * 65
 
 # --- NIC ------------------------------------------------------------------------
 
@@ -41,8 +44,6 @@ DEFAULT_MTU = 1500
 JUMBO_MTU = 9000
 MAX_GSO_SIZE = 64 * 1024  # 64KB skbs with TSO/GSO/GRO
 DEFAULT_NIC_RX_DESCRIPTORS = 1024
-DEFAULT_NIC_TX_DESCRIPTORS = 1024
-DEFAULT_NIC_NUM_QUEUES = 24
 # aRFS steering-table capacity: large but finite (the paper could not install
 # 576 entries for 24x24 all-to-all, §3.5).
 ARFS_TABLE_CAPACITY = 512
@@ -54,7 +55,6 @@ FRAME_OVERHEAD_BYTES = ETHERNET_HEADER_BYTES + IP_HEADER_BYTES + TCP_HEADER_BYTE
 # --- NAPI (footnote 2) -----------------------------------------------------------
 
 NAPI_BUDGET_FRAMES = 300
-NAPI_BUDGET_TIMEOUT_NS = msec(2)
 
 # Adaptive interrupt moderation (Mellanox adaptive-rx): under steady traffic
 # the IRQ waits for a few frames or a short timer; after idle it fires

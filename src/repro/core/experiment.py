@@ -11,6 +11,14 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..config import ExperimentConfig, NumaPolicy, TrafficPattern
+from ..constants import (
+    DEFAULT_APP_READ_BYTES,
+    DEFAULT_APP_WRITE_BYTES,
+    ECN_THRESHOLD_BYTES,
+    LINK_BANDWIDTH_BPS,
+    LINK_PROPAGATION_NS,
+    SWITCH_FORWARD_NS,
+)
 from ..costs.calibration import default_cost_model
 from ..kernel.host import Host
 from ..kernel.sched import AppThread
@@ -78,12 +86,12 @@ class Experiment:
 
         link_cfg = self.config.link
         common = dict(
-            bandwidth_bps=link_cfg.bandwidth_bps,
-            propagation_ns=link_cfg.propagation_ns,
+            bandwidth_bps=LINK_BANDWIDTH_BPS,
+            propagation_ns=LINK_PROPAGATION_NS,
             loss_rate=link_cfg.loss_rate,
             has_switch=link_cfg.has_switch,
-            switch_delay_ns=1_000 if link_cfg.has_switch else 0,
-            ecn_threshold_bytes=link_cfg.ecn_threshold_bytes,
+            switch_delay_ns=SWITCH_FORWARD_NS if link_cfg.has_switch else 0,
+            ecn_threshold_bytes=ECN_THRESHOLD_BYTES,
         )
         to_receiver = Link(
             self.engine, "snd->rcv", rng=self.rngs.stream("loss-fwd"), **common
@@ -129,14 +137,14 @@ class Experiment:
                     f"iperf-snd-{flow_id}",
                     self.sender,
                     snd_core,
-                    streaming_sender(snd, workload.app_write_bytes),
+                    streaming_sender(snd, DEFAULT_APP_WRITE_BYTES),
                     start_ns,
                 )
                 self._spawn(
                     f"iperf-rcv-{flow_id}",
                     self.receiver,
                     rcv_core,
-                    streaming_receiver(rcv, workload.app_read_bytes),
+                    streaming_receiver(rcv, DEFAULT_APP_READ_BYTES),
                     start_ns,
                 )
             else:

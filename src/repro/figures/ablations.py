@@ -101,7 +101,7 @@ def ablation_dca_dilution() -> Table:
         ExperimentConfig(
             host=HostConfig(dca_dilution_exponent=exponent),
             nic=NicConfig(rx_descriptors=8192),
-            tcp=TcpConfig(rx_buffer_bytes=kb(3200), autotune_rx_buffer=False),
+            tcp=TcpConfig(rx_buffer_bytes=kb(3200)),
         )
         for exponent in DILUTION_EXPONENTS
     ])

@@ -107,9 +107,7 @@ def fig3e(
                 f"{buffer_kb}KB",
                 ExperimentConfig(
                     nic=NicConfig(rx_descriptors=ring),
-                    tcp=TcpConfig(
-                        rx_buffer_bytes=kb(buffer_kb), autotune_rx_buffer=False
-                    ),
+                    tcp=TcpConfig(rx_buffer_bytes=kb(buffer_kb)),
                 ),
             ))
         cells.append((ring, "Default", ExperimentConfig(nic=NicConfig(rx_descriptors=ring))))
@@ -131,9 +129,7 @@ def fig3f(buffers_kb: Tuple[int, ...] = LATENCY_BUFFERS_KB) -> Table:
         ["rx_buffer_kb", "avg_latency_us", "p99_latency_us", "thpt_gbps"],
     )
     results = run_all([
-        ExperimentConfig(
-            tcp=TcpConfig(rx_buffer_bytes=kb(buffer_kb), autotune_rx_buffer=False)
-        )
+        ExperimentConfig(tcp=TcpConfig(rx_buffer_bytes=kb(buffer_kb)))
         for buffer_kb in buffers_kb
     ])
     for buffer_kb, result in zip(buffers_kb, results):

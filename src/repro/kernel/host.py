@@ -19,6 +19,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from ..config import ExperimentConfig
+from ..constants import (
+    ARFS_TABLE_CAPACITY,
+    CORES_PER_NUMA_NODE,
+    CPU_FREQ_HZ,
+    DCA_FRACTION_OF_L3,
+    DEFAULT_APP_WRITE_BYTES,
+    L3_CACHE_BYTES,
+    NIC_NUMA_NODE,
+    NUM_NUMA_NODES,
+)
 from ..core.profiler import CpuProfiler
 from ..costs.model import CostModel
 from ..hardware.cache import L3CacheModel
@@ -63,9 +73,7 @@ class Host:
         self.trace = trace.side(name) if trace is not None else None
 
         host_cfg = config.host
-        self.topology = Topology(
-            host_cfg.numa_nodes, host_cfg.cores_per_node, host_cfg.nic_numa_node
-        )
+        self.topology = Topology(NUM_NUMA_NODES, CORES_PER_NUMA_NODE, NIC_NUMA_NODE)
         for core_id in range(self.topology.total_cores):
             core = Core(
                 engine,
@@ -74,16 +82,15 @@ class Host:
                 name,
                 core_id,
                 self.topology.node_of_core(core_id),
-                host_cfg.cpu_freq_hz,
+                CPU_FREQ_HZ,
             )
             self.topology.register_core(core)
 
-        dca_capacity = int(host_cfg.l3_cache_bytes * host_cfg.dca_fraction)
         self.cache = L3CacheModel(
-            num_nodes=host_cfg.numa_nodes,
-            l3_bytes=host_cfg.l3_cache_bytes,
-            dca_capacity_bytes=dca_capacity,
-            nic_node=host_cfg.nic_numa_node,
+            num_nodes=NUM_NUMA_NODES,
+            l3_bytes=L3_CACHE_BYTES,
+            dca_capacity_bytes=int(L3_CACHE_BYTES * DCA_FRACTION_OF_L3),
+            nic_node=NIC_NUMA_NODE,
             dca_enabled=host_cfg.dca_enabled,
             dilution_exponent=host_cfg.dca_dilution_exponent,
             rng=rngs.stream(f"dca-{name}"),
@@ -94,12 +101,12 @@ class Host:
         self.steering = SteeringEngine(
             config.steering,
             rngs.stream(f"steering-{name}"),
-            config.nic.arfs_table_capacity,
+            ARFS_TABLE_CAPACITY,
         )
         self.nic = Nic(
             engine,
             name=f"nic-{name}",
-            numa_node=host_cfg.nic_numa_node,
+            numa_node=NIC_NUMA_NODE,
             mtu=config.opts.mtu,
             tso=config.opts.tso_gro,
             lro=config.opts.lro,
@@ -158,7 +165,7 @@ class Host:
             )
         receiver = TcpReceiver(self, flow_id, app_core)
         self.receivers[flow_id] = receiver
-        if self.config.tcp.autotune_rx_buffer:
+        if self.config.tcp.rx_buffer_bytes is None:
             now = self.engine.now
             clock = self.autotune_clocks.get(now)
             if clock is None:
@@ -183,7 +190,7 @@ class Host:
         # Sender-side working set (application write buffer) warms this
         # node's L3; used by the sender-copy miss heuristic.
         self.cache.register_working_set(
-            app_core.numa_node, 2 * self.config.workload.app_write_bytes
+            app_core.numa_node, 2 * DEFAULT_APP_WRITE_BYTES
         )
         return softirq_core
 
@@ -231,7 +238,7 @@ class Host:
         if elapsed_ns <= 0:
             return 0.0
         cycles = self.profiler.total_cycles(self.name)
-        return cycles / (self.config.host.cpu_freq_hz * elapsed_ns / 1e9)
+        return cycles / (CPU_FREQ_HZ * elapsed_ns / 1e9)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Host {self.name} flows={len(self.flows)}>"

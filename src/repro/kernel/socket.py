@@ -38,10 +38,6 @@ class Socket:
     def available(self) -> int:
         return self.unread_bytes
 
-    def peek_skbs(self) -> Tuple[Deque[Skb], int]:
-        """Queue contents and head offset (for draining logic)."""
-        return self._queue, self._head_offset
-
     def drain(self, max_bytes: int) -> Tuple[int, List[Tuple[Skb, int, bool]]]:
         """Consume up to ``max_bytes`` from the queue.
 

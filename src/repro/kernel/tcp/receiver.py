@@ -2,7 +2,7 @@
 
 This implements §2.1's receiver-side path: in-order skbs (post-GRO) land on
 the socket queue, out-of-order ones wait in the OOO queue, ACKs are generated
-per ``ack_every_n_segments`` skbs (plus delayed-ACK and duplicate-ACK rules),
+per ``ACK_EVERY_N_SEGMENTS`` segments (plus delayed-ACK and duplicate-ACK rules),
 and the application's ``recv`` performs the single payload copy, with L3
 hit/miss decided by DCA residency at copy time. Receive-buffer autotuning
 (DRS) runs from one :class:`AutotuneClock` per host.
@@ -20,9 +20,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from ...constants import PAGE_BYTES
+from ...constants import (
+    ACK_EVERY_N_SEGMENTS,
+    DEFAULT_TCP_RX_BUFFER_BYTES,
+    DELAYED_ACK_TIMEOUT_NS,
+    PAGE_BYTES,
+)
 from ...hardware.cpu import PRIORITY_APP, PRIORITY_SOFTIRQ
 from ...hardware.link import Frame
+from ...units import kb
 from ..sched import charge_wakeup
 from ..skb import Skb
 from ..socket import Socket
@@ -44,14 +50,16 @@ AUTOTUNE_BASE_RTT_NS = 50_000
 AUTOTUNE_QUEUE_GAIN = 0.8
 #: Autotuned buffers never shrink below this (tcp_rmem-style floor).
 AUTOTUNE_FLOOR_BYTES = 64 * 1024
+#: ... and never grow above this (tcp_rmem-style maximum).
+AUTOTUNE_MAX_BYTES = kb(4096)
 
 
 class TcpReceiver:
     """The receive half of one TCP connection on one host."""
 
     __slots__ = (
-        "host", "flow_id", "app_core", "costs", "tables", "engine", "tcp_cfg",
-        "trace", "mss", "softirq_core", "sender", "rcv_nxt", "socket", "_ooo",
+        "host", "flow_id", "app_core", "costs", "tables", "engine", "trace",
+        "mss", "softirq_core", "sender", "rcv_nxt", "socket", "_ooo",
         "_segs_since_ack", "_bytes_since_ack", "_ecn_pending",
         "_advertised_free", "_delack_event", "acks_sent", "app_bytes_read",
         "rx_limbo_bytes", "_delivered_since_autotune",
@@ -65,7 +73,6 @@ class TcpReceiver:
         self.tables = host.costs.tables()
         self.engine = host.engine
         cfg = host.config
-        self.tcp_cfg = cfg.tcp
         self.trace = host.trace
         self.mss = cfg.opts.mtu - 40  # IP + TCP headers live inside the MTU
         #: Core where this flow's softirq (NAPI/TCP) processing happens; the
@@ -75,12 +82,22 @@ class TcpReceiver:
         self.sender: Optional["TcpSender"] = None
 
         self.rcv_nxt = 0
-        self.socket = Socket(flow_id, self.tcp_cfg.rx_buffer_bytes)
+        pinned = cfg.tcp.rx_buffer_bytes
+        # DRS (no pinned size) starts from a small buffer and only grows it
+        # as the flow demonstrates demand (tcp_rmem default behaviour); the
+        # updates run from the host's AutotuneClock (see Host.add_receiver).
+        self.socket = Socket(
+            flow_id, AUTOTUNE_FLOOR_BYTES if pinned is None else pinned
+        )
         self._ooo: List[Skb] = []  # sorted by seq
         self._segs_since_ack = 0
         self._bytes_since_ack = 0
         self._ecn_pending = False
-        self._advertised_free = self.socket.rx_buffer_bytes
+        # Under DRS the first advertised window is the 3200 KB default
+        # buffer, not the floor the socket starts from.
+        self._advertised_free = (
+            DEFAULT_TCP_RX_BUFFER_BYTES if pinned is None else pinned
+        )
         self._delack_event = None
         self.acks_sent = 0
         #: Total bytes the application has drained from the socket.
@@ -89,13 +106,6 @@ class TcpReceiver:
         #: socket enqueue is deferred until the softirq CPU job completes.
         self.rx_limbo_bytes = 0
         self._delivered_since_autotune = 0
-        if self.tcp_cfg.autotune_rx_buffer:
-            # DRS starts from a small buffer and only grows it as the flow
-            # demonstrates demand (tcp_rmem default behaviour). The updates
-            # run from the host's AutotuneClock (see Host.add_receiver).
-            self.socket.rx_buffer_bytes = min(
-                self.socket.rx_buffer_bytes, AUTOTUNE_FLOOR_BYTES
-            )
 
     def _lock_cost(self) -> float:
         """Socket-lock cost: contended when app and softirq contexts run on
@@ -147,7 +157,7 @@ class TcpReceiver:
             # Linux ACKs at least every 2 MSS of new data (quickack rule);
             # post-GRO skbs carry many MSS, so in practice this is one ACK
             # per merged skb.
-            if self._bytes_since_ack >= self.tcp_cfg.ack_every_n_segments * self.mss:
+            if self._bytes_since_ack >= ACK_EVERY_N_SEGMENTS * self.mss:
                 self._emit_ack(items, ack_frames, dup=False)
             else:
                 self._ensure_delack_timer()
@@ -290,7 +300,7 @@ class TcpReceiver:
         if self._delack_event is not None:
             return
         self._delack_event = self.engine.schedule(
-            self.tcp_cfg.delayed_ack_timeout_ns, self._delack_fire
+            DELAYED_ACK_TIMEOUT_NS, self._delack_fire
         )
 
     def _cancel_delack(self) -> None:
@@ -471,7 +481,7 @@ class TcpReceiver:
             )
             if window_limited or queue_standing:
                 self.socket.rx_buffer_bytes = min(
-                    2 * buffer, self.tcp_cfg.autotune_max_bytes
+                    2 * buffer, AUTOTUNE_MAX_BYTES
                 )
 
     def __repr__(self) -> str:  # pragma: no cover

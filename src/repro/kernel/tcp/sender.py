@@ -21,7 +21,14 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
-from ...constants import FRAME_OVERHEAD_BYTES, MAX_GSO_SIZE, PAGE_BYTES, TCP_MIN_RTO_NS
+from ...constants import (
+    DEFAULT_TCP_TX_BUFFER_BYTES,
+    FRAME_OVERHEAD_BYTES,
+    MAX_GSO_SIZE,
+    PAGE_BYTES,
+    TCP_INIT_CWND_SEGMENTS,
+    TCP_MIN_RTO_NS,
+)
 from ...hardware.cpu import PRIORITY_APP, PRIORITY_SOFTIRQ
 from ...hardware.link import Frame
 from ...units import msec
@@ -95,7 +102,7 @@ class TcpSender:
         self.mss = self.opts.mtu - 40  # IP + TCP headers live inside the MTU
         self.gso_size = MAX_GSO_SIZE if self.opts.tso_gro else self.mss
         self.cc = make_congestion_controller(
-            cfg.tcp.congestion_control, self.mss, cfg.tcp.init_cwnd_segments
+            cfg.tcp.congestion_control, self.mss, TCP_INIT_CWND_SEGMENTS
         )
         #: Core where this flow's softirq (NAPI/TCP) processing happens; the
         #: host sets it when it steers the flow.
@@ -110,7 +117,7 @@ class TcpSender:
         #: conservation auditor holds ``app_bytes_written == unsent_bytes +
         #: snd_nxt`` at every instant.
         self.app_bytes_written = 0
-        self.sndbuf_bytes = cfg.tcp.tx_buffer_bytes
+        self.sndbuf_bytes = DEFAULT_TCP_TX_BUFFER_BYTES
         self.rwnd_bytes = 0  # set when the peer attaches
         self.segments: Deque[_Segment] = deque()
         self._writer: Optional[dict] = None
@@ -634,11 +641,6 @@ class TcpSender:
             self._probe_event = self.engine.schedule(
                 ZERO_WINDOW_PROBE_NS, self._probe_fire
             )
-
-    # --- inspection ---------------------------------------------------------------------------------
-
-    def inflight_bytes(self) -> int:
-        return self.snd_nxt - self.snd_una
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -31,11 +31,6 @@ def sec(value: float) -> int:
     return int(value * SEC)
 
 
-def ns_to_usec(ns: int) -> float:
-    """Convert integer nanoseconds to float microseconds."""
-    return ns / USEC
-
-
 def ns_to_sec(ns: int) -> float:
     """Convert integer nanoseconds to float seconds."""
     return ns / SEC
@@ -67,11 +62,6 @@ MBPS = 1_000_000
 def gbps(value: float) -> float:
     """Convert gigabits/sec to bits/sec."""
     return value * GBPS
-
-
-def bits_per_sec_to_gbps(bps: float) -> float:
-    """Convert bits/sec to gigabits/sec."""
-    return bps / GBPS
 
 
 def bytes_to_bits(nbytes: float) -> float:

@@ -1,11 +1,13 @@
 """Golden-digest regression test: the simulator's observable behaviour.
 
 Compares every unique figure-experiment config against the committed
-reference in ``tests/golden/figure_digests.json``: the persistent-cache key
-of the full-window config must be unchanged (cache compatibility across the
-engine swap) and the SHA-256 digest of the canonical ``result_to_dict``
+reference in ``tests/golden/figure_digests.json``. Each entry is keyed by the
+persistent-cache key of the full-window config, so the pinned keys must be
+exactly those of the configs the panels submit today; adding or removing a
+config field moves every key, and the entries are then re-keyed with their
+digests untouched. The SHA-256 digest of the canonical ``result_to_dict``
 payload of a shortened run must be byte-identical (no float anywhere in any
-result moved). The reference was generated with the original heap engine,
+result moved). The digests were generated with the original heap engine,
 so this test is the proof that every later engine and hot-path rewrite is
 behaviour-preserving. The figure configs run with tracing off; the
 ``bulk_traced`` benchmark configs (fig3a and fig12a with tracing on) are
@@ -15,7 +17,7 @@ Each figure config runs once per session, in the ``figure_sweep`` fixture
 (``conftest.py``) that the strict-audit gate reads too. The traced configs
 are strict-audited here as well, which covers the ``trace.*`` identities.
 
-Regenerate after an intentional behaviour change::
+Regenerate after an intentional behaviour change or a config field change::
 
     PYTHONPATH=src python tools/gen_golden_digests.py
 """
@@ -73,18 +75,18 @@ TRACED_PANELS = ("fig3a", "fig12a")
 #: Cache key of each full-window traced config -> digest of its shortened
 #: (golden-window) run, trace payload included.
 TRACED_DIGESTS = {
-    "f390047f59df526309443dba714cf0da3306bfcd51ee6e29783b49aebe941408": "37bf68f185123cfd6d076b68877a05531cd873a69de7e55bbfa65de205a75bd5",
-    "0f8772f7f89af3d9b928ff1cde08f057af119a90d7c6a4113ca626793c2b3655": "005e1d666419d145634c17d92dd1e78a7bf3e90ac8cbfeb818769f76dc9c4100",
-    "37a60eb6a617b3285f7343d23439b95ddffb79238551aa80c4b217ec4a3b251c": "831167b9d6ae8a43ee45a3a8df376061c724215bdd7b01671071c8ef1fa1b0c5",
-    "59e3fab7c4d8efd0d7715eef15987757069174f5073dcbb7eb886ffbcf599b38": "972977517849680893d6a420aa2c38129b4925d0ae2c129d1b7b89bef3ee95c1",
-    "35cb622b1f843b48232390432b41b8a34ff73cb90e3df835f833f950652d6c96": "37bf68f185123cfd6d076b68877a05531cd873a69de7e55bbfa65de205a75bd5",
-    "013db0f6c246af1d0932c3d064e04e2c1c5dbaee3bb1f65ad8c6688a6ec72719": "005e1d666419d145634c17d92dd1e78a7bf3e90ac8cbfeb818769f76dc9c4100",
-    "20665153c7bb61cf97dc5b18db637347c4a077edd8edce1e971d06e590c5c47c": "831167b9d6ae8a43ee45a3a8df376061c724215bdd7b01671071c8ef1fa1b0c5",
-    "c7886ce7327c2834497c440507eab847a6b4f65af672fa92506be1b4479be527": "8fcfd9af0db4e659e20c29967e0dbf478864c2ad6c5c075129aec950622a0bf7",
-    "36af0b6cb79d22e811cf27f89de86fb17d54985fc9c9cc9cc81b7fcb22f9bc83": "c585b467d1830531c18559341bfc0a2e5d19896855c9e1a2c64cf26b5cec1133",
-    "199dead96d90b02a0786d902897e430b347ab70b87981d3d520b8a592b091435": "276df23cc10669e7d8452e0a9270231bdbc9f297a8b8e7e55fc5e646157993ba",
-    "f87d9c54b02520d4a728aae7cf15926aa6c264264347e0fb7dfc770f90f40ffe": "769299b4a632baf9966d5529bd8704a08caace7f9fbe85e8941742622c5ce997",
-    "78a1514e0ff04ff9df4c634e6b753af7a2106c45f416a39b97f5936f1166c9bf": "95cce5e374c36bfe98f1f91e3a23564e02cc163a4957d4281ac4040750f6abc3",
+    "2645b53f701c813eb5b40d5b09f29c2a92ac8044933b340f9b27915958b6249d": "37bf68f185123cfd6d076b68877a05531cd873a69de7e55bbfa65de205a75bd5",
+    "66cbcae4a02b186643a64276b9094ede7806f8561255350edafc911f8b96e664": "005e1d666419d145634c17d92dd1e78a7bf3e90ac8cbfeb818769f76dc9c4100",
+    "efacd75f2193cc054655409ae8bfc39f10721dbd263b288ad7753e9deb8c1895": "831167b9d6ae8a43ee45a3a8df376061c724215bdd7b01671071c8ef1fa1b0c5",
+    "0ccca954de0e3179913852ed22f5adbcb5a9141c84a54f19d11e96a0d4021169": "972977517849680893d6a420aa2c38129b4925d0ae2c129d1b7b89bef3ee95c1",
+    "49e8c9aeca5d7f87d6a130654592bc4b9c99e226f50478bc116986c8bf6bd143": "37bf68f185123cfd6d076b68877a05531cd873a69de7e55bbfa65de205a75bd5",
+    "a256979dcd2458106e14bf149f76fc9ccc762186878f698f09d1b9877143cb09": "005e1d666419d145634c17d92dd1e78a7bf3e90ac8cbfeb818769f76dc9c4100",
+    "0742fe520d5a1fe27aa8732cba0f32d017084ff8af44038f174162e5e94b501a": "831167b9d6ae8a43ee45a3a8df376061c724215bdd7b01671071c8ef1fa1b0c5",
+    "d12ad38b8162f8d2c0ab0bd273cecfdeb95b83077a71022e48db14d43d9c1bbd": "8fcfd9af0db4e659e20c29967e0dbf478864c2ad6c5c075129aec950622a0bf7",
+    "adbcfacbd7657f7e7c0f25befb87681757dca6f4dbbc63bbda7d132540b71510": "c585b467d1830531c18559341bfc0a2e5d19896855c9e1a2c64cf26b5cec1133",
+    "6dd3b0eb10731894414a6a11d6ba1dadc6d6bff119dd20b07f7db4d266b2bce3": "276df23cc10669e7d8452e0a9270231bdbc9f297a8b8e7e55fc5e646157993ba",
+    "205356917bd254f19d81c1528d2c964209efad7fa450ad8091dd104d8bac24bc": "769299b4a632baf9966d5529bd8704a08caace7f9fbe85e8941742622c5ce997",
+    "3d101333f6d8ebc8aee11b0d269190c09097830e06da7e552e24340e2b966d1f": "95cce5e374c36bfe98f1f91e3a23564e02cc163a4957d4281ac4040750f6abc3",
 }
 
 

@@ -69,7 +69,6 @@ def experiment_configs(draw):
         tcp = dataclasses.replace(
             tcp,
             rx_buffer_bytes=draw(st.sampled_from([kb(256), kb(3200)])),
-            autotune_rx_buffer=False,
         )
     return ExperimentConfig(
         pattern=pattern,

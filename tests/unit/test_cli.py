@@ -16,7 +16,7 @@ def test_run_defaults():
     config = _config_from_args(parse(["run"]))
     assert config.pattern is TrafficPattern.SINGLE
     assert config.opts.arfs and config.opts.tso_gro and config.opts.jumbo
-    assert config.tcp.autotune_rx_buffer
+    assert config.tcp.rx_buffer_bytes is None
 
 
 def test_run_flag_mapping():
@@ -32,7 +32,7 @@ def test_run_flag_mapping():
     assert config.numa_policy is NumaPolicy.NIC_REMOTE
     assert config.tcp.congestion_control is CongestionControl.BBR
     assert config.link.loss_rate == 0.001 and config.link.has_switch
-    assert not config.tcp.autotune_rx_buffer
+    assert config.tcp.rx_buffer_bytes == 3200 * 1024
     assert config.nic.rx_descriptors == 512
     config.validate()
 
@@ -41,6 +41,22 @@ def test_run_rejects_bad_config_before_simulating(capsys):
     assert main(["run", "--flows", "0"]) == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "num_flows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rx-buffer-kb", "-5"],
+        ["--rx-buffer-kb", "0"],
+        ["--pattern", "mixed", "--rpc-flows", "-3"],
+        ["--pattern", "rpc-incast", "--rpc-kb", "0"],
+        ["--pattern", "rpc-incast", "--rpc-kb", "-4"],
+    ],
+    ids=["rx_buffer_negative", "rx_buffer_zero", "rpc_flows", "rpc_kb_zero", "rpc_kb_negative"],
+)
+def test_run_rejects_bad_sizes_and_counts(argv, capsys):
+    assert main(["run", *argv]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_list_command(capsys):

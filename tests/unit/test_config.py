@@ -4,11 +4,12 @@ import pytest
 
 from repro.config import (
     ExperimentConfig,
-    HostConfig,
     LinkConfig,
     NicConfig,
     OptimizationConfig,
+    TcpConfig,
     TrafficPattern,
+    WorkloadConfig,
 )
 from repro.constants import DEFAULT_MTU, JUMBO_MTU
 
@@ -118,22 +119,18 @@ def test_validate_rejects_loss_rate_of_one():
 @pytest.mark.parametrize(
     "fields",
     [
-        dict(host=HostConfig(cores_per_node=0)),
-        dict(host=HostConfig(cpu_freq_hz=0)),
         dict(cost_overrides={"no_such_cost_cycles": 1.0}),
-        dict(host=HostConfig(nic_numa_node=-1)),
-        dict(host=HostConfig(numa_nodes=2, nic_numa_node=2)),
-        dict(link=LinkConfig(propagation_ns=-1)),
         dict(nic=NicConfig(rx_descriptors=0)),
+        dict(tcp=TcpConfig(rx_buffer_bytes=0)),
+        dict(workload=WorkloadConfig(rpc_size_bytes=0)),
+        dict(workload=WorkloadConfig(num_rpc_flows=-1)),
     ],
     ids=[
-        "cores_per_node",
-        "cpu_freq_hz",
         "cost_overrides",
-        "nic_numa_node_negative",
-        "nic_numa_node_too_large",
-        "propagation_ns",
         "rx_descriptors",
+        "rx_buffer_bytes",
+        "rpc_size_bytes",
+        "num_rpc_flows",
     ],
 )
 def test_validate_rejects_bad_host_link_nic_and_cost_fields(fields):

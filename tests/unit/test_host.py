@@ -6,10 +6,12 @@ from repro.config import ExperimentConfig, OptimizationConfig, TcpConfig
 from repro.core.metrics import MetricsHub
 from repro.core.profiler import CpuProfiler
 from repro.costs.calibration import default_cost_model
+from repro.kernel import host as host_module
 from repro.kernel.host import Host
 from repro.kernel.tcp.receiver import AUTOTUNE_PERIOD_NS, TcpReceiver
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
+from repro.units import kb
 
 
 def make_host(config=None):
@@ -39,10 +41,10 @@ def test_worst_case_mapping_pins_remote_node():
     assert endpoint.softirq_core.numa_node != host.core(0).numa_node
 
 
-def test_arfs_table_overflow_falls_back_to_rss():
-    config = ExperimentConfig()
-    config.nic.arfs_table_capacity = 1
-    host, _ = make_host(config)
+def test_arfs_table_overflow_falls_back_to_rss(monkeypatch):
+    # The table capacity is a testbed constant; shrink it where Host reads it.
+    monkeypatch.setattr(host_module, "ARFS_TABLE_CAPACITY", 1)
+    host, _ = make_host()
     first = host.add_receiver(1, host.core(0))
     second = host.add_receiver(2, host.core(1))
     assert first.softirq_core is host.core(0)
@@ -118,7 +120,7 @@ def test_later_endpoint_first_ticks_one_period_after_registration(monkeypatch):
 
 
 def test_autotune_off_registers_nothing():
-    host, _ = make_host(ExperimentConfig(tcp=TcpConfig(autotune_rx_buffer=False)))
+    host, _ = make_host(ExperimentConfig(tcp=TcpConfig(rx_buffer_bytes=kb(3200))))
     host.add_receiver(1, host.core(0))
     host.add_receiver(2, host.core(1))
     assert host.autotune_clocks == {}

@@ -89,8 +89,7 @@ def test_skb_enqueued_before_window_records_all_receive_stages():
     experiment = Experiment(config)
     experiment.engine.run(until=config.warmup_ns)
     rcv = experiment.receiver.receivers[1]
-    queue, _ = rcv.socket.peek_skbs()
-    queued = [skb for skb in queue if skb.napi_ns is not None]
+    queued = [skb for skb in rcv.socket._queue if skb.napi_ns is not None]
     assert queued and all(skb.trace_ns is not None for skb in queued)
     now = experiment.engine.now
     expected_e2e = sum(now - skb.napi_ns for skb in queued)

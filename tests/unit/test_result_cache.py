@@ -16,6 +16,7 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.core.cache import CACHE_SCHEMA_VERSION, ResultCache, config_cache_key
+from repro.units import kb
 
 from .test_results import make_result
 
@@ -41,7 +42,7 @@ def test_every_top_level_field_change_changes_the_key():
         base.replace(opts=OptimizationConfig.none()),
         base.replace(nic=NicConfig(rx_descriptors=128)),
         base.replace(host=HostConfig(dca_enabled=False)),
-        base.replace(tcp=TcpConfig(autotune_rx_buffer=False)),
+        base.replace(tcp=TcpConfig(rx_buffer_bytes=kb(3200))),
         base.replace(link=LinkConfig(loss_rate=0.001, has_switch=True)),
         base.replace(workload=WorkloadConfig(rpc_size_bytes=1024)),
         base.replace(numa_policy=NumaPolicy.NIC_REMOTE),

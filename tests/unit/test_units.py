@@ -9,7 +9,6 @@ def test_time_conversions():
     assert units.usec(1) == 1_000
     assert units.msec(1.5) == 1_500_000
     assert units.sec(2) == 2_000_000_000
-    assert units.ns_to_usec(2_500) == 2.5
     assert units.ns_to_sec(1_000_000_000) == 1.0
 
 
@@ -21,7 +20,6 @@ def test_size_conversions():
 
 def test_rate_conversions():
     assert units.gbps(100) == 100e9
-    assert units.bits_per_sec_to_gbps(42e9) == pytest.approx(42.0)
     assert units.bytes_to_bits(10) == 80
 
 

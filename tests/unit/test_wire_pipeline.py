@@ -6,7 +6,7 @@ These tests keep its concrete configs and wire identities, now checked
 against the per-event pipeline alone: the links are wired host to host,
 the known configs still produce the digests both modes agreed on, the
 link's in-flight counters match the delivery events actually queued, and
-removing the mode's flags left the result-cache key untouched.
+the mode's flags are not part of the result-cache key.
 """
 
 import pytest
@@ -141,10 +141,10 @@ def test_link_inflight_matches_queued_deliveries():
 
 # --- cache-key transparency ---------------------------------------------------
 
-# The default config's cache key, unchanged since the frame_trains/express
-# flags existed: they were never part of the key, so entries cached then
-# still hit now.
-DEFAULT_CACHE_KEY = "537b9803988b9db770b4904c991175c794010dfe96116173d2301c522c01c81a"
+# The default config's cache key. The frame_trains/express flags were never
+# part of it; it last moved when the fixed testbed settings left the config
+# for ``repro.constants``.
+DEFAULT_CACHE_KEY = "a71f2646dff63c92afc57ab9f6e007962a7e28328a25fe852bba06549d821ab5"
 
 
 def test_removed_mode_flag_not_in_cache_key():
