@@ -46,10 +46,11 @@ class CpuProfiler:
     def charge_items(self, core: "Core", items) -> float:
         """Charge a batch of ``(op, cycles)`` items; return their plain sum.
 
-        Equivalent to calling :meth:`charge` per item (same order, same
-        accumulation), with the per-core dict lookup hoisted out of the loop.
-        The dict entry is created lazily so a batch of all-zero charges does
-        not mark the core busy (matching :meth:`charge`).
+        Equivalent to calling :meth:`charge` per item for finite charges
+        (same order, same accumulation), with the per-core dict lookup
+        hoisted out of the loop. A core's dict joins the ledger only once it
+        holds a charge, so a batch of all-zero charges does not mark the
+        core busy (matching :meth:`charge`).
         """
         total = 0.0
         if not self.recording:
@@ -58,15 +59,19 @@ class CpuProfiler:
                     raise ValueError(f"negative cycle charge: {cycles} for {op}")
                 total += cycles
             return total
-        ops = self._cycles.get(core.key)
+        ledger = self._cycles
+        ops = ledger.get(core.key)
+        fresh = ops is None
+        if fresh:
+            ops = defaultdict(float)
         for op, cycles in items:
-            if cycles:
-                if cycles < 0:
-                    raise ValueError(f"negative cycle charge: {cycles} for {op}")
-                if ops is None:
-                    ops = self._cycles[core.key]
+            if cycles > 0:
                 ops[op] += cycles
+            elif cycles < 0:
+                raise ValueError(f"negative cycle charge: {cycles} for {op}")
             total += cycles
+        if fresh and ops:
+            ledger[core.key] = ops
         return total
 
     def reset(self) -> None:

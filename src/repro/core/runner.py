@@ -12,7 +12,11 @@ results are byte-identical by construction.
 
 Each result is cached the moment it arrives, so a config that raises costs
 only its own experiment: the rest of the batch still runs and is cached, and
-:class:`RunManyError` then names every failing config by cache key.
+:class:`RunManyError` then names every failing config by cache key. A worker
+that dies outright (``os._exit``, a signal, the OOM killer) breaks its whole
+pool; the configs left unfinished then run again in fresh one-worker pools,
+where the config running when a pool breaks is known, and only a config that
+has broken a pool twice is reported as failed.
 """
 
 from __future__ import annotations
@@ -170,19 +174,38 @@ def run_many(
     if len(miss_indices) > 1 and jobs > 1:
         # imported here so single-job runs skip the multiprocessing machinery
         from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(miss_indices))) as pool:
-            futures = {
-                pool.submit(execute, configs[index]): index for index in miss_indices
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    payload = future.result()
-                except Exception as exc:  # one failing config fails only itself
-                    failures.append((index, exc))
-                else:
-                    collect(index, payload)
+        def run_pool(indices: List[int], workers: int) -> List[Tuple[int, BaseException]]:
+            """Run ``indices`` in one pool; return those a broken pool left
+            unfinished, in submission order, with their errors."""
+            unfinished: List[Tuple[int, BaseException]] = []
+            with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
+                futures = {pool.submit(execute, configs[index]): index for index in indices}
+                for future in as_completed(futures):
+                    index = futures[future]
+                    try:
+                        payload = future.result()
+                    except BrokenProcessPool as exc:
+                        unfinished.append((index, exc))
+                    except Exception as exc:  # one failing config fails only itself
+                        failures.append((index, exc))
+                    else:
+                        collect(index, payload)
+            unfinished.sort(key=lambda entry: entry[0])
+            return unfinished
+
+        suspects = run_pool(miss_indices, jobs)
+        # Which worker died is unknown, so the survivors of a broken pool
+        # run again one at a time: a one-worker pool runs its configs in
+        # submission order, so when it breaks, its first unfinished config
+        # is the one that broke it, for the second time.
+        while suspects:
+            left = run_pool([index for index, _ in suspects], 1)
+            if left:
+                failures.append(left[0])
+                left = left[1:]
+            suspects = left
     else:
         for index in miss_indices:
             try:

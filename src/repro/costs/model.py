@@ -143,6 +143,10 @@ class CostTables:
         )
         self.skb_free_item = ("kmem_cache_free", costs.skb_free_cycles)
         self.syscall_item = ("do_syscall_64", costs.syscall_cycles)
+        # Socket lock: contended when app and softirq contexts run on
+        # different cores (the §3.1 no-aRFS lock overhead).
+        self.sock_lock_item = ("lock_sock", costs.sock_lock_uncontended)
+        self.sock_lock_contended_item = ("lock_sock", costs.sock_lock_contended)
         # --- GRO ----------------------------------------------------------
         self.gro_receive_item = ("dev_gro_receive", costs.gro_receive_per_frame)
         self.gro_merge_pair: ChargeTuple = (

@@ -1,7 +1,7 @@
 """Host hardware substrate: topology, cores, caches, NIC, DMA, links."""
 
 from .topology import Topology, NumaNode
-from .cpu import Core, Job
+from .cpu import Core
 from .cache import DcaRegion, L3CacheModel
 from .link import Link, Frame
 from .steering import SteeringEngine
@@ -11,7 +11,6 @@ __all__ = [
     "Topology",
     "NumaNode",
     "Core",
-    "Job",
     "DcaRegion",
     "L3CacheModel",
     "Link",

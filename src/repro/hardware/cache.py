@@ -68,8 +68,11 @@ class DcaRegion:
         self._descriptor_footprint = 0
         self._effective_capacity = capacity_bytes
         self._hazard_cap = capacity_bytes * self.HAZARD_SCALE
-        self._resident: Dict[int, int] = {}
-        self._keys: List[int] = []          # swap-remove list for O(1) random victim
+        #: Resident regions: ``_keys[i]`` holds ``_sizes[i]`` bytes, and
+        #: ``_key_index`` maps a region to its ``i``. Removal swaps the last
+        #: entry into the hole, so a random victim is one O(1) draw.
+        self._keys: List[int] = []
+        self._sizes: List[int] = []
         self._key_index: Dict[int, int] = {}
         self._occupancy = 0
         self._evict_debt = 0.0
@@ -115,8 +118,8 @@ class DcaRegion:
 
         Evicts uniformly-random resident regions with a hazard proportional
         to occupancy (see module docstring), plus a hard-capacity backstop.
-        Each eviction swap-removes its victim from ``_keys`` inline (as
-        :meth:`consume` does): tens of thousands of victims a run.
+        Each eviction swap-removes its victim inline (as :meth:`consume`
+        does): tens of thousands of victims a run.
         """
         if not self.enabled or nbytes <= 0:
             return
@@ -124,47 +127,39 @@ class DcaRegion:
         occupancy = self._occupancy
         debt = self._evict_debt + nbytes * (occupancy / self._hazard_cap)
         # Accumulate when a region grows (LRO appends to an existing region).
-        resident = self._resident
         keys = self._keys
+        sizes = self._sizes
         key_index = self._key_index
-        prev = resident.get(region_id)
-        if prev is None:
-            resident[region_id] = nbytes
+        index = key_index.get(region_id)
+        if index is None:
             key_index[region_id] = len(keys)
             keys.append(region_id)
+            sizes.append(nbytes)
         else:
-            resident[region_id] = prev + nbytes
+            sizes[index] += nbytes
         occupancy += nbytes
         randrange = self.rng.randrange
         evicted_bytes = 0
-        while debt > 0 and len(keys) > 1:
-            victim = keys[randrange(len(keys))]
-            if victim == region_id:
-                continue  # the incoming write itself stays resident
-            evicted = resident.pop(victim, 0)
-            occupancy -= evicted
-            index = key_index.pop(victim, None)
-            if index is not None:
-                last = keys.pop()
-                if last != victim:
-                    keys[index] = last
-                    key_index[last] = index
-            debt -= evicted
-            evicted_bytes += evicted
-        # Backstop: the slice can never physically hold more than capacity.
         cap = self._effective_capacity
-        while occupancy > cap and len(keys) > 1:
-            victim = keys[randrange(len(keys))]
+        # Hazard evictions while debt remains, then the backstop: the slice
+        # can never physically hold more than capacity. Both draw victims
+        # the same way, and the incoming write itself stays resident.
+        while (debt > 0 or occupancy > cap) and len(keys) > 1:
+            index = randrange(len(keys))
+            victim = keys[index]
             if victim == region_id:
                 continue
-            evicted = resident.pop(victim, 0)
+            evicted = sizes[index]
+            del key_index[victim]
+            last = keys.pop()
+            last_size = sizes.pop()
+            if index < len(keys):
+                keys[index] = last
+                sizes[index] = last_size
+                key_index[last] = index
             occupancy -= evicted
-            index = key_index.pop(victim, None)
-            if index is not None:
-                last = keys.pop()
-                if last != victim:
-                    keys[index] = last
-                    key_index[last] = index
+            if debt > 0:
+                debt -= evicted
             evicted_bytes += evicted
         self._occupancy = occupancy
         self._evict_debt = debt
@@ -175,16 +170,19 @@ class DcaRegion:
 
         Returns ``(hit_bytes, miss_bytes)`` and removes the region.
         """
-        resident = self._resident.pop(region_id, 0)
-        if resident:
-            self._occupancy -= resident
         index = self._key_index.pop(region_id, None)
-        if index is not None:
-            keys = self._keys
-            last = keys.pop()
-            if last != region_id:
-                keys[index] = last
-                self._key_index[last] = index
+        if index is None:
+            return 0, nbytes
+        keys = self._keys
+        sizes = self._sizes
+        resident = sizes[index]
+        self._occupancy -= resident
+        last = keys.pop()
+        last_size = sizes.pop()
+        if index < len(keys):
+            keys[index] = last
+            sizes[index] = last_size
+            self._key_index[last] = index
         hit = resident if resident < nbytes else nbytes
         return hit, nbytes - hit
 

@@ -28,27 +28,11 @@ def _noop() -> None:
     """The completion callback of a job submitted without one."""
 
 
-class Job:
-    """A batch of cycle charges waiting for its core.
-
-    Built only when a job has to queue: a job submitted to an idle core with
-    empty queues starts at once, and the running job lives on the core as its
-    ``on_done`` callback alone.
-    """
-
-    __slots__ = ("context", "items", "on_done")
-
-    def __init__(
-        self,
-        context: Hashable,
-        items: Sequence[Tuple[str, float]],
-        on_done: Callable[[], None],
-    ) -> None:
-        self.context = context
-        # held by reference: callers hand over freshly-built batches and must
-        # not mutate them after submission
-        self.items = items
-        self.on_done = on_done
+#: A job waiting for its core: ``(context, items, on_done)``. Only a job that
+#: has to queue is stored at all; the running job lives on the core as its
+#: ``on_done`` callback alone. ``items`` is held by reference: callers hand
+#: over freshly-built batches and must not mutate them after submission.
+QueuedJob = Tuple[Hashable, Sequence[Tuple[str, float]], Callable[[], None]]
 
 
 class Core:
@@ -77,10 +61,12 @@ class Core:
         self.softirq_context = ("softirq", core_id)
 
         # One FIFO per priority; softirq drains before app.
-        self._softirq_queue: Deque[Job] = deque()
-        self._app_queue: Deque[Job] = deque()
+        self._softirq_queue: Deque[QueuedJob] = deque()
+        self._app_queue: Deque[QueuedJob] = deque()
         #: Completion callback of the running job; None while idle.
         self._on_done: Optional[Callable[[], None]] = None
+        #: ``_finish`` bound once: every job completion posts this one object.
+        self._finish_cb = self._finish
         self._last_context: Optional[Hashable] = None
         self.context_switches = 0
         #: Every cycle this core has accounted for (jobs, context switches,
@@ -110,9 +96,9 @@ class Core:
         # The core is busy, or idle inside ``_finish`` (an ``on_done`` is
         # submitting) with jobs still queued: those run first.
         if priority == PRIORITY_SOFTIRQ:
-            self._softirq_queue.append(Job(context, items, on_done))
+            self._softirq_queue.append((context, items, on_done))
         else:
-            self._app_queue.append(Job(context, items, on_done))
+            self._app_queue.append((context, items, on_done))
         if self._on_done is None:
             self._start_queued()
 
@@ -138,12 +124,12 @@ class Core:
         self.busy_cycles += cycles
         self._on_done = on_done
         duration_ns = int(cycles / self.freq_hz * 1e9)
-        self.engine.schedule(duration_ns if duration_ns > 0 else 1, self._finish)
+        self.engine.post(duration_ns if duration_ns > 0 else 1, self._finish_cb)
 
     def _start_queued(self) -> None:
         """Start the head queued job, softirq first (some queue holds one)."""
-        job = (self._softirq_queue or self._app_queue).popleft()
-        self._start(job.context, job.items, job.on_done)
+        context, items, on_done = (self._softirq_queue or self._app_queue).popleft()
+        self._start(context, items, on_done)
 
     def _finish(self) -> None:
         on_done = self._on_done

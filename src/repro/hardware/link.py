@@ -10,7 +10,8 @@ this) and ECN-marks frames when the sender-side backlog exceeds a threshold
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from collections import deque
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..sim.engine import Engine
 from ..units import transmission_time_ns
@@ -111,19 +112,25 @@ class Link:
         self.bytes_in_flight = 0
         self.frames_delivered = 0
         self.bytes_delivered = 0
+        #: Batches on the wire, ``(deliver, frames, bytes)``, in arrival
+        #: order: arrivals are a fixed delay after serialization ends, which
+        #: never moves backwards, so each delivery takes the head.
+        self._in_flight: Deque[Tuple[Callable[[List[Frame]], None], List[Frame], int]] = deque()
+        #: ``_deliver_next`` bound once: every batch posts this one object.
+        self._deliver_next_cb = self._deliver_next
 
     def backlog_bytes(self) -> int:
         """Bytes queued for serialization right now (virtual-output queue)."""
         pending_ns = max(0, self._free_at - self.engine.now)
         return int(pending_ns * self.bandwidth_bps / 8e9)
 
-    def _serialize(self, frames: Sequence[Frame]) -> "tuple[List[Frame], int, int]":
+    def _serialize(self, frames: Sequence[Frame]) -> "tuple[List[Frame], int, int, int]":
         """Serialize ``frames`` starting no earlier than now.
 
-        Returns ``(survivors, survivor_bytes, finish_t)`` where ``finish_t``
-        is when the last frame leaves the wire. Updates the sent / dropped /
-        marked counters and advances ``_free_at``, drawing switch loss and
-        ECN decisions in frame order.
+        Returns ``(survivors, survivor_bytes, finish_t, sent_bytes)`` where
+        ``finish_t`` is when the last frame leaves the wire. Updates the
+        sent / dropped / marked counters and advances ``_free_at``, drawing
+        switch loss and ECN decisions in frame order.
         """
         vt = self.engine.now
         t = max(vt, self._free_at)
@@ -156,7 +163,7 @@ class Link:
             self.bytes_sent += bytes_sent
             self._free_at = t
             # The caller's batch itself: callers hand over a fresh list.
-            return frames, bytes_sent, t
+            return frames, bytes_sent, t, bytes_sent
         delivered: List[Frame] = []
         append = delivered.append
         wire_deltas: Optional[List[int]] = [] if trace is not None else None
@@ -193,17 +200,11 @@ class Link:
         self.frames_sent += nsent
         self.bytes_sent += bytes_sent
         self._free_at = t
-        return delivered, delivered_bytes, t
+        return delivered, delivered_bytes, t, bytes_sent
 
-    def arrival_time(self, finish_t: int) -> int:
-        """Arrival time at the far end for a burst finishing at ``finish_t``."""
-        arrival = finish_t + self.propagation_ns
-        if self.has_switch:
-            arrival += self.switch_delay_ns
-        return arrival
-
-    def transmit(self, frames: Sequence[Frame], deliver: Callable[[List[Frame]], None]) -> None:
-        """Serialize ``frames`` and deliver survivors to the far end.
+    def transmit(self, frames: Sequence[Frame], deliver: Callable[[List[Frame]], None]) -> int:
+        """Serialize ``frames`` and deliver survivors to the far end; return
+        the wire bytes serialized (dropped frames included).
 
         The whole burst is delivered in one event at the time the *last* frame
         finishes serialization (plus propagation and switch forwarding); this
@@ -211,28 +212,27 @@ class Link:
         changing steady-state rates.
         """
         if not frames:
-            return
-        delivered, delivered_bytes, t = self._serialize(frames)
+            return 0
+        delivered, delivered_bytes, t, sent_bytes = self._serialize(frames)
         if delivered:
             self.frames_in_flight += len(delivered)
             self.bytes_in_flight += delivered_bytes
+            self._in_flight.append((deliver, delivered, delivered_bytes))
             # ``t`` is never before now, so the delay is never negative.
-            self.engine.schedule(
-                self.arrival_time(t) - self.engine.now,
-                self._deliver_batch, deliver, delivered, delivered_bytes,
-            )
+            arrival = t + self.propagation_ns
+            if self.has_switch:
+                arrival += self.switch_delay_ns
+            self.engine.post(arrival - self.engine.now, self._deliver_next_cb)
+        return sent_bytes
 
-    def _deliver_batch(
-        self,
-        deliver: Callable[[List[Frame]], None],
-        frames: List[Frame],
-        batch_bytes: int,
-    ) -> None:
+    def _deliver_next(self) -> None:
+        deliver, frames, batch_bytes = self._in_flight.popleft()
         # Count before handing off: the receiving NIC may mutate frames (LRO
         # grows wire_bytes of merged frames), so byte totals are only correct
         # when taken at arrival time.
-        self.frames_in_flight -= len(frames)
+        nframes = len(frames)
+        self.frames_in_flight -= nframes
         self.bytes_in_flight -= batch_bytes
-        self.frames_delivered += len(frames)
+        self.frames_delivered += nframes
         self.bytes_delivered += batch_bytes
         deliver(frames)

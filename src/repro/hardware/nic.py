@@ -102,11 +102,18 @@ class Nic:
         self.rx_descriptors = rx_descriptors
         self.steering = steering
         self.dca = dca
+        # A disabled slice ignores every write, so it is not called at all.
+        self._dca_write = dca.dma_write if dca is not None and dca.enabled else None
+        self._dca_node = dca.node_id if dca is not None else -1
         self.queues: List[RxQueue] = []
         self.tx_link: Optional["Link"] = None
         self._deliver: Optional[Callable[[List[Frame]], None]] = None
         self._tx_flows: Dict[int, Deque[Frame]] = {}
         self._tx_drain_pending = False
+        #: ``_tx_drain`` bound once: every drain posts this one object.
+        self._tx_drain_cb = self._tx_drain
+        #: Wire bytes the drain lets the link run ahead (~2 batches).
+        self._max_ahead = 2 * self.TX_BATCH_FRAMES * mtu
         # SideTrace of this NIC's host (None unless tracing), wired by Host.
         self.trace = None
         self._region_counter = 0
@@ -173,16 +180,17 @@ class Nic:
             for frame in frames:
                 if frame.kind == kind_data:
                     frame.trace_ns = doorbell
+        tx_flows = self._tx_flows
         for frame in frames:
-            queue = self._tx_flows.get(frame.flow_id)
+            queue = tx_flows.get(frame.flow_id)
             if queue is None:
-                queue = self._tx_flows[frame.flow_id] = deque()
+                queue = tx_flows[frame.flow_id] = deque()
             queue.append(frame)
         if not self._tx_drain_pending:
             self._tx_drain_pending = True
             # Defer to the end of the current event so bursts queued by other
             # flows in the same instant join the round-robin interleave.
-            self.engine.schedule(0, self._tx_drain)
+            self.engine.post(0, self._tx_drain_cb)
 
     def _compose_tx_batch(self) -> List[Frame]:
         """Pop the next wire batch from the per-flow queues (round-robin)."""
@@ -213,27 +221,25 @@ class Nic:
         # Pace against the wire: keep at most ~2 batches serialized ahead so
         # frames from flows that become active meanwhile join the round-robin
         # interleave instead of queueing behind whole prior bursts.
-        max_ahead = 2 * self.TX_BATCH_FRAMES * self.mtu
-        backlog = self.tx_link.backlog_bytes()
+        link = self.tx_link
+        max_ahead = self._max_ahead
+        backlog = link.backlog_bytes()
         if backlog > max_ahead:
-            delay = transmission_time_ns(backlog - max_ahead, self.tx_link.bandwidth_bps)
-            self.engine.schedule(delay, self._tx_drain)
+            delay = transmission_time_ns(backlog - max_ahead, link.bandwidth_bps)
+            self.engine.post(delay, self._tx_drain_cb)
             return
         batch = self._compose_tx_batch()
         if not batch:
             self._tx_drain_pending = False
             return
         self.tx_frames += len(batch)
-        batch_bytes = 0
-        for frame in batch:
-            batch_bytes += frame.wire_bytes
+        batch_bytes = link.transmit(batch, self._deliver)
         self.tx_bytes += batch_bytes
-        self.tx_link.transmit(batch, self._deliver)
         if self._tx_flows:
             # Pace the next batch at roughly the wire drain rate so flows
             # arriving meanwhile join the interleave.
-            delay = transmission_time_ns(batch_bytes, self.tx_link.bandwidth_bps)
-            self.engine.schedule(delay, self._tx_drain)
+            delay = transmission_time_ns(batch_bytes, link.bandwidth_bps)
+            self.engine.post(delay, self._tx_drain_cb)
         else:
             self._tx_drain_pending = False
 
@@ -255,15 +261,12 @@ class Nic:
                 wire_deltas = []
         queue_for = self.steering.queue_for
         lro = self.lro
-        dca = self.dca
-        # A disabled slice ignores every write, so it is not called at all.
-        dca_write = dca.dma_write if dca is not None and dca.enabled else None
-        dca_node = dca.node_id if dca is not None else -1
+        dca_write = self._dca_write
+        dca_node = self._dca_node
         region_counter = self._region_counter
         rx_bytes = 0
         dropped = 0
         kind_data = Frame.KIND_DATA
-        new_record = RxFrameRecord.__new__
         # Queues to notify, in the order they first took a frame.
         touched: List[RxQueue] = []
         # Steering is fixed for the duration of one ingest (aRFS reprograms
@@ -291,12 +294,12 @@ class Nic:
                 if queue not in touched:
                     touched.append(queue)
                 last_touched = queue
-            is_data = frame.kind == kind_data
             if wire is not None and frame.trace_ns is not None:
                 if wire_deltas is not None:
                     wire_deltas.append(now - frame.trace_ns)
                 frame.trace_ns = None
 
+            is_data = frame.kind == kind_data
             if lro and is_data and self._try_lro_merge(queue, frame):
                 continue
 
@@ -311,7 +314,7 @@ class Nic:
                 # DDIO pushes the DMA into the NIC-local L3's DCA slice.
                 dca_write(region_counter, payload)
             # direct field assignment (bypassing __init__): per-frame hot path
-            record = new_record(RxFrameRecord)
+            record = RxFrameRecord.__new__(RxFrameRecord)
             record.frame = frame
             record.region_id = region_counter
             record.page_node = queue.page_node

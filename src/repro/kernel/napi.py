@@ -53,6 +53,27 @@ class NapiContext:
         # Plain attribute, not a property: ``irq_core`` is fixed at RxQueue
         # construction and ``napi.core`` is read on every poll/notify.
         self.core = rxq.irq_core
+        costs = self.costs
+        # Charge batches and callbacks built once per context, not per IRQ
+        # or poll (jobs hold their items by reference and never mutate them).
+        self._irq_items = (("handle_irq_event", costs.irq_cycles),)
+        self._repoll_items = (("net_rx_action", costs.napi_poll_overhead * 0.3),)
+        self._rps_item = ("net_rx_action", costs.rps_backlog_enqueue_cycles)
+        self._raise_irq_cb = self._raise_irq
+        self._poll_cb = self._poll
+        self._deliver_skb_cb = self._deliver_skb
+        self._done_cb = self._done
+        # The poll in flight: its instant and charge list, and what its
+        # completion (``_done``) hands on. A context polls again only after
+        # its ``_done`` has run (``scheduled`` stays set until then), so one
+        # set of containers serves every poll; ``_done`` empties them.
+        self._now = 0
+        self._items: ChargeItems = []
+        self._deferred: List[Callable[[], None]] = []
+        self._ack_frames: List[Frame] = []
+        #: skbs whose TCP processing belongs on another core (software
+        #: RFS), per target core, forwarded as one IPI'd job at poll end.
+        self._remote: dict = {}
 
     def notify(self) -> None:
         """The NIC signals new completions.
@@ -68,16 +89,17 @@ class NapiContext:
         engine = self.host.engine
         recently_active = engine.now - self._last_activity_ns < IRQ_IDLE_RESET_NS
         if recently_active and len(self.rxq.pending) < IRQ_COALESCE_FRAMES:
-            engine.schedule(IRQ_COALESCE_NS, self._raise_irq)
+            engine.post(IRQ_COALESCE_NS, self._raise_irq_cb)
         else:
             self._raise_irq()
 
     def _raise_irq(self) -> None:
         self.irqs += 1
         self._last_activity_ns = self.host.engine.now
-        items: ChargeItems = [("handle_irq_event", self.costs.irq_cycles)]
         core = self.core
-        core.submit_work(core.softirq_context, items, self._poll, PRIORITY_SOFTIRQ)
+        core.submit_work(
+            core.softirq_context, self._irq_items, self._poll_cb, PRIORITY_SOFTIRQ
+        )
 
     def _take_batch(self) -> Tuple[List["RxFrameRecord"], int]:
         rxq = self.rxq
@@ -112,11 +134,13 @@ class NapiContext:
         tables = self.tables
         now = host.engine.now
         self._last_activity_ns = now
+        self._now = now
 
         total_pages = 0
         for record in batch:
             total_pages += record.pages
         items: ChargeItems = list(tables.napi_head(nframes, len(batch)))
+        self._items = items
         # A disabled IOMMU charges nothing, so it is not asked.
         iommu = host.iommu if host.iommu.enabled else None
         if iommu is not None:
@@ -127,16 +151,7 @@ class NapiContext:
         if iommu is not None:
             items.extend(iommu.map_charges(total_pages))
 
-        deferred: List[Callable[[], None]] = []
-        ack_frames: List[Frame] = []
-        # skbs whose TCP processing belongs on another core (software RFS):
-        # grouped per target core, forwarded as one IPI'd job at poll end.
-        remote: dict = {}
-
-        senders = host.senders
         receivers = host.receivers
-        skb_free_item = tables.skb_free_item
-        deliver_skb = self._deliver_skb
         kind_data = Frame.KIND_DATA
         kind_ack = Frame.KIND_ACK
         trace = host.trace
@@ -151,89 +166,87 @@ class NapiContext:
                 if record.frame.kind == kind_data
                 and record.frame.flow_id in receivers
             ])
-        # Consecutive data records go to GRO as one run (per-record
-        # semantics, per-frame lookups hoisted).
-        gro_run = self.gro.receive_run
-
-        def deliver_flushed(skb: Skb) -> None:
-            deliver_skb(skb, now, items, deferred, ack_frames, remote)
 
         i = 0
         n = len(batch)
         while i < n:
-            record = batch[i]
-            frame = record.frame
+            frame = batch[i].frame
             kind = frame.kind
             if kind == kind_data:
+                # Consecutive data records go to GRO as one run (per-record
+                # semantics, per-frame lookups hoisted).
                 j = i + 1
                 while j < n and batch[j].frame.kind == kind_data:
                     j += 1
-                gro_run(batch, i, j, receivers, items, deliver_flushed)
+                self.gro.receive_run(
+                    batch, i, j, receivers, items, self._deliver_skb_cb
+                )
                 i = j
                 continue
             # ACKs go to the flow's sender half, probes to its receiver
             # half; a frame with no half here is a stray.
             if kind == kind_ack:
-                sender = senders.get(frame.flow_id)
+                sender = host.senders.get(frame.flow_id)
                 if sender is not None:
-                    items.append(skb_free_item)
-                    sender.on_ack_frame(frame.ack, core, items, deferred)
+                    items.append(tables.skb_free_item)
+                    sender.on_ack_frame(frame.ack, core, items, self._deferred)
             elif kind == "probe":
                 receiver = receivers.get(frame.flow_id)
                 if receiver is not None:
-                    receiver.on_probe_frame(items, ack_frames)
+                    receiver.on_probe_frame(items, self._ack_frames)
             i += 1
 
         flush_items, flushed = self.gro.flush_all()
         if flushed:
             items.extend(flush_items)
             for done_skb in flushed:
-                deliver_skb(done_skb, now, items, deferred, ack_frames, remote)
+                self._deliver_skb(done_skb)
 
-        def done() -> None:
+        core.submit_work(core.softirq_context, items, self._done_cb, PRIORITY_SOFTIRQ)
+
+    def _done(self) -> None:
+        """The poll job completed: run its deferred effects, send its ACKs,
+        forward remote skbs, then repoll or go idle."""
+        deferred = self._deferred
+        if deferred:
             for action in deferred:
                 action()
-            if ack_frames:
-                host.nic.transmit(ack_frames)
-            if remote:
-                for target_core, skbs in remote.items():
-                    self._forward_to_core(target_core, skbs)
-            if self.rxq.pending:
-                # Budget exhausted with work left: repoll without a new IRQ.
-                core.submit_work(
-                    core.softirq_context,
-                    [("net_rx_action", self.costs.napi_poll_overhead * 0.3)],
-                    self._poll,
-                    PRIORITY_SOFTIRQ,
-                )
-            else:
-                self.scheduled = False
+            deferred.clear()
+        ack_frames = self._ack_frames
+        if ack_frames:
+            self.host.nic.transmit(ack_frames)
+            ack_frames.clear()
+        remote = self._remote
+        if remote:
+            for target_core, pairs in remote.items():
+                self._forward_to_core(target_core, pairs)
+            remote.clear()
+        if self.rxq.pending:
+            # Budget exhausted with work left: repoll without a new IRQ.
+            core = self.core
+            core.submit_work(
+                core.softirq_context, self._repoll_items, self._poll_cb,
+                PRIORITY_SOFTIRQ,
+            )
+        else:
+            self.scheduled = False
 
-        core.submit_work(core.softirq_context, items, done, PRIORITY_SOFTIRQ)
-
-    def _deliver_skb(
-        self,
-        skb: Skb,
-        now: int,
-        items: ChargeItems,
-        deferred: List[Callable[[], None]],
-        ack_frames: List[Frame],
-        remote: dict,
-    ) -> None:
-        skb.napi_ns = now
-        receiver = self.host.receivers.get(skb.flow_id)
+    def _deliver_skb(self, skb: Skb) -> None:
+        """Hand one post-GRO skb of the poll in flight to its receiver."""
+        skb.napi_ns = self._now
+        host = self.host
+        receiver = host.receivers.get(skb.flow_id)
         if receiver is None:
             return
-        self.host.metrics.record_rx_skb(self.host.name, skb.payload_bytes)
-        if receiver.softirq_core is not self.core:
+        host.metrics.record_rx_skb(host.name, skb.payload_bytes)
+        core = self.core
+        if receiver.softirq_core is not core:
             # Software steering (RPS/RFS): enqueue onto the target core's
             # backlog and IPI it; the driver-side cost lands here.
-            items.append(
-                ("net_rx_action", self.costs.rps_backlog_enqueue_cycles)
-            )
-            remote.setdefault(receiver.softirq_core, []).append((receiver, skb))
+            self._items.append(self._rps_item)
+            self._remote.setdefault(receiver.softirq_core, []).append((receiver, skb))
             return
-        receiver.on_data_skb(skb, self.core, items, deferred, ack_frames)
+        receiver.on_data_skb(skb, core, self._items, self._deferred, self._ack_frames)
 
     def _forward_to_core(self, target_core, pairs) -> None:
         """Run the TCP half of a poll batch on the steering target core."""

@@ -27,6 +27,14 @@ class ThreadState(enum.Enum):
     DONE = "done"
 
 
+# Enum member lookups (``ThreadState.DONE``) go through the enum machinery
+# on every access, about ten times the cost of a module global; the states
+# a thread passes through on every syscall are read from these instead.
+_RUNNABLE = ThreadState.RUNNABLE
+_BLOCKED = ThreadState.BLOCKED
+_DONE = ThreadState.DONE
+
+
 class AppThread:
     """One application thread pinned to a core."""
 
@@ -55,19 +63,19 @@ class AppThread:
     def complete_op(self, value: Any) -> None:
         """Called by the kernel when the thread's pending operation finishes:
         resume the body with ``value`` and execute its next syscall."""
-        if self.state is ThreadState.DONE:
+        if self.state is _DONE:
             return
-        self.state = ThreadState.RUNNABLE
+        self.state = _RUNNABLE
         try:
             op = self._gen.send(value)
         except StopIteration:
-            self.state = ThreadState.DONE
+            self.state = _DONE
             return
         op.execute(self)
 
     def block(self) -> None:
         """Mark the thread as blocked inside the kernel."""
-        self.state = ThreadState.BLOCKED
+        self.state = _BLOCKED
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<AppThread {self.name} on {self.core.host_name}/{self.core.core_id}>"

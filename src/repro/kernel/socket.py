@@ -35,9 +35,6 @@ class Socket:
         self._queue.append(skb)
         self.unread_bytes += skb.payload_bytes
 
-    def available(self) -> int:
-        return self.unread_bytes
-
     def drain(self, max_bytes: int) -> Tuple[int, List[Tuple[Skb, int, bool]]]:
         """Consume up to ``max_bytes`` from the queue.
 
@@ -47,20 +44,24 @@ class Socket:
         """
         if max_bytes <= 0:
             return 0, []
+        queue = self._queue
+        offset = self._head_offset
         taken = 0
         portions: List[Tuple[Skb, int, bool]] = []
-        while self._queue and taken < max_bytes:
-            head = self._queue[0]
-            remaining_in_head = head.payload_bytes - self._head_offset
-            chunk = min(remaining_in_head, max_bytes - taken)
-            taken += chunk
-            if chunk == remaining_in_head:
-                self._queue.popleft()
-                self._head_offset = 0
-                portions.append((head, chunk, True))
+        while queue and taken < max_bytes:
+            head = queue[0]
+            remaining_in_head = head.payload_bytes - offset
+            wanted = max_bytes - taken
+            if remaining_in_head <= wanted:
+                queue.popleft()
+                offset = 0
+                taken += remaining_in_head
+                portions.append((head, remaining_in_head, True))
             else:
-                self._head_offset += chunk
-                portions.append((head, chunk, False))
+                offset += wanted
+                taken += wanted
+                portions.append((head, wanted, False))
+        self._head_offset = offset
         self.unread_bytes -= taken
         return taken, portions
 

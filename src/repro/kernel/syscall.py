@@ -13,7 +13,7 @@ with the result:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sched import AppThread
@@ -37,6 +37,8 @@ class SendOp:
 class RecvOp:
     """``recv``/``epoll_wait+recv`` over one or more connections."""
 
+    __slots__ = ("receivers", "max_bytes", "min_bytes", "thread", "_ready")
+
     def __init__(
         self,
         receivers: Sequence["TcpReceiver"],
@@ -49,15 +51,20 @@ class RecvOp:
             raise ValueError(
                 f"invalid RecvOp sizes: max={max_bytes} min={min_bytes}"
             )
-        self.receivers: List["TcpReceiver"] = list(receivers)
+        # A tuple argument is kept as is (``tuple()`` does not copy it): a
+        # server re-issuing its recv over the same connections copies nothing.
+        self.receivers: Tuple["TcpReceiver", ...] = tuple(receivers)
         self.max_bytes = max_bytes
         self.min_bytes = min_bytes
         self.thread: "AppThread" = None  # type: ignore[assignment]
+        #: The receiver being drained.
+        self._ready: "TcpReceiver" = None  # type: ignore[assignment]
 
     def execute(self, thread: "AppThread") -> None:
         self.thread = thread
+        min_bytes = self.min_bytes
         for receiver in self.receivers:
-            if receiver.recv_available() >= self.min_bytes:
+            if receiver.socket.unread_bytes >= min_bytes:
                 self._start_drain(receiver)
                 return
         # Nothing ready: wait on every watched socket.
@@ -67,21 +74,25 @@ class RecvOp:
 
     def fulfill(self) -> None:
         """Called from softirq once some watched socket has enough data."""
+        min_bytes = self.min_bytes
+        ready = None
         for receiver in self.receivers:
-            if receiver.socket.waiter is self:
-                receiver.socket.waiter = None
-        for receiver in self.receivers:
-            if receiver.recv_available() >= self.min_bytes:
-                self._start_drain(receiver)
-                return
+            socket = receiver.socket
+            if socket.waiter is self:
+                socket.waiter = None
+            if ready is None and socket.unread_bytes >= min_bytes:
+                ready = receiver
+        if ready is not None:
+            self._start_drain(ready)
+            return
         # Spurious wakeup (e.g. drained by a racing path): re-arm.
         for receiver in self.receivers:
             receiver.socket.waiter = self
         self.thread.block()
 
     def _start_drain(self, receiver: "TcpReceiver") -> None:
-        receiver.do_recv(
-            self.thread,
-            self.max_bytes,
-            lambda nbytes, rx=receiver: self.thread.complete_op((rx, nbytes)),
-        )
+        self._ready = receiver
+        receiver.do_recv(self.thread, self.max_bytes, self._complete)
+
+    def _complete(self, nbytes: int) -> None:
+        self.thread.complete_op((self._ready, nbytes))

@@ -18,6 +18,7 @@ app, thread wakeups) happen when the corresponding CPU job completes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ...constants import (
@@ -107,12 +108,12 @@ class TcpReceiver:
         self.rx_limbo_bytes = 0
         self._delivered_since_autotune = 0
 
-    def _lock_cost(self) -> float:
-        """Socket-lock cost: contended when app and softirq contexts run on
-        different cores (the §3.1 no-aRFS lock overhead)."""
+    def _lock_item(self) -> Tuple[str, float]:
+        """Socket-lock charge: contended when app and softirq contexts run
+        on different cores (the §3.1 no-aRFS lock overhead)."""
         if self.softirq_core is self.app_core:
-            return self.costs.sock_lock_uncontended
-        return self.costs.sock_lock_contended
+            return self.tables.sock_lock_item
+        return self.tables.sock_lock_contended_item
 
     # ------------------------------------------------------ data from NAPI
 
@@ -126,7 +127,7 @@ class TcpReceiver:
     ) -> None:
         """Process one post-GRO data skb in softirq context."""
         items.extend(self.tables.rx_skb_prefix)
-        items.append(("lock_sock", self._lock_cost()))
+        items.append(self._lock_item())
         if skb.ecn:
             self._ecn_pending = True
 
@@ -144,14 +145,16 @@ class TcpReceiver:
 
         if skb.seq == rcv_nxt:
             self.rcv_nxt = end_seq
-            ready = [skb]
             if self._ooo:
+                ready = [skb]
                 ready.extend(self._pull_ooo(poll_core, items))
+            else:
+                ready = (skb,)
             ready_bytes = 0
             for piece in ready:
                 ready_bytes += piece.payload_bytes
-                self.rx_limbo_bytes += piece.payload_bytes
-                deferred.append(lambda s=piece: self._deliver_to_socket(s, poll_core))
+                deferred.append(partial(self._deliver_to_socket, piece, poll_core))
+            self.rx_limbo_bytes += ready_bytes
             self._segs_since_ack += len(ready)
             self._bytes_since_ack += ready_bytes
             # Linux ACKs at least every 2 MSS of new data (quickack rule);
@@ -239,7 +242,7 @@ class TcpReceiver:
             skb.trace_ns = self.engine.now
         self.socket.enqueue(skb)
         waiter = self.socket.waiter
-        if waiter is not None and self.socket.available() >= waiter.min_bytes:
+        if waiter is not None and self.socket.unread_bytes >= waiter.min_bytes:
             self.socket.waiter = None
             charge_wakeup(softirq_core)
             waiter.fulfill()
@@ -325,27 +328,28 @@ class TcpReceiver:
 
     # --- application receive ------------------------------------------------------------
 
-    def recv_available(self) -> int:
-        return self.socket.available()
-
     def do_recv(self, thread, max_bytes: int, on_complete: Callable[[int], None]) -> None:
         """Drain up to ``max_bytes`` from the socket into userspace."""
-        taken, portions = self.socket.drain(max_bytes)
+        socket = self.socket
+        taken, portions = socket.drain(max_bytes)
         if taken <= 0:
             on_complete(0)
             return
         self.app_bytes_read += taken
         now = self.engine.now
         tables = self.tables
+        host = self.host
+        metrics = host.metrics
         items: ChargeItems = [
             tables.syscall_item,
-            ("lock_sock", self._lock_cost()),
+            self._lock_item(),
         ]
         hit_bytes = 0
         miss_bytes = 0
         remote_bytes = 0  # payload living on a different NUMA node than the app
-        freed_pages: dict = {}
-        app_node = self.app_core.numa_node
+        freed_pages = None  # page node -> pages freed, in first-free order
+        app_core = self.app_core
+        app_node = app_core.numa_node
         trace = self.trace
         # The three receive stages open together; before the window the
         # skb stamps are still consumed below, but nothing is recorded.
@@ -361,20 +365,24 @@ class TcpReceiver:
             miss_bytes += m
             if skb.page_node != app_node:
                 remote_bytes += chunk
-            if skb.napi_ns is not None:
-                self.host.metrics.record_copy_latency(self.host.name, now - skb.napi_ns)
+            napi_ns = skb.napi_ns
+            if napi_ns is not None:
+                metrics.record_copy_latency(host.name, now - napi_ns)
                 if rx_stages:
                     # All three receive stages are recorded at drain time so
                     # their counts stay equal and the totals telescope exactly
                     # (e2e = rx_softirq + rx_sockq) — the auditor's identity —
                     # even for an skb enqueued before the window opened.
-                    softirq_record(skb.trace_ns - skb.napi_ns)
+                    softirq_record(skb.trace_ns - napi_ns)
                     sockq_record(now - skb.trace_ns)
-                    e2e_record(now - skb.napi_ns)
+                    e2e_record(now - napi_ns)
                 skb.napi_ns = None  # count each skb's latency once
             if fully:
                 items.extend(tables.skb_free_pair)
-                freed_pages[skb.page_node] = freed_pages.get(skb.page_node, 0) + skb.pages
+                if freed_pages is None:
+                    freed_pages = {skb.page_node: skb.pages}
+                else:
+                    freed_pages[skb.page_node] = freed_pages.get(skb.page_node, 0) + skb.pages
 
         total = hit_bytes + miss_bytes
         if total <= 0:
@@ -387,19 +395,20 @@ class TcpReceiver:
         # pay the interconnect on top of the L3 miss.
         copy_cycles += self.costs.copy_per_byte_remote_numa_extra * remote_bytes
         items.append(("copy_to_user", copy_cycles))
-        self.host.metrics.record_receiver_copy(self.host.name, hit_bytes, miss_bytes)
+        metrics.record_receiver_copy(host.name, hit_bytes, miss_bytes)
 
-        for page_node, npages in freed_pages.items():
-            items.extend(
-                self.host.allocator.free(
-                    self.app_core.key, self.app_core.numa_node, npages, page_node
+        if freed_pages is not None:
+            for page_node, npages in freed_pages.items():
+                items.extend(
+                    host.allocator.free(app_core.key, app_node, npages, page_node)
                 )
-            )
 
-        update_frames: List[Frame] = []
-        if self._advertised_free <= 2 * self.mss and self.socket.advertised_window() >= max(
-            4 * self.mss, self.socket.rx_buffer_bytes // 16
+        update_frames: Optional[List[Frame]] = None
+        mss = self.mss
+        if self._advertised_free <= 2 * mss and socket.advertised_window() >= max(
+            4 * mss, socket.rx_buffer_bytes // 16
         ):
+            update_frames = []
             self._emit_ack(items, update_frames, dup=False)
 
         self._delivered_since_autotune += taken
@@ -408,12 +417,12 @@ class TcpReceiver:
             if trace is not None:
                 # Copy start -> data visible (the recv job's charged cycles).
                 trace.stage("rx_copy").record(self.engine.now - now)
-            self.host.metrics.record_delivered(self.host.name, self.flow_id, taken)
+            metrics.record_delivered(host.name, self.flow_id, taken)
             if update_frames:
-                self.host.nic.transmit(update_frames)
+                host.nic.transmit(update_frames)
             on_complete(taken)
 
-        self.app_core.submit_work(thread, items, done, PRIORITY_APP)
+        app_core.submit_work(thread, items, done, PRIORITY_APP)
 
     def _consume_regions(self, skb: Skb, chunk: int) -> Tuple[int, int]:
         """Consume DMA regions backing ``chunk`` bytes; return (hit, miss).
@@ -509,7 +518,7 @@ class AutotuneClock:
     def __init__(self, engine) -> None:
         self.engine = engine
         self.receivers: List[TcpReceiver] = []
-        engine.schedule(AUTOTUNE_PERIOD_NS, self._tick)
+        engine.post(AUTOTUNE_PERIOD_NS, self._tick)
 
     def register(self, receiver: TcpReceiver) -> None:
         self.receivers.append(receiver)
@@ -518,4 +527,4 @@ class AutotuneClock:
         for receiver in self.receivers:
             if receiver._delivered_since_autotune:
                 receiver._autotune_tick()
-        self.engine.schedule(AUTOTUNE_PERIOD_NS, self._tick)
+        self.engine.post(AUTOTUNE_PERIOD_NS, self._tick)

@@ -19,6 +19,7 @@ happen when the corresponding CPU job completes.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from ...constants import (
@@ -76,7 +77,9 @@ class TcpSender:
         "host", "flow_id", "app_core", "costs", "tables", "engine", "opts",
         "trace", "_tx_stamps", "mss", "gso_size", "cc", "softirq_core",
         "receiver", "snd_una", "snd_nxt", "unsent_bytes", "app_bytes_written",
-        "sndbuf_bytes", "rwnd_bytes", "segments", "_writer",
+        "sndbuf_bytes", "rwnd_bytes", "segments", "_send_thread",
+        "_send_left", "_send_total", "_send_on_complete", "_send_first",
+        "_writer_blocked", "_sendmsg_done_cb",
         "_tx_active", "_dupacks", "_recovery_point", "_last_sack_walk_ns",
         "_rtt_sample", "srtt_ns", "rttvar_ns", "_rto_deadline", "_rto_event",
         "_rto_backoff", "_probe_event", "_pacer_event", "retransmits",
@@ -120,7 +123,18 @@ class TcpSender:
         self.sndbuf_bytes = DEFAULT_TCP_TX_BUFFER_BYTES
         self.rwnd_bytes = 0  # set when the peer attaches
         self.segments: Deque[_Segment] = deque()
-        self._writer: Optional[dict] = None
+        # The sendmsg in flight (a connection has one writer thread, blocked
+        # in the kernel until its sendmsg completes): its thread, bytes still
+        # to copy, byte count, completion, and whether its syscall entry is
+        # still to be charged.
+        self._send_thread = None
+        self._send_left = 0
+        self._send_total = 0
+        self._send_on_complete: Optional[Callable[[int], None]] = None
+        self._send_first = False
+        #: The writer is blocked on send-buffer space; the ACK path wakes it.
+        self._writer_blocked = False
+        self._sendmsg_done_cb = self._sendmsg_done
         self._tx_active = False
         self._dupacks = 0
         self._recovery_point = -1
@@ -146,12 +160,12 @@ class TcpSender:
         (handshake abstracted)."""
         self.rwnd_bytes = peer.socket.advertised_window()
 
-    def _lock_cost(self) -> float:
-        """Socket-lock cost: contended when app and softirq contexts run on
-        different cores (the §3.1 no-aRFS lock overhead)."""
+    def _lock_item(self) -> Tuple[str, float]:
+        """Socket-lock charge: contended when app and softirq contexts run
+        on different cores (the §3.1 no-aRFS lock overhead)."""
         if self.softirq_core is self.app_core:
-            return self.costs.sock_lock_uncontended
-        return self.costs.sock_lock_contended
+            return self.tables.sock_lock_item
+        return self.tables.sock_lock_contended_item
 
     # --------------------------------------------------------------- sendmsg
 
@@ -159,49 +173,46 @@ class TcpSender:
         """Application ``send()``: copy ``nbytes`` into the kernel and push."""
         if nbytes <= 0:
             raise ValueError("sendmsg needs a positive byte count")
-        state = {
-            "thread": thread,
-            "remaining": nbytes,
-            "total": nbytes,
-            "on_complete": on_complete,
-            "first": True,
-        }
-        self._sendmsg_chunk(state)
+        self._send_thread = thread
+        self._send_left = nbytes
+        self._send_total = nbytes
+        self._send_on_complete = on_complete
+        self._send_first = True
+        self._sendmsg_chunk()
 
     def _sndbuf_free(self) -> int:
         used = (self.snd_nxt - self.snd_una) + self.unsent_bytes
         return max(0, self.sndbuf_bytes - used)
 
-    def _sendmsg_chunk(self, state: dict) -> None:
-        free = self._sndbuf_free()
-        chunk = min(state["remaining"], free, SENDMSG_CHUNK_BYTES)
-        thread = state["thread"]
+    def _sendmsg_chunk(self) -> None:
+        chunk = min(self._send_left, self._sndbuf_free(), SENDMSG_CHUNK_BYTES)
         if chunk <= 0:
             # Blocked on send-buffer space; the ACK path wakes us.
-            self._writer = state
-            thread.block()
+            self._writer_blocked = True
+            self._send_thread.block()
             return
 
         tables = self.tables
-        items: ChargeItems = []
-        if state["first"]:
-            items.append(tables.syscall_item)
-            state["first"] = False
-        items.append(("lock_sock", self._lock_cost()))
+        host = self.host
+        app_core = self.app_core
+        if self._send_first:
+            self._send_first = False
+            items: ChargeItems = [tables.syscall_item, self._lock_item()]
+        else:
+            items = [self._lock_item()]
 
-        miss_rate = self.host.cache.sender_miss_rate(self.app_core.numa_node)
+        miss_rate = host.cache.sender_miss_rate(app_core.numa_node)
         per_byte = tables.copy_per_byte(miss_rate)
         items.append(("copy_from_user", self.costs.copy_per_call + per_byte * chunk))
-        self.host.metrics.record_sender_copy(
-            self.host.name, int(chunk * (1 - miss_rate)), int(chunk * miss_rate)
+        host.metrics.record_sender_copy(
+            host.name, int(chunk * (1 - miss_rate)), int(chunk * miss_rate)
         )
 
-        pages = (chunk + PAGE_BYTES - 1) // PAGE_BYTES
-        items.extend(self.host.allocator.alloc(self.app_core.key, pages))
-        nskbs = (chunk + self.gso_size - 1) // self.gso_size
-        items.extend(tables.sendmsg_skbs(nskbs))
+        items.extend(host.allocator.alloc(app_core.key, (chunk + PAGE_BYTES - 1) // PAGE_BYTES))
+        gso_size = self.gso_size
+        items.extend(tables.sendmsg_skbs((chunk + gso_size - 1) // gso_size))
 
-        state["remaining"] -= chunk
+        self._send_left -= chunk
         self.unsent_bytes += chunk
         self.app_bytes_written += chunk
         if self._tx_stamps is not None:
@@ -209,14 +220,15 @@ class TcpSender:
             # mutates now; the copy job's cycles are charged separately.
             self._tx_stamps.append([chunk, self.engine.now])
 
-        def done() -> None:
-            self.try_push(self.app_core, thread, PRIORITY_APP)
-            if state["remaining"] > 0:
-                self._sendmsg_chunk(state)
-            else:
-                state["on_complete"](state["total"])
+        app_core.submit_work(self._send_thread, items, self._sendmsg_done_cb, PRIORITY_APP)
 
-        self.app_core.submit_work(thread, items, done, PRIORITY_APP)
+    def _sendmsg_done(self) -> None:
+        """A sendmsg copy job completed: push, then copy on or complete."""
+        self.try_push(self.app_core, self._send_thread, PRIORITY_APP)
+        if self._send_left > 0:
+            self._sendmsg_chunk()
+        else:
+            self._send_on_complete(self._send_total)
 
     # --- emitting data ------------------------------------------------------------
 
@@ -243,21 +255,31 @@ class TcpSender:
         tables = self.tables
         mss = self.mss
         tso = self.opts.tso_gro
+        gso_size = self.gso_size
         segments = self.segments
         items: ChargeItems = []
         frames: List[Frame] = []
         nskbs = 0
         emitted = 0
+        seq = self.snd_nxt
         while emitted < burst:
-            size = min(self.gso_size, burst - emitted)
-            seq = self.snd_nxt
-            segments.append(_Segment(seq, size))
-            self.snd_nxt += size
-            emitted += size
-            nskbs += 1
+            size = burst - emitted
+            if size > gso_size:
+                size = gso_size
+            # direct slot assignment (bypassing __init__): one per skb sent
+            segment = _Segment.__new__(_Segment)
+            segment.seq = seq
+            segment.length = size
+            segment.pages = (size + PAGE_BYTES - 1) // PAGE_BYTES
+            segment.retx_ns = -1
+            segments.append(segment)
             seg_items, nframes = tables.segmentation(size, mss, tso)
             items.extend(seg_items)
-            frames.extend(self._build_data_frames(seq, size, nframes))
+            self._append_data_frames(frames, seq, size, nframes)
+            seq += size
+            emitted += size
+            nskbs += 1
+        self.snd_nxt = seq
         self.unsent_bytes -= emitted
 
         trace = self.trace
@@ -304,8 +326,9 @@ class TcpSender:
 
         core.submit_work(context, items, done, priority)
 
-    def _build_data_frames(self, seq: int, size: int, nframes: int) -> List[Frame]:
-        frames: List[Frame] = []
+    def _append_data_frames(self, frames: List[Frame], seq: int, size: int, nframes: int) -> None:
+        """Append the (at most ``nframes``) MSS-sized wire frames of the
+        ``size`` bytes from ``seq`` to ``frames``."""
         append = frames.append
         mss = self.mss
         flow_id = self.flow_id
@@ -329,7 +352,6 @@ class TcpSender:
             frame.trace_ns = None
             append(frame)
             offset += payload
-        return frames
 
     # --- pacing (BBR) -----------------------------------------------------------------
 
@@ -400,7 +422,7 @@ class TcpSender:
             self.rwnd_bytes = info.window_bytes
             self._rto_backoff = 1
             self._arm_rto()
-            deferred.append(lambda: self._after_ack(poll_core))
+            deferred.append(partial(self._after_ack, poll_core))
         elif info.dup:
             items.append(self.tables.dupack_extra_item)
             self._dupacks += 1
@@ -418,7 +440,7 @@ class TcpSender:
         else:
             # Window update without new data acked.
             self.rwnd_bytes = max(self.rwnd_bytes, info.window_bytes)
-            deferred.append(lambda: self._after_ack(poll_core))
+            deferred.append(partial(self._after_ack, poll_core))
 
     def _after_ack(self, poll_core: "Core") -> None:
         self._wake_writer_if_space(poll_core)
@@ -456,15 +478,14 @@ class TcpSender:
             self._cancel_rto()
 
     def _wake_writer_if_space(self, waker_core: "Core") -> None:
-        if self._writer is None:
+        if not self._writer_blocked:
             return
         threshold = max(self.gso_size, self.sndbuf_bytes // 3)
         if self._sndbuf_free() < threshold:
             return
-        state = self._writer
-        self._writer = None
+        self._writer_blocked = False
         charge_wakeup(waker_core)
-        self._sendmsg_chunk(state)
+        self._sendmsg_chunk()
 
     def _update_rtt(self, rtt_ns: int) -> None:
         if self.srtt_ns == 0:
@@ -521,7 +542,7 @@ class TcpSender:
                     segment.retx_ns = now
                     to_retx.append(segment)
         if to_retx:
-            deferred.append(lambda: self._retransmit_segments(to_retx, core))
+            deferred.append(partial(self._retransmit_segments, to_retx, core))
 
     def _retransmit_segments(self, segments: List[_Segment], core: "Core") -> None:
         items: ChargeItems = []
@@ -538,9 +559,7 @@ class TcpSender:
             items.append(("tcp_retransmit_skb", self.costs.tcp_retransmit_cycles))
             items.append(("__qdisc_run", self.costs.qdisc_per_skb))
             items.append(("mlx5e_xmit", self.costs.driver_tx_per_skb))
-            frames.extend(
-                self._build_data_frames(segment.seq, segment.length, nframes)
-            )
+            self._append_data_frames(frames, segment.seq, segment.length, nframes)
         if not frames:
             return
         context = core.softirq_context

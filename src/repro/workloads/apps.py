@@ -11,7 +11,7 @@ Each function returns a ``body_factory`` suitable for
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Sequence
+from typing import Callable, Generator, Sequence, Tuple
 
 from ..kernel.syscall import RecvOp, SendOp
 from ..kernel.tcp.receiver import TcpReceiver
@@ -35,7 +35,7 @@ def streaming_receiver(receiver: TcpReceiver, read_bytes: int) -> BodyFactory:
 
     def body(thread) -> Generator:
         while True:
-            yield RecvOp([receiver], read_bytes)
+            yield RecvOp((receiver,), read_bytes)
 
     return body
 
@@ -49,7 +49,7 @@ def rpc_client(sender: TcpSender, rpc_bytes: int) -> BodyFactory:
             yield SendOp(sender, rpc_bytes)
             received = 0
             while received < rpc_bytes:
-                _, nbytes = yield RecvOp([sender.receiver], rpc_bytes - received)
+                _, nbytes = yield RecvOp((sender.receiver,), rpc_bytes - received)
                 received += nbytes
 
     return body
@@ -60,7 +60,7 @@ def rpc_server(receivers: Sequence[TcpReceiver], rpc_bytes: int) -> BodyFactory:
     thread (the Fig-10 receiver application). It answers each completed
     request on the transmit half of the connection it arrived on."""
 
-    rxs: List[TcpReceiver] = list(receivers)
+    rxs: Tuple[TcpReceiver, ...] = tuple(receivers)
 
     def body(thread) -> Generator:
         progress = {rx.flow_id: 0 for rx in rxs}

@@ -32,7 +32,7 @@ def test_occupancy_always_within_bounds(ops, capacity):
         # hard capacity backstop (one in-flight region may exceed it briefly
         # only if it is the sole resident region)
         assert dca.occupancy <= max(dca.effective_capacity, max(
-            dca._resident.values(), default=0))
+            dca._sizes, default=0))
 
 
 @given(ops=operations)
@@ -61,6 +61,6 @@ def test_internal_index_consistent(ops):
             dca.consume(region_id, nbytes)
         else:
             dca.discard(region_id)
-        assert set(dca._keys) == set(dca._resident)
-        assert len(dca._keys) == len(dca._key_index)
-        assert dca.occupancy == sum(dca._resident.values())
+        assert len(dca._keys) == len(dca._sizes) == len(dca._key_index)
+        assert all(dca._keys[index] == region for region, index in dca._key_index.items())
+        assert dca.occupancy == sum(dca._sizes)

@@ -25,7 +25,7 @@ def test_drain_conserves_bytes(sizes, reads):
         assert taken <= read
         assert taken == sum(p[1] for p in portions)
         drained += taken
-    assert drained + sock.available() == enqueued
+    assert drained + sock.unread_bytes == enqueued
 
 
 @given(sizes=st.lists(st.integers(min_value=1, max_value=9000), max_size=40))
@@ -55,4 +55,4 @@ def test_full_drain_returns_everything_in_order(sizes):
     assert taken == sum(sizes)
     seqs = [skb.seq for skb, _, _ in portions]
     assert seqs == sorted(seqs)
-    assert sock.available() == 0
+    assert sock.unread_bytes == 0

@@ -1,5 +1,7 @@
 """Unit tests for the L3/DCA cache model."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -91,6 +93,35 @@ def test_lro_growth_accumulates_into_one_region():
     dca.dma_write(1, 100)  # LRO appends to the same region
     hit, miss = dca.consume(1, 200)
     assert hit == 200 and miss == 0
+
+
+#: SHA-256 of the per-operation log of the seeded stream below, computed with
+#: the earlier bookkeeping (a region -> size dict beside the swap-remove key
+#: list). It pins every random victim, and their order.
+VICTIM_STREAM_DIGEST = "e7ce978f893c69313ef24d1a182c2e227b0b99ee13112adb3c5030b01769f670"
+
+
+def test_victim_sequence_is_pinned_on_a_seeded_stream():
+    stream = random.Random(20261019)
+    dca = DcaRegion(0, 200_000, rng=random.Random(7))
+    dca.set_descriptor_footprint(400_000)
+    log = []
+    next_region = 0
+    for _ in range(3000):
+        op = stream.random()
+        if op < 0.6:
+            next_region += 1
+            dca.dma_write(next_region, stream.randint(1, 9000))
+        elif op < 0.7 and next_region:  # LRO-style growth of a region
+            dca.dma_write(stream.randint(1, next_region), stream.randint(1, 9000))
+        elif op < 0.95 and next_region:
+            log.append(dca.consume(stream.randint(1, next_region), 9000))
+        elif next_region:
+            dca.discard(stream.randint(1, next_region))
+        log.append((dca.occupancy, dca.bytes_evicted))
+    assert dca.bytes_evicted > 0  # hazard and backstop evictions both occur
+    document = json.dumps([log, sorted(dca._key_index)])
+    assert hashlib.sha256(document.encode()).hexdigest() == VICTIM_STREAM_DIGEST
 
 
 def test_invalid_capacity_rejected():

@@ -95,7 +95,7 @@ def test_skb_enqueued_before_window_records_all_receive_stages():
     expected_e2e = sum(now - skb.napi_ns for skb in queued)
 
     experiment._start_meters()
-    rcv.do_recv(object(), rcv.socket.available(), lambda taken: None)
+    rcv.do_recv(object(), rcv.socket.unread_bytes, lambda taken: None)
 
     report = experiment.trace.report()
     stages = report.hosts["receiver"]

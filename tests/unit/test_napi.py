@@ -1,9 +1,12 @@
 """Unit tests for NAPI (IRQ coalescing, polling, budget, forwarding)."""
 
-from repro.config import ExperimentConfig, OptimizationConfig, SteeringMode
+import pytest
+
+from repro.config import ExperimentConfig, OptimizationConfig, SteeringMode, TrafficPattern
 from repro.constants import IRQ_COALESCE_NS, NAPI_BUDGET_FRAMES
 from repro.core.experiment import Experiment
 from repro.hardware.link import Frame
+from repro.kernel.napi import NapiContext
 from repro.units import msec
 
 
@@ -102,3 +105,54 @@ def test_rfs_forwards_tcp_processing_to_app_core():
     if irq_core is not endpoint.app_core:
         # the app core burned TCP cycles
         assert experiment.profiler.core_cycles(endpoint.app_core.key) > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # a budget-bound line-rate flow (repolls), software RFS (remote
+        # forwarding) and 16 small RPC flows (ACKs and data in one poll)
+        ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1)),
+        ExperimentConfig(
+            duration_ns=msec(1), warmup_ns=msec(1),
+            opts=OptimizationConfig.tso_gro_jumbo(), steering=SteeringMode.RFS,
+            worst_case_irq_mapping=False,
+        ),
+        ExperimentConfig(
+            duration_ns=msec(1), warmup_ns=msec(1), pattern=TrafficPattern.RPC_INCAST,
+            num_flows=16, opts=OptimizationConfig.all(),
+        ),
+    ],
+    ids=["single", "rfs", "rpc"],
+)
+def test_context_cannot_poll_again_before_its_done_has_run(monkeypatch, config):
+    """A context reuses one set of per-poll containers, which is safe only
+    if a poll that took a batch is always completed (``_done``) before the
+    context's next poll starts: ``scheduled`` stays set until then, so no
+    IRQ can start a second chain. Checked on every poll of whole runs."""
+    in_flight = set()
+    polls_with_batch = []
+    real_poll, real_done = NapiContext._poll, NapiContext._done
+
+    def poll(self):
+        assert self not in in_flight, "poll started before the last one's done"
+        assert self.scheduled
+        assert not self._deferred and not self._ack_frames and not self._remote
+        before = self.polls
+        real_poll(self)
+        if self.polls > before:
+            in_flight.add(self)
+            polls_with_batch.append(self)
+
+    def done(self):
+        in_flight.remove(self)
+        real_done(self)
+        assert not self._deferred and not self._ack_frames and not self._remote
+
+    monkeypatch.setattr(NapiContext, "_poll", poll)
+    monkeypatch.setattr(NapiContext, "_done", done)
+    experiment = Experiment(config)
+    experiment.run()
+    assert len(polls_with_batch) > 10
+    # Every context with a poll still in flight at the end is mid-chain.
+    assert all(napi.scheduled for napi in in_flight)

@@ -7,10 +7,13 @@ fast on small CI machines.
 """
 
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.config import ExperimentConfig, OptimizationConfig, TrafficPattern
+from repro.core import runner
 from repro.core.cache import ResultCache, config_cache_key
 from repro.core.experiment import Experiment
 from repro.core.export import result_to_dict
@@ -133,3 +136,36 @@ def test_failing_config_does_not_discard_the_batch(tmp_path, jobs):
     cached = run_many(good, jobs=jobs, cache=cache, stats=warm)
     assert warm.cache_hits == 2 and warm.experiments_run == 0
     assert payloads(cached) == payloads(run_many(good))
+
+
+_real_execute = runner._execute
+#: The seed whose worker dies mid-run in the crash test.
+_CRASH_SEED = 4
+
+
+def _die_on_crash_seed(config, audit=False):
+    """``runner._execute`` whose worker process exits outright for one
+    config: no exception, the pool just loses a worker."""
+    if config.seed == _CRASH_SEED:
+        os._exit(1)
+    return _real_execute(config, audit)
+
+
+def test_crashing_worker_costs_only_its_own_config(tmp_path, monkeypatch):
+    """A worker that dies breaks its whole pool. The unfinished configs run
+    again, so every healthy config is cached and the error names exactly the
+    config that broke a pool twice."""
+    monkeypatch.setattr(runner, "_execute", _die_on_crash_seed)
+    configs = [
+        ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1), seed=seed)
+        for seed in range(1, 7)
+    ]
+    cache = ResultCache(tmp_path)
+    with pytest.raises(RunManyError) as info:
+        run_many(configs, jobs=2, cache=cache)
+    crashed = config_cache_key(configs[_CRASH_SEED - 1])
+    assert [key for key, _ in info.value.failures] == [crashed]
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert [cache.get(config) is not None for config in configs] == [
+        seed != _CRASH_SEED for seed in range(1, 7)
+    ]

@@ -11,7 +11,7 @@ def make_skb(seq=0, size=1000):
 def test_enqueue_tracks_unread():
     sock = Socket(1, 10_000)
     sock.enqueue(make_skb(size=400))
-    assert sock.available() == 400
+    assert sock.unread_bytes == 400
 
 
 def test_drain_whole_skbs():
@@ -21,7 +21,7 @@ def test_drain_whole_skbs():
     taken, portions = sock.drain(600)
     assert taken == 600
     assert [p[2] for p in portions] == [True, True]
-    assert sock.available() == 0
+    assert sock.unread_bytes == 0
 
 
 def test_drain_partial_head():
@@ -40,7 +40,7 @@ def test_drain_conserves_bytes():
     for i in range(5):
         sock.enqueue(make_skb(seq=i * 700, size=700))
     total = 0
-    while sock.available():
+    while sock.unread_bytes:
         taken, portions = sock.drain(900)
         assert taken == sum(p[1] for p in portions)
         total += taken

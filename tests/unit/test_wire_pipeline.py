@@ -32,12 +32,15 @@ def _experiment(**kwargs):
 
 
 def _deliveries(experiment, link):
-    """The link's queued delivery events (each carries one frame batch)."""
-    return [
+    """The link's in-flight ``(deliver, frames, bytes)`` batches, after
+    checking that each has exactly one queued delivery entry."""
+    queued = [
         event
         for event in experiment.engine._iter_queued()
-        if not event.cancelled and event.fn == link._deliver_batch
+        if not event.cancelled and event.fn == link._deliver_next
     ]
+    assert len(queued) == len(link._in_flight)
+    return list(link._in_flight)
 
 
 # --- wiring -------------------------------------------------------------------
@@ -128,10 +131,10 @@ def test_link_inflight_matches_queued_deliveries():
     experiment.run()
     for link in (experiment.link_to_receiver, experiment.link_to_sender):
         # Whatever the link thinks is in flight must be exactly the frames
-        # and bytes aboard its queued delivery events.
+        # and bytes aboard its queued deliveries.
         deliveries = _deliveries(experiment, link)
-        assert link.frames_in_flight == sum(len(e.args[1]) for e in deliveries)
-        assert link.bytes_in_flight == sum(e.args[2] for e in deliveries)
+        assert link.frames_in_flight == sum(len(frames) for _, frames, _ in deliveries)
+        assert link.bytes_in_flight == sum(nbytes for _, _, nbytes in deliveries)
         # Every frame sent was dropped, delivered, or is still in flight.
         assert link.frames_sent == (
             link.frames_dropped + link.frames_delivered + link.frames_in_flight
