@@ -26,7 +26,7 @@ def main() -> None:
     print(f"receiver L3 miss rate  : {100 * result.receiver_cache_miss_rate:6.1f} %")
     print(
         f"NAPI->copy latency     : avg {result.copy_latency.avg_ns / 1000:.0f}us, "
-        f"p99 {result.copy_latency.p99_ns / 1000:.0f}us"
+        f"p99 {result.copy_latency.percentile(0.99) / 1000:.0f}us"
     )
     print()
     print("receiver CPU breakdown (paper Fig 3d, '+aRFS' column):")

@@ -35,7 +35,7 @@ from .config import (
 )
 from .core.cache import ResultCache
 from .core.experiment import Experiment
-from .core.metrics import LatencyStats, MetricsHub
+from .core.metrics import MetricsHub
 from .core.profiler import CpuProfiler
 from .core.results import BreakdownTable, ExperimentResult
 from .core.runner import RunnerStats, run_many
@@ -55,7 +55,6 @@ __all__ = [
     "CostModel",
     "CpuProfiler",
     "HostConfig",
-    "LatencyStats",
     "LinkConfig",
     "MetricsHub",
     "NicConfig",

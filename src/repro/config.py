@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -232,6 +233,11 @@ class ExperimentConfig:
         unknown = set(self.cost_overrides) - _COST_FIELDS
         if unknown:
             raise ValueError(f"unknown cost_overrides keys: {sorted(unknown)}")
+        for name, value in self.cost_overrides.items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"cost_overrides[{name!r}] must be finite and >= 0, got {value}"
+                )
 
 
 #: The names ``cost_overrides`` may set: fields of :class:`CostModel`.

@@ -3,7 +3,7 @@ metrics and reports for host network stack overheads."""
 
 from .taxonomy import Category, categorize, FUNCTION_CATEGORY
 from .profiler import CpuProfiler
-from .metrics import SideMetrics, LatencyStats
+from .metrics import SideMetrics
 from .results import ExperimentResult, BreakdownTable
 from .experiment import Experiment
 from .cache import CACHE_SCHEMA_VERSION, ResultCache, config_cache_key
@@ -15,7 +15,6 @@ __all__ = [
     "FUNCTION_CATEGORY",
     "CpuProfiler",
     "SideMetrics",
-    "LatencyStats",
     "ExperimentResult",
     "BreakdownTable",
     "Experiment",

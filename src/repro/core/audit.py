@@ -393,8 +393,7 @@ class ConservationAuditor:
 
     def _audit_trace(self) -> None:
         """Traced runs only: the per-stage receive deltas must telescope to
-        the end-to-end copy latency, and the trace's internal e2e stream must
-        agree sample-exactly with the reservoir-backed copy-latency metric."""
+        the end-to-end copy latency (the ``e2e`` stage)."""
         hub = getattr(self.experiment, "trace", None)
         if hub is None:
             return
@@ -406,22 +405,6 @@ class ConservationAuditor:
         for message in violations:
             self._check_true("trace.stage_sum", message.split(":")[0], False,
                              message)
-        metrics = self.experiment.metrics
-        for host_name, stages in sorted(report.hosts.items()):
-            e2e = stages.get("e2e")
-            if e2e is None:
-                continue
-            side = metrics.side(host_name)
-            self._check_exact(
-                "trace.e2e_count", host_name,
-                len(side.latency_samples) + side.latency_dropped, e2e.count,
-                "traced e2e sample count != copy-latency observations",
-            )
-            self._check_exact(
-                "trace.e2e_total", host_name,
-                side.latency_total_ns, e2e.total_ns,
-                "traced e2e total != copy-latency total nanoseconds",
-            )
 
 
 def audit_experiment(

@@ -40,7 +40,10 @@ __all__ = [
 #: v3: latency ``count`` means total observations with ``retained`` explicit,
 #: reservoir RNG streams are per-host, configs grow a ``trace`` key field,
 #: and traced results embed per-stage trace reports.
-CACHE_SCHEMA_VERSION = 3
+#: v4: the copy latency is a log-linear streaming histogram (the trace's
+#: ``e2e`` stage) instead of a reservoir summary, so its payload and its
+#: p50/p99 change, and every trace histogram uses the log-linear buckets.
+CACHE_SCHEMA_VERSION = 4
 
 #: Orphaned write-then-rename temp files older than this are swept. Long
 #: enough that no live writer (a single experiment runs in seconds) can be

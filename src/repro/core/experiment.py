@@ -24,6 +24,7 @@ from ..kernel.host import Host
 from ..kernel.sched import AppThread
 from ..sim.engine import Engine
 from ..sim.rng import RngStreams
+from ..trace import TraceHub
 from ..units import throughput_gbps
 from ..workloads.apps import (
     rpc_client,
@@ -63,8 +64,6 @@ class Experiment:
             costs = costs.replace(**config.cost_overrides)
         costs.validate()
         self.costs = costs
-
-        from ..trace import TraceHub
 
         self.trace = TraceHub(recording=False) if config.trace else None
         self.sender = Host(
@@ -274,7 +273,7 @@ class Experiment:
             ),
             receiver_cache_miss_rate=receiver_side.cache_miss_rate(),
             sender_cache_miss_rate=sender_side.sender_cache_miss_rate(),
-            copy_latency=self.metrics.latency_stats("receiver"),
+            copy_latency=self.receiver.copy_latency.copy(),
             rx_skb_sizes=dict(receiver_side.rx_skb_sizes),
             retransmits=self._sum_senders("retransmits") - snapshot["retransmits"],
             timeouts=self._sum_senders("timeouts") - snapshot["timeouts"],

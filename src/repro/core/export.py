@@ -10,9 +10,8 @@ import csv
 import io
 import json
 
-from ..trace import TraceReport
+from ..trace import StageHistogram, TraceReport
 from .audit import AuditReport
-from .metrics import LatencyStats
 from .report import Table
 from .results import BreakdownTable, ExperimentResult
 from .taxonomy import Category
@@ -42,15 +41,7 @@ def result_to_dict(result: ExperimentResult) -> dict:
         },
         "receiver_cache_miss_rate": result.receiver_cache_miss_rate,
         "sender_cache_miss_rate": result.sender_cache_miss_rate,
-        "copy_latency_ns": {
-            "avg": result.copy_latency.avg_ns,
-            "p50": result.copy_latency.p50_ns,
-            "p99": result.copy_latency.p99_ns,
-            "max": result.copy_latency.max_ns,
-            "count": result.copy_latency.count,
-            "dropped": result.copy_latency.dropped_samples,
-            "retained": result.copy_latency.retained,
-        },
+        "copy_latency_ns": result.copy_latency.to_dict(),
         "rx_skb_sizes": {str(k): v for k, v in sorted(result.rx_skb_sizes.items())},
         "retransmits": result.retransmits,
         "timeouts": result.timeouts,
@@ -76,7 +67,6 @@ def result_from_dict(payload: dict) -> ExperimentResult:
     recomputed from the stored fields. The result cache relies on this
     round-trip for its correctness invariant.
     """
-    latency = payload["copy_latency_ns"]
     return ExperimentResult(
         config_summary=payload["config"],
         duration_ns=payload["duration_ns"],
@@ -87,16 +77,7 @@ def result_from_dict(payload: dict) -> ExperimentResult:
         receiver_breakdown=_breakdown_from_dict(payload["receiver_breakdown"]),
         receiver_cache_miss_rate=payload["receiver_cache_miss_rate"],
         sender_cache_miss_rate=payload["sender_cache_miss_rate"],
-        copy_latency=LatencyStats(
-            count=latency["count"],
-            avg_ns=latency["avg"],
-            p50_ns=latency["p50"],
-            p99_ns=latency["p99"],
-            max_ns=latency["max"],
-            dropped_samples=latency.get("dropped", 0),
-            # Pre-v3 payloads stored the retained size as "count".
-            retained=latency.get("retained", latency["count"]),
-        ),
+        copy_latency=StageHistogram.from_dict(payload["copy_latency_ns"]),
         rx_skb_sizes={int(size): count
                       for size, count in payload["rx_skb_sizes"].items()},
         retransmits=payload["retransmits"],

@@ -7,114 +7,23 @@ recorded (the paper's methodology, §2.2).
 
 from __future__ import annotations
 
-import math
-import random
-import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-#: Cap on stored latency samples per host (runs are short; this is generous).
-MAX_LATENCY_SAMPLES = 500_000
-
-#: Fixed base seed for the latency reservoirs: sampling past the cap must be
-#: deterministic so repeated runs of the same config report identical stats.
-_RESERVOIR_SEED = 0x5EED
-
-
-def _reservoir_seed(host: str) -> int:
-    """Per-host reservoir seed: the base seed keyed by a *stable* hash of the
-    host name (crc32, not Python's ``hash()``, which varies per process), so
-    each host draws from its own RNG stream and its retained sample set is
-    invariant to how the two hosts' recordings interleave."""
-    return _RESERVOIR_SEED ^ zlib.crc32(host.encode("utf-8"))
-
-
-@dataclass
-class LatencyStats:
-    """Summary of a latency sample set, in nanoseconds.
-
-    ``count`` is the total number of observations recorded. ``retained`` is
-    how many the hub stored verbatim (at most the reservoir cap) and
-    ``dropped_samples`` counts recordings beyond it — ``count == retained +
-    dropped_samples`` always. Overflow recordings are not silently discarded:
-    past the cap the hub switches to deterministic seeded reservoir sampling,
-    so the retained set stays a uniform sample of *all* recordings and the
-    percentiles remain unbiased. ``avg_ns`` is exact: the running total of
-    every observation over ``count``.
-    """
-
-    count: int
-    avg_ns: float
-    p50_ns: float
-    p99_ns: float
-    max_ns: float
-    dropped_samples: int = 0
-    retained: int = 0
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: List[int],
-        dropped_samples: int = 0,
-        total_ns: Optional[int] = None,
-    ) -> "LatencyStats":
-        """Summarize ``samples``. ``total_ns`` is the exact sum of every
-        observation, retained or dropped (default: the retained sum, which
-        is exact when nothing was dropped); ``avg_ns`` is that total over
-        ``count``, so it stays exact past the reservoir cap."""
-        if not samples:
-            if dropped_samples:
-                # Reservoir sampling keeps the stored set non-empty whenever
-                # anything was recorded; dropped observations with nothing
-                # retained would silently zero avg/percentiles.
-                raise ValueError(
-                    f"{dropped_samples} dropped latency samples but no "
-                    "retained samples to summarize"
-                )
-            return cls(0, 0.0, 0.0, 0.0, 0.0, 0, 0)
-        ordered = sorted(samples)
-        n = len(ordered)
-
-        def pct(p: float) -> float:
-            index = min(n - 1, max(0, math.ceil(p * n) - 1))
-            return float(ordered[index])
-
-        if total_ns is None:
-            total_ns = sum(ordered)
-        return cls(
-            count=n + dropped_samples,
-            avg_ns=total_ns / (n + dropped_samples),
-            p50_ns=pct(0.50),
-            p99_ns=pct(0.99),
-            max_ns=float(ordered[-1]),
-            dropped_samples=dropped_samples,
-            retained=n,
-        )
+from ..trace import StageHistogram
 
 
 @dataclass
 class SideMetrics:
-    """Per-host counters.
+    """Per-host counters."""
 
-    Each side owns its latency reservoir RNG (seeded from the host name):
-    a hub-wide RNG would make one host's retained sample set depend on how
-    the *other* host's recordings interleave with its own.
-    """
-
-    host: str = ""
     delivered_bytes: int = 0
     copy_hit_bytes: int = 0
     copy_miss_bytes: int = 0
     sender_copy_hit_bytes: int = 0
     sender_copy_miss_bytes: int = 0
-    latency_samples: List[int] = field(default_factory=list)
-    latency_dropped: int = 0
-    latency_total_ns: int = 0
     rx_skb_sizes: Counter = field(default_factory=Counter)
-
-    def __post_init__(self) -> None:
-        self.latency_rng = random.Random(_reservoir_seed(self.host))
 
     def cache_miss_rate(self) -> float:
         total = self.copy_hit_bytes + self.copy_miss_bytes
@@ -129,13 +38,15 @@ class MetricsHub:
     """Shared metric sink for one experiment.
 
     Until :meth:`start` (when built with ``recording=False``), every
-    ``record_*`` call records nothing, so no side and no reservoir RNG
-    exists before the measurement window: the first recording creates its
-    side with a freshly seeded RNG, and sampling is independent of warmup.
+    ``record_*`` call records nothing and no side exists. Each host's
+    copy-latency histogram (:meth:`copy_latency`, Fig 3f's NAPI-to-copy
+    interval) is built when its host is, since the receive path and the
+    host's trace hold it; it stays closed until :meth:`start`.
     """
 
     def __init__(self, recording: bool = True) -> None:
         self._sides: Dict[str, SideMetrics] = {}
+        self._copy_latency: Dict[str, StageHistogram] = {}
         self._per_flow_bytes: Dict[Tuple[str, int], int] = defaultdict(int)
         self._flow_tags: Dict[int, str] = {}
         self.recording = recording
@@ -143,14 +54,16 @@ class MetricsHub:
     def start(self) -> None:
         """Open the measurement window: record every later sample."""
         self.recording = True
+        for hist in self._copy_latency.values():
+            hist.recording = True
 
     def reset(self) -> None:
-        """Discard all measurements. Flow tags persist.
-
-        Sides are recreated lazily with freshly seeded reservoir RNGs.
-        """
+        """Discard all measurements. Flow tags persist, and the copy-latency
+        histograms are zeroed in place so their holders keep recording."""
         self._sides.clear()
         self._per_flow_bytes.clear()
+        for hist in self._copy_latency.values():
+            hist.clear()
 
     # --- registration ------------------------------------------------------------
 
@@ -162,8 +75,16 @@ class MetricsHub:
     def side(self, host: str) -> SideMetrics:
         side = self._sides.get(host)
         if side is None:
-            side = self._sides[host] = SideMetrics(host)
+            side = self._sides[host] = SideMetrics()
         return side
+
+    def copy_latency(self, host: str) -> StageHistogram:
+        """``host``'s copy-latency histogram; its recorders call ``record``
+        on it directly."""
+        hist = self._copy_latency.get(host)
+        if hist is None:
+            hist = self._copy_latency[host] = StageHistogram(self.recording)
+        return hist
 
     def record_delivered(self, host: str, flow_id: int, nbytes: int) -> None:
         if not self.recording:
@@ -184,28 +105,6 @@ class MetricsHub:
         side = self.side(host)
         side.sender_copy_hit_bytes += hit
         side.sender_copy_miss_bytes += miss
-
-    def record_copy_latency(self, host: str, latency_ns: int) -> None:
-        """Record one stack-latency sample.
-
-        Below the cap, samples are stored verbatim. Past it, Vitter's
-        algorithm R keeps the stored set a uniform random sample of everything
-        seen (seeded, hence deterministic) instead of silently truncating —
-        which would bias p99/max toward early steady state.
-        """
-        if not self.recording:
-            return
-        side = self.side(host)
-        side.latency_total_ns += latency_ns
-        samples = side.latency_samples
-        if len(samples) < MAX_LATENCY_SAMPLES:
-            samples.append(latency_ns)
-            return
-        side.latency_dropped += 1
-        seen = MAX_LATENCY_SAMPLES + side.latency_dropped
-        slot = side.latency_rng.randrange(seen)
-        if slot < MAX_LATENCY_SAMPLES:
-            samples[slot] = latency_ns
 
     def record_rx_skb(self, host: str, payload_bytes: int) -> None:
         if not self.recording:
@@ -242,9 +141,3 @@ class MetricsHub:
 
     def flow_bytes(self, host: str, flow_id: int) -> int:
         return self._per_flow_bytes.get((host, flow_id), 0)
-
-    def latency_stats(self, host: str) -> LatencyStats:
-        side = self.side(host)
-        return LatencyStats.from_samples(
-            side.latency_samples, side.latency_dropped, side.latency_total_ns
-        )

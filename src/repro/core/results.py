@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..trace import TraceReport
+from ..trace import StageHistogram, TraceReport
 from .audit import AuditReport
-from .metrics import LatencyStats
 from .taxonomy import Category
 
 
@@ -48,7 +47,8 @@ class ExperimentResult:
     receiver_cache_miss_rate: float
     sender_cache_miss_rate: float
 
-    copy_latency: LatencyStats
+    #: The receiver host's NAPI-to-copy latency (Fig 3f).
+    copy_latency: StageHistogram
     rx_skb_sizes: Dict[int, int] = field(default_factory=dict)
 
     retransmits: int = 0

@@ -10,6 +10,7 @@ values are derived from the paper's own measurements.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -88,11 +89,13 @@ class CostModel:
         return dataclasses.replace(self, **kwargs)
 
     def validate(self) -> None:
-        """Sanity-check that all costs are non-negative."""
+        """Sanity-check that all costs are finite and non-negative."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if value < 0:
-                raise ValueError(f"cost {field.name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"cost {field.name} must be finite and >= 0, got {value}"
+                )
 
     def tables(self) -> "CostTables":
         """Precomputed charge tables for this model (built once, cached).

@@ -136,7 +136,7 @@ def fig3f(buffers_kb: Tuple[int, ...] = LATENCY_BUFFERS_KB) -> Table:
         table.add_row(
             buffer_kb,
             result.copy_latency.avg_ns / 1000,
-            result.copy_latency.p99_ns / 1000,
+            result.copy_latency.percentile(0.99) / 1000,
             result.total_throughput_gbps,
         )
     return table

@@ -194,8 +194,8 @@ class DcaRegion:
 class L3CacheModel:
     """Per-host cache bookkeeping: DCA slices per node + warm-set heuristics.
 
-    ``register_working_set``/``unregister_working_set`` track the per-node
-    application working sets (send buffers). ``sender_miss_rate`` converts
+    ``register_working_set`` adds to the per-node application working sets
+    (send buffers). ``sender_miss_rate`` converts
     occupancy pressure into an L3 miss probability for sender-side copies.
     """
 
@@ -225,9 +225,6 @@ class L3CacheModel:
 
     def register_working_set(self, node: int, nbytes: int) -> None:
         self._working_set[node] += nbytes
-
-    def unregister_working_set(self, node: int, nbytes: int) -> None:
-        self._working_set[node] = max(0, self._working_set[node] - nbytes)
 
     def sender_miss_rate(self, node: int) -> float:
         """L3 miss probability for user->kernel copies on ``node``."""

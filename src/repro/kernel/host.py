@@ -68,9 +68,14 @@ class Host:
         self.costs = costs
         self.profiler = profiler
         self.metrics = metrics
+        # NAPI poll -> copy start, once per skb (Fig 3f); also the trace's
+        # ``e2e`` stage.
+        self.copy_latency = metrics.copy_latency(name)
         # Per-host trace sink (None unless config.trace): every data-path
         # hook gates on one ``is not None`` check against this reference.
-        self.trace = trace.side(name) if trace is not None else None
+        self.trace = (
+            trace.side(name, self.copy_latency) if trace is not None else None
+        )
 
         host_cfg = config.host
         self.topology = Topology(NUM_NUMA_NODES, CORES_PER_NUMA_NODE, NIC_NUMA_NODE)

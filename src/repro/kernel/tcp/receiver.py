@@ -351,14 +351,17 @@ class TcpReceiver:
         app_core = self.app_core
         app_node = app_core.numa_node
         trace = self.trace
-        # The three receive stages open together; before the window the
-        # skb stamps are still consumed below, but nothing is recorded.
-        rx_stages = trace is not None and trace.stages["e2e"].recording
-        if rx_stages:
-            stages = trace.stages
-            softirq_record = stages["rx_softirq"].record
-            sockq_record = stages["rx_sockq"].record
-            e2e_record = stages["e2e"].record
+        # The copy latency and the trace's receive stages open together;
+        # before the window the skb stamps are still consumed below, but
+        # nothing is recorded.
+        latency = host.copy_latency
+        recording = latency.recording
+        if recording:
+            latency_record = latency.record
+            if trace is not None:
+                stages = trace.stages
+                softirq_record = stages["rx_softirq"].record
+                sockq_record = stages["rx_sockq"].record
         for skb, chunk, fully in portions:
             h, m = self._consume_regions(skb, chunk)
             hit_bytes += h
@@ -367,15 +370,17 @@ class TcpReceiver:
                 remote_bytes += chunk
             napi_ns = skb.napi_ns
             if napi_ns is not None:
-                metrics.record_copy_latency(host.name, now - napi_ns)
-                if rx_stages:
-                    # All three receive stages are recorded at drain time so
-                    # their counts stay equal and the totals telescope exactly
-                    # (e2e = rx_softirq + rx_sockq) — the auditor's identity —
-                    # even for an skb enqueued before the window opened.
-                    softirq_record(skb.trace_ns - napi_ns)
-                    sockq_record(now - skb.trace_ns)
-                    e2e_record(now - napi_ns)
+                if recording:
+                    # The trace's e2e stage is this same histogram.
+                    latency_record(now - napi_ns)
+                    if trace is not None:
+                        # All three receive stages are recorded at drain time
+                        # so their counts stay equal and the totals telescope
+                        # exactly (e2e = rx_softirq + rx_sockq) — the
+                        # auditor's identity — even for an skb enqueued
+                        # before the window opened.
+                        softirq_record(skb.trace_ns - napi_ns)
+                        sockq_record(now - skb.trace_ns)
                 skb.napi_ns = None  # count each skb's latency once
             if fully:
                 items.extend(tables.skb_free_pair)

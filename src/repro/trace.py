@@ -5,8 +5,8 @@ attributes *latency*. With ``ExperimentConfig.trace`` on, every payload unit
 is timestamped at the §2.1 stage boundaries — app ``write()``, TCP transmit,
 GSO/qdisc/driver, NIC Tx, wire, NIC Rx DMA, IRQ/NAPI poll, GRO + TCP receive,
 socket queue, and the single data copy into userspace — and each interval
-lands in a fixed log2-bucket streaming histogram. The histograms have no
-reservoir cap (a 64-bucket vector absorbs any sample count exactly), merge by
+lands in a fixed log-linear streaming histogram. The histograms have no
+reservoir cap (a fixed bucket vector absorbs any sample count), merge by
 elementwise addition (associative, so ``run_many`` worker fan-out composes in
 any order), and round-trip losslessly through the result export.
 
@@ -27,20 +27,46 @@ payload (property-tested), and untraced runs are untouched: every hook is
 guarded by one ``is not None`` attribute check on a reference that is
 ``None`` unless tracing was requested.
 
-The internal ``e2e`` stream repeats the copy-latency measurement (NAPI poll
-instant to copy start, per skb) inside the trace so the auditor can check the
-telescoping identity ``rx_softirq.total + rx_sockq.total == e2e.total``
-sample-exactly, and cross-check ``e2e`` against the reservoir-backed
-copy-latency metric.
+The ``e2e`` stage (NAPI poll instant to copy start, per skb) is the host's
+always-on copy-latency histogram from :class:`~repro.core.metrics.MetricsHub`
+(Fig 3f), shared by reference, so each skb's latency is recorded once. The
+auditor checks the telescoping identity
+``rx_softirq.total + rx_sockq.total == e2e.total`` sample-exactly.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Fixed bucket count: bucket 0 holds exactly-zero deltas, bucket b >= 1
-#: covers [2^(b-1), 2^b - 1] ns. 63 doubling buckets reach ~292 years.
-NUM_BUCKETS = 64
+#: Deltas below this are counted exactly, one bucket per nanosecond value.
+#: From here on each octave [2^k, 2^(k+1)) splits into 16 linear sub-buckets
+#: of 2^(k-4) ns, so a bucket is at most 1/16 of its low edge wide.
+EXACT_BELOW = 32
+
+
+def bucket_index(delta_ns: int) -> int:
+    """Histogram bucket of a non-negative delta.
+
+    Below ``EXACT_BELOW`` the delta is its own index. Above, with
+    ``shift = bit_length - 5``, the delta's top five bits (16..31) select
+    one of 16 linear sub-buckets of its octave, and each octave adds 16."""
+    if delta_ns < EXACT_BELOW:
+        return delta_ns
+    shift = delta_ns.bit_length() - 5
+    return (shift << 4) + (delta_ns >> shift)
+
+
+def bucket_bounds(index: int) -> Tuple[int, int]:
+    """Smallest and largest delta that :func:`bucket_index` maps to ``index``."""
+    if index < EXACT_BELOW:
+        return index, index
+    shift = (index >> 4) - 1
+    top = 16 + (index & 15)
+    return top << shift, ((top + 1) << shift) - 1
+
+
+#: Fixed bucket count: enough for any delta below 2^64 ns.
+NUM_BUCKETS = bucket_index((1 << 64) - 1) + 1
 
 #: The stage taxonomy, in data-path order: (key, unit, human label). The
 #: ``unit`` names what one recorded sample corresponds to — stages measure
@@ -64,11 +90,13 @@ STAGE_LABELS: Dict[str, str] = {key: label for key, _, label in STAGES}
 
 
 class StageHistogram:
-    """Streaming log2 histogram of non-negative nanosecond deltas.
+    """Streaming log-linear histogram of non-negative nanosecond deltas.
 
-    Exact count / total / max plus a fixed 64-bucket population vector:
-    unbounded sample streams aggregate in O(1) memory with no reservoir (and
-    hence no sampling noise in the sum identity the auditor checks).
+    Exact count / total / max plus a fixed population vector over the
+    :func:`bucket_index` buckets (exact below 32 ns, then 16 linear
+    sub-buckets per octave): unbounded sample streams aggregate in O(1)
+    memory with no reservoir, ``avg_ns`` is exact and a percentile is off by
+    at most one sub-bucket, 1/16 of its octave.
 
     While ``recording`` is false (warmup) :meth:`record` and
     :meth:`record_many` record nothing; the owner's ``start`` sets it.
@@ -84,11 +112,15 @@ class StageHistogram:
         self.recording = recording
 
     def record(self, delta_ns: int) -> None:
-        """Record one interval. Bucket index is ``delta.bit_length()``:
-        0 -> bucket 0, [2^(b-1), 2^b - 1] -> bucket b."""
+        """Record one interval."""
         if not self.recording:
             return
-        self.buckets[delta_ns.bit_length()] += 1
+        # bucket_index inlined, as in record_many.
+        if delta_ns < EXACT_BELOW:
+            self.buckets[delta_ns] += 1
+        else:
+            shift = delta_ns.bit_length() - 5
+            self.buckets[(shift << 4) + (delta_ns >> shift)] += 1
         self.count += 1
         self.total_ns += delta_ns
         if delta_ns > self.max_ns:
@@ -101,7 +133,13 @@ class StageHistogram:
             return
         buckets = self.buckets
         for delta_ns in deltas:
-            buckets[delta_ns.bit_length()] += 1
+            # bucket_index inlined: a call per sample costs about a third
+            # of this loop, which the per-frame stages run.
+            if delta_ns < EXACT_BELOW:
+                buckets[delta_ns] += 1
+            else:
+                shift = delta_ns.bit_length() - 5
+                buckets[(shift << 4) + (delta_ns >> shift)] += 1
         self.count += len(deltas)
         self.total_ns += sum(deltas)
         top = max(deltas)
@@ -114,8 +152,16 @@ class StageHistogram:
         self.count = 0
         self.total_ns = 0
         self.max_ns = 0
-        for index in range(NUM_BUCKETS):
-            self.buckets[index] = 0
+        self.buckets[:] = [0] * NUM_BUCKETS
+
+    def copy(self) -> "StageHistogram":
+        """A detached copy: later records into either miss the other."""
+        hist = StageHistogram()
+        hist.count = self.count
+        hist.total_ns = self.total_ns
+        hist.max_ns = self.max_ns
+        hist.buckets[:] = self.buckets
+        return hist
 
     def merge(self, other: "StageHistogram") -> None:
         """Fold ``other`` into this histogram (elementwise, associative)."""
@@ -133,9 +179,8 @@ class StageHistogram:
 
     def percentile(self, fraction: float) -> float:
         """Estimated p-quantile: walk the buckets to the target rank, then
-        interpolate linearly inside the landing bucket. Exact for bucket 0
-        (all-zero deltas); elsewhere accurate to the bucket's factor-of-two
-        width, which is all a log2 sketch can promise."""
+        interpolate linearly inside the landing bucket. Exact below 32 ns;
+        elsewhere accurate to the landing sub-bucket's width."""
         if self.count == 0:
             return 0.0
         target = fraction * self.count
@@ -144,10 +189,7 @@ class StageHistogram:
             if population == 0:
                 continue
             if accumulated + population >= target:
-                if index == 0:
-                    return 0.0
-                low = 1 << (index - 1)
-                high = (1 << index) - 1
+                low, high = bucket_bounds(index)
                 inside = (target - accumulated) / population
                 # The landing bucket's upper edge can exceed the exact max;
                 # never report a quantile above an observed value.
@@ -199,15 +241,21 @@ class SideTrace:
     """One host's per-stage histograms. Hot-path recorders fetch a stage's
     histogram once via :meth:`stage` and call ``record`` on it directly;
     :meth:`start` and :meth:`clear` act in place so those references stay
-    live."""
+    live. ``e2e``, when given, is the histogram the ``e2e`` stage uses: the
+    host's copy-latency metric."""
 
     __slots__ = ("host", "stages")
 
-    def __init__(self, host: str, recording: bool = True) -> None:
+    def __init__(
+        self, host: str, recording: bool = True,
+        e2e: Optional[StageHistogram] = None,
+    ) -> None:
         self.host = host
         self.stages: Dict[str, StageHistogram] = {
             key: StageHistogram(recording) for key in STAGE_KEYS
         }
+        if e2e is not None:
+            self.stages["e2e"] = e2e
 
     def stage(self, key: str) -> StageHistogram:
         return self.stages[key]
@@ -234,10 +282,12 @@ class TraceHub:
         self.sides: Dict[str, SideTrace] = {}
         self.recording = recording
 
-    def side(self, host: str) -> SideTrace:
+    def side(self, host: str, e2e: Optional[StageHistogram] = None) -> SideTrace:
+        """``host``'s histograms, built on first request (with ``e2e`` as
+        its ``e2e`` stage, see :class:`SideTrace`)."""
         side = self.sides.get(host)
         if side is None:
-            side = self.sides[host] = SideTrace(host, self.recording)
+            side = self.sides[host] = SideTrace(host, self.recording, e2e)
         return side
 
     def start(self) -> None:
@@ -256,10 +306,7 @@ class TraceHub:
         """Snapshot every histogram into a detached, serializable report."""
         hosts: Dict[str, Dict[str, StageHistogram]] = {}
         for name, side in self.sides.items():
-            hosts[name] = {
-                key: StageHistogram.from_dict(hist.to_dict())
-                for key, hist in side.stages.items()
-            }
+            hosts[name] = {key: hist.copy() for key, hist in side.stages.items()}
         return TraceReport(hosts)
 
 

@@ -75,18 +75,18 @@ TRACED_PANELS = ("fig3a", "fig12a")
 #: Cache key of each full-window traced config -> digest of its shortened
 #: (golden-window) run, trace payload included.
 TRACED_DIGESTS = {
-    "2645b53f701c813eb5b40d5b09f29c2a92ac8044933b340f9b27915958b6249d": "37bf68f185123cfd6d076b68877a05531cd873a69de7e55bbfa65de205a75bd5",
-    "66cbcae4a02b186643a64276b9094ede7806f8561255350edafc911f8b96e664": "005e1d666419d145634c17d92dd1e78a7bf3e90ac8cbfeb818769f76dc9c4100",
-    "efacd75f2193cc054655409ae8bfc39f10721dbd263b288ad7753e9deb8c1895": "831167b9d6ae8a43ee45a3a8df376061c724215bdd7b01671071c8ef1fa1b0c5",
-    "0ccca954de0e3179913852ed22f5adbcb5a9141c84a54f19d11e96a0d4021169": "972977517849680893d6a420aa2c38129b4925d0ae2c129d1b7b89bef3ee95c1",
-    "49e8c9aeca5d7f87d6a130654592bc4b9c99e226f50478bc116986c8bf6bd143": "37bf68f185123cfd6d076b68877a05531cd873a69de7e55bbfa65de205a75bd5",
-    "a256979dcd2458106e14bf149f76fc9ccc762186878f698f09d1b9877143cb09": "005e1d666419d145634c17d92dd1e78a7bf3e90ac8cbfeb818769f76dc9c4100",
-    "0742fe520d5a1fe27aa8732cba0f32d017084ff8af44038f174162e5e94b501a": "831167b9d6ae8a43ee45a3a8df376061c724215bdd7b01671071c8ef1fa1b0c5",
-    "d12ad38b8162f8d2c0ab0bd273cecfdeb95b83077a71022e48db14d43d9c1bbd": "8fcfd9af0db4e659e20c29967e0dbf478864c2ad6c5c075129aec950622a0bf7",
-    "adbcfacbd7657f7e7c0f25befb87681757dca6f4dbbc63bbda7d132540b71510": "c585b467d1830531c18559341bfc0a2e5d19896855c9e1a2c64cf26b5cec1133",
-    "6dd3b0eb10731894414a6a11d6ba1dadc6d6bff119dd20b07f7db4d266b2bce3": "276df23cc10669e7d8452e0a9270231bdbc9f297a8b8e7e55fc5e646157993ba",
-    "205356917bd254f19d81c1528d2c964209efad7fa450ad8091dd104d8bac24bc": "769299b4a632baf9966d5529bd8704a08caace7f9fbe85e8941742622c5ce997",
-    "3d101333f6d8ebc8aee11b0d269190c09097830e06da7e552e24340e2b966d1f": "95cce5e374c36bfe98f1f91e3a23564e02cc163a4957d4281ac4040750f6abc3",
+    "2120eb5bd32cffdaeeb6b379974b2a4f87d18debde90bcd8922cb7489a74a237": "47a4d36e89adbf70f4a520658facf6aedbcc6d0f19056637a866e8d2ddf83a2c",
+    "4665d14ae85aed3aa0b3ca07b70b8e98d8ad365f590cea8d4f99a0bafe32b6bc": "e48e69ca41c3ca6e79d82cd3900b141ab3e9fda1034d43f1d5b7fbb97efff598",
+    "c8dcae6643c4fbaea9c5f0fa565b9a2b69096bb0642af91dc35c573c122d5d15": "12e010347f66288299c2d06f83225debda65295f8d60b1dc2adb1ffbd2aaf022",
+    "adc24a68311d323ee46c7f91165d156c32805d22bf5e714d123c13477be6df05": "10a416c2de12ebfedd7fdb6a4069948e59e3e4fe382a14b8026d01a484b9d096",
+    "c5aaa8fe38b7551062cb3429e9c57b9ada9e5f8a33f16ff43e3fea3981acbdb4": "47a4d36e89adbf70f4a520658facf6aedbcc6d0f19056637a866e8d2ddf83a2c",
+    "4482e855485314bfe5b01239789ed999735d9a6af52e28e564e8017666ff4d1f": "e48e69ca41c3ca6e79d82cd3900b141ab3e9fda1034d43f1d5b7fbb97efff598",
+    "399b0cab1451a5004ecb8cdcab20c042ad6d5fdc0deb1a8739217a971312a6bb": "12e010347f66288299c2d06f83225debda65295f8d60b1dc2adb1ffbd2aaf022",
+    "525162b67c91d13bd77722778d7247f1cf98b93c3a15ce63001c1439c8d97e85": "4e57ad97117ed0713ffa1ddb59948a21081a4c3c54629ca21d09e95e057bbb45",
+    "74eef45b6cfe96a2e1bc56354f741773c179706f6a06ea8596f762862d4ebe06": "62d630046777023815940677252b12eaa33feaff35095a48b4e99272b906ed8c",
+    "64a63ce0912dee86632cbbeec3b9beaa18864a577c1ffdeb8adbaf6099bd64a2": "d422a3b6a5b18b118a30cc7ec4102a7484a8bd888874a5b61d2a703378c35354",
+    "3f5890a6e4b89b1a757cdfc1087619a74c78e69167193c9cd8f5d4a4fd17d6af": "eb472956900ea33635463678a56319828850d55d949226324251183ab6a76793",
+    "6606220cd187e92efc49faa034997574bc28ead55f30c2d53f2d46c2c4e8e2e6": "34269d7b2582cb88a6ea96940d5a322011e434765cb071d9ac8ff80d9ad98817",
 }
 
 

@@ -5,7 +5,7 @@ updates every registered endpoint in turn. The reference below restores the
 design it replaced: each autotuned endpoint re-arms its own
 ``AUTOTUNE_PERIOD_NS`` timer for the whole run. A DRS update touches only its
 own endpoint and schedules nothing, so the two must agree on every exported
-number and every raw latency reservoir sample; only the engine's event count
+number and both hosts' copy-latency histograms; only the engine's event count
 may differ (the reference fires one timer per endpoint instead of one per
 host).
 """
@@ -45,26 +45,23 @@ def _run(config: ExperimentConfig, reference: bool):
     else:
         experiment = Experiment(config)
     payload = result_to_dict(experiment.run())
-    reservoirs = {
-        host: (
-            list(experiment.metrics.side(host).latency_samples),
-            experiment.metrics.side(host).latency_dropped,
-        )
+    latencies = {
+        host: experiment.metrics.copy_latency(host).to_dict()
         for host in ("sender", "receiver")
     }
     # The most receive halves any one host holds (each one autotunes).
     endpoints = max(len(experiment.sender.receivers), len(experiment.receiver.receivers))
-    return payload, reservoirs, experiment.engine.events_fired, endpoints
+    return payload, latencies, experiment.engine.events_fired, endpoints
 
 
 @settings(max_examples=10, deadline=None)
 @given(config=experiment_configs())
 def test_host_clock_matches_per_endpoint_timers(config):
-    clock_payload, clock_samples, clock_events, endpoints = _run(config, False)
-    ref_payload, ref_samples, ref_events, _ = _run(config, True)
+    clock_payload, clock_latency, clock_events, endpoints = _run(config, False)
+    ref_payload, ref_latency, ref_events, _ = _run(config, True)
 
     assert clock_payload == ref_payload
-    assert clock_samples == ref_samples
+    assert clock_latency == ref_latency
 
     # The clock saves events exactly when a host has several autotuned
     # endpoints; with one per host it fires what the per-endpoint timer did.

@@ -6,7 +6,7 @@ pending by the new deadline; a fire that comes early re-arms at it. The
 reference below restores the design it replaced: every arm cancels the
 pending timer event and schedules a fresh one, and every disarm cancels it.
 Both fire a real timeout at the same instant, so they must agree on every
-exported number, every raw latency reservoir sample and every endpoint's
+exported number, both hosts' copy-latency histograms and every endpoint's
 timeout count; only the engine's event and cancel counts may differ.
 """
 
@@ -69,11 +69,8 @@ def _run(config: ExperimentConfig, reference: bool):
             result = experiment.run()
     else:
         result = experiment.run()
-    reservoirs = {
-        host: (
-            list(experiment.metrics.side(host).latency_samples),
-            experiment.metrics.side(host).latency_dropped,
-        )
+    latencies = {
+        host: experiment.metrics.copy_latency(host).to_dict()
         for host in ("sender", "receiver")
     }
     timeouts = sum(
@@ -81,18 +78,18 @@ def _run(config: ExperimentConfig, reference: bool):
         for host in (experiment.sender, experiment.receiver)
         for endpoint in host.senders.values()
     )
-    return result_to_dict(result), reservoirs, timeouts
+    return result_to_dict(result), latencies, timeouts
 
 
 @settings(max_examples=20, deadline=None)
 @example(config=RTO_EXAMPLE)
 @given(config=experiment_configs())
 def test_rto_deadline_matches_eager_timer(config):
-    lazy_payload, lazy_samples, lazy_timeouts = _run(config, False)
-    ref_payload, ref_samples, ref_timeouts = _run(config, True)
+    lazy_payload, lazy_latency, lazy_timeouts = _run(config, False)
+    ref_payload, ref_latency, ref_timeouts = _run(config, True)
 
     assert lazy_payload == ref_payload
-    assert lazy_samples == ref_samples
+    assert lazy_latency == ref_latency
     assert lazy_timeouts == ref_timeouts
     if config == RTO_EXAMPLE:
         assert ref_timeouts >= 1

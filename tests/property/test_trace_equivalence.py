@@ -40,8 +40,10 @@ def test_tracing_perturbs_nothing(config):
     trace_payload = traced.pop("trace")
     assert traced == untraced
 
-    # The telescoping identity survives export, and the auditor (which also
-    # cross-checks e2e against the copy-latency metric) passed.
+    # The e2e stage is the copy-latency histogram itself.
+    assert trace_payload["receiver"]["e2e"] == traced["copy_latency_ns"]
+
+    # The telescoping identity survives export, and the auditor passed.
     checks, violations = traced_result.trace.check_identity()
     assert checks > 0 and violations == []
     assert TraceReport.from_dict(trace_payload).check_identity()[1] == []

@@ -6,8 +6,8 @@ one instant. The reference below restores the design it replaced: every
 meter records from t=0 and the warmup boundary discards what it holds with
 ``reset()``. Trace stamps run through warmup in both, so an interval that
 straddles the boundary is recorded the same way; the two must agree on every
-exported number (trace payload and audit included), every raw latency
-reservoir sample, and a clean strict audit.
+exported number (trace payload and audit included), both hosts'
+copy-latency histograms, and a clean strict audit.
 """
 
 from unittest import mock
@@ -43,14 +43,11 @@ def _run(config, reference: bool):
     else:
         result = experiment.run()
     result.audit_report.raise_if_violations()
-    reservoirs = {
-        host: (
-            list(experiment.metrics.side(host).latency_samples),
-            experiment.metrics.side(host).latency_dropped,
-        )
+    latencies = {
+        host: experiment.metrics.copy_latency(host).to_dict()
         for host in ("sender", "receiver")
     }
-    return result_to_dict(result), reservoirs
+    return result_to_dict(result), latencies
 
 
 @settings(max_examples=20, deadline=None)
@@ -61,10 +58,10 @@ def _run(config, reference: bool):
 )
 def test_window_meters_match_reset_at_window(config, trace, warmup_ns):
     config = config.replace(trace=trace, warmup_ns=warmup_ns)
-    payload, samples = _run(config, reference=False)
-    ref_payload, ref_samples = _run(config, reference=True)
+    payload, latency = _run(config, reference=False)
+    ref_payload, ref_latency = _run(config, reference=True)
 
     assert payload == ref_payload
-    assert samples == ref_samples
+    assert latency == ref_latency
     if trace:
         assert "trace" in payload

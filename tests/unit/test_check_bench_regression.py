@@ -7,7 +7,7 @@ run passes, each ceiling and floor trips individually and names what
 tripped, ``--update`` keeps each committed value a run stays within its
 bound of and cannot weaken the hard-coded trace-overhead ceiling, and layer
 ceilings follow shares, not raw profiled seconds. Memory ceilings gate ``peak_rss_mb``.
-The two engine micro-benchmarks the gate times must fire every event.
+The three engine micro-benchmarks the gate times must fire every event.
 """
 
 import importlib.util
@@ -22,7 +22,7 @@ tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tool)
 
 
-ENGINE_S = {"schedule_run": 0.03, "cancel_churn": 0.12}
+ENGINE_S = {"schedule_run": 0.03, "cancel_churn": 0.12, "post_run": 0.02}
 WALL_S = {"bulk": 1.5, "bulk_traced": 1.7, "lossy": 3.0, "rpc": 3.0, "all_to_all": 3.1}
 PEAK_RSS_MB = {"bulk": 24.0, "bulk_traced": 24.5, "lossy": 24.2, "rpc": 24.1, "all_to_all": 27.0}
 SHARES = {
@@ -279,3 +279,7 @@ def test_engine_schedule_run():
 
 def test_engine_cancel_churn():
     assert tool._cancel_churn() == tool.NUM_EVENTS
+
+
+def test_engine_post_run():
+    assert tool._post_run() == tool.NUM_EVENTS

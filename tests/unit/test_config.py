@@ -144,6 +144,12 @@ def test_validate_rejects_bad_host_link_nic_and_cost_fields(fields):
         config.validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_validate_rejects_non_finite_or_negative_cost_override(value):
+    with pytest.raises(ValueError, match="irq_cycles"):
+        ExperimentConfig(cost_overrides={"irq_cycles": value})
+
+
 def test_validate_accepts_known_cost_override():
     ExperimentConfig(cost_overrides={"skb_free_cycles": 100.0}).validate()
 

@@ -24,6 +24,12 @@ def test_negative_cost_rejected():
         default_cost_model().replace(irq_cycles=-1).validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_cost_rejected(value):
+    with pytest.raises(ValueError, match="irq_cycles"):
+        default_cost_model().replace(irq_cycles=value).validate()
+
+
 def test_miss_costs_exceed_hit_costs():
     model = default_cost_model()
     assert model.copy_per_byte_l3_miss > model.copy_per_byte_l3_hit

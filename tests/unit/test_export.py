@@ -15,9 +15,9 @@ from repro.core.export import (
     table_to_csv,
     table_to_json,
 )
-from repro.core.metrics import LatencyStats
 from repro.core.report import Table
 from repro.core.taxonomy import Category
+from repro.trace import StageHistogram
 
 from .test_results import make_result
 
@@ -41,10 +41,8 @@ def test_result_to_json_is_valid_json():
 def rich_result():
     """A result exercising every field the round-trip must preserve."""
     result = make_result(total=33.0, skb_sizes={1500: 3, 9000: 7, 65536: 2})
-    result.copy_latency = LatencyStats(
-        count=12, avg_ns=810.5, p50_ns=700.0, p99_ns=2100.0, max_ns=2500.0,
-        dropped_samples=3, retained=9,
-    )
+    result.copy_latency = StageHistogram()
+    result.copy_latency.record_many([700, 700, 810, 2100, 2500, 0, 31])
     result.retransmits = 4
     result.timeouts = 1
     result.nic_rx_drops = 2
@@ -65,7 +63,7 @@ def test_result_from_dict_survives_json_round_trip():
     rebuilt = result_from_dict(payload)
     assert rebuilt.rx_skb_sizes == {1500: 3, 9000: 7, 65536: 2}  # int keys again
     assert rebuilt.per_flow_gbps == {0: 20.0, 7: 13.0}
-    assert rebuilt.copy_latency.p99_ns == 2100.0
+    assert rebuilt.copy_latency == rich_result().copy_latency
     assert rebuilt.acks_received_sender_side == 99
     assert rebuilt.sender_breakdown.fraction(Category.DATA_COPY) == 0.5
 
@@ -80,25 +78,6 @@ def test_result_from_json_inverts_result_to_json():
     result = rich_result()
     assert result_to_dict(result_from_json(result_to_json(result))) == \
         result_to_dict(result)
-
-
-def test_latency_retained_round_trips():
-    payload = result_to_dict(rich_result())
-    assert payload["copy_latency_ns"]["count"] == 12
-    assert payload["copy_latency_ns"]["retained"] == 9
-    assert payload["copy_latency_ns"]["dropped"] == 3
-    rebuilt = result_from_dict(payload)
-    assert rebuilt.copy_latency.retained == 9
-    assert rebuilt.copy_latency.count == 12
-
-
-def test_pre_v3_payload_defaults_retained_to_count():
-    """Cache payloads written before schema v3 have no ``retained`` key; back
-    then ``count`` meant the retained sample count, so it doubles as the
-    fallback."""
-    payload = result_to_dict(rich_result())
-    del payload["copy_latency_ns"]["retained"]
-    assert result_from_dict(payload).copy_latency.retained == 12
 
 
 def test_trace_report_round_trips_through_export():

@@ -53,7 +53,7 @@ def test_no_metrics_side_exists_before_window():
     experiment = Experiment(config)
     experiment.engine.run(until=config.warmup_ns)
     assert experiment.receiver.receivers[1].app_bytes_read > 0
-    # No side, hence no reservoir RNG has drawn anything yet.
+    # Nothing was metered in warmup, so no side exists yet.
     assert experiment.metrics._sides == {}
     experiment.run()
     assert experiment.metrics.total_delivered_bytes() > 0

@@ -2,25 +2,52 @@
 
 import pytest
 
-from repro.core.metrics import LatencyStats, MetricsHub
+from repro.core.metrics import MetricsHub
+
+
+def _latency(values, recording=True):
+    hub = MetricsHub(recording)
+    hist = hub.copy_latency("receiver")
+    for value in values:
+        hist.record(value)
+    return hub, hist
 
 
 def test_latency_stats_basic():
-    stats = LatencyStats.from_samples([100, 200, 300, 400])
+    _, stats = _latency([100, 200, 300, 400])
     assert stats.count == 4
     assert stats.avg_ns == 250
     assert stats.max_ns == 400
-    assert stats.p50_ns == 200
+    # 200 lands in the sub-bucket [200, 207]
+    assert 200 <= stats.percentile(0.50) <= 207
 
 
 def test_latency_stats_p99():
-    stats = LatencyStats.from_samples(list(range(1, 101)))
-    assert stats.p99_ns == 99
+    _, stats = _latency(range(1, 101))
+    # 99 lands in the sub-bucket [96, 99]
+    assert 96 <= stats.percentile(0.99) <= 99
 
 
 def test_latency_stats_empty():
-    stats = LatencyStats.from_samples([])
+    _, stats = _latency([])
     assert stats.count == 0 and stats.avg_ns == 0.0
+    assert stats.percentile(0.99) == 0.0
+
+
+def test_copy_latency_records_only_once_started():
+    hub, hist = _latency([5, 7], recording=False)
+    assert hist.count == 0
+    hub.start()
+    assert hub.copy_latency("receiver") is hist
+    hist.record(9)
+    assert (hist.count, hist.total_ns, hist.max_ns) == (1, 9, 9)
+
+
+def test_reset_zeroes_copy_latency_in_place():
+    hub, hist = _latency([5, 7])
+    hub.reset()
+    assert hub.copy_latency("receiver") is hist
+    assert hist.count == 0 and sum(hist.buckets) == 0
 
 
 def test_delivered_accumulates_per_host_and_flow():
@@ -94,105 +121,3 @@ def test_rx_skb_histogram():
     hub.record_rx_skb("receiver", 9000)
     hub.record_rx_skb("receiver", 64 * 1024)
     assert hub.side("receiver").rx_skb_sizes[9000] == 2
-
-
-def test_latency_under_cap_is_stored_verbatim():
-    hub = MetricsHub()
-    for value in (5, 3, 9):
-        hub.record_copy_latency("receiver", value)
-    stats = hub.latency_stats("receiver")
-    assert stats.count == 3
-    assert stats.dropped_samples == 0
-    assert stats.max_ns == 9
-
-
-def test_latency_past_cap_uses_reservoir_not_truncation(monkeypatch):
-    """Regression: samples past the cap used to be silently discarded,
-    pinning p99/max to early steady state. The reservoir keeps late samples
-    reachable and reports how many recordings exceeded the cap."""
-    import repro.core.metrics as metrics_mod
-
-    monkeypatch.setattr(metrics_mod, "MAX_LATENCY_SAMPLES", 10)
-    hub = MetricsHub()
-    for value in range(10):
-        hub.record_copy_latency("receiver", value)
-    # 90 late samples, all much larger than anything in the initial window.
-    for value in range(1000, 1090):
-        hub.record_copy_latency("receiver", value)
-    stats = hub.latency_stats("receiver")
-    assert stats.count == 100  # every observation counted...
-    assert stats.retained == 10  # ...with storage staying at the cap
-    assert stats.dropped_samples == 90
-    assert stats.max_ns >= 1000  # late samples displaced early ones
-
-
-def test_latency_reservoir_is_deterministic(monkeypatch):
-    import repro.core.metrics as metrics_mod
-
-    monkeypatch.setattr(metrics_mod, "MAX_LATENCY_SAMPLES", 8)
-
-    def fill(hub):
-        for value in range(200):
-            hub.record_copy_latency("receiver", value)
-        return hub.side("receiver").latency_samples
-
-    assert fill(MetricsHub()) == fill(MetricsHub())
-
-    # reset() reseeds, so post-warmup sampling repeats too
-    hub = MetricsHub()
-    first = list(fill(hub))
-    hub.reset()
-    assert fill(hub) == first
-
-
-def test_reservoir_invariant_to_cross_host_interleaving(monkeypatch):
-    """Regression: a hub-wide reservoir RNG made each host's retained sample
-    set depend on how the *other* host's recordings interleaved with its own.
-    With per-host RNG streams, any interleaving of the same two per-host
-    sequences retains identical samples."""
-    import repro.core.metrics as metrics_mod
-
-    monkeypatch.setattr(metrics_mod, "MAX_LATENCY_SAMPLES", 8)
-    receiver_seq = list(range(100))
-    sender_seq = list(range(1000, 1100))
-
-    def retained(interleave):
-        hub = MetricsHub()
-        for host, value in interleave:
-            hub.record_copy_latency(host, value)
-        return (
-            list(hub.side("receiver").latency_samples),
-            list(hub.side("sender").latency_samples),
-        )
-
-    sequential = retained(
-        [("receiver", v) for v in receiver_seq]
-        + [("sender", v) for v in sender_seq]
-    )
-    alternating = retained(
-        [pair for r, s in zip(receiver_seq, sender_seq)
-         for pair in (("receiver", r), ("sender", s))]
-    )
-    assert sequential == alternating
-
-
-def test_latency_count_is_retained_plus_dropped(monkeypatch):
-    import repro.core.metrics as metrics_mod
-
-    monkeypatch.setattr(metrics_mod, "MAX_LATENCY_SAMPLES", 16)
-    hub = MetricsHub()
-    total = 0
-    for value in range(50):
-        hub.record_copy_latency("receiver", value)
-        total += value
-    stats = hub.latency_stats("receiver")
-    assert stats.count == stats.retained + stats.dropped_samples == 50
-    assert hub.side("receiver").latency_total_ns == total
-    # The average is the exact running total over every observation, not
-    # the mean of the retained sample.
-    assert stats.avg_ns == total / 50
-
-
-def test_empty_samples_with_drops_is_rejected():
-    with pytest.raises(ValueError):
-        LatencyStats.from_samples([], dropped_samples=5)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.metrics import LatencyStats
 from repro.core.results import BreakdownTable, ExperimentResult
 from repro.core.taxonomy import Category
+from repro.trace import StageHistogram
 
 
 def make_result(total=40.0, snd=0.5, rcv=1.0, skb_sizes=None):
@@ -19,7 +19,7 @@ def make_result(total=40.0, snd=0.5, rcv=1.0, skb_sizes=None):
         receiver_breakdown=breakdown,
         receiver_cache_miss_rate=0.5,
         sender_cache_miss_rate=0.1,
-        copy_latency=LatencyStats(0, 0, 0, 0, 0),
+        copy_latency=StageHistogram(),
         rx_skb_sizes=skb_sizes or {},
     )
 

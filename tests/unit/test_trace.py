@@ -10,25 +10,33 @@ from repro.trace import (
     StageHistogram,
     TraceHub,
     TraceReport,
+    bucket_bounds,
+    bucket_index,
 )
 
 
-# --- log2 bucketing --------------------------------------------------------------
+# --- log-linear bucketing --------------------------------------------------------
 
 
 def test_bucket_edges():
-    """Bucket 0 holds exactly zero; bucket b holds [2^(b-1), 2^b - 1]."""
-    hist = StageHistogram()
-    hist.record(0)
-    assert hist.buckets[0] == 1
-    for bucket in range(1, 12):
-        low = 1 << (bucket - 1)
-        high = (1 << bucket) - 1
-        edge_hist = StageHistogram()
-        edge_hist.record(low)
-        edge_hist.record(high)
-        assert edge_hist.buckets[bucket] == 2, f"bucket {bucket}"
-        assert sum(edge_hist.buckets) == 2
+    """Buckets 0..31 hold one value each; from 32 on, each octave [2^k,
+    2^(k+1)) splits into 16 sub-buckets of 2^(k-4) ns."""
+    for value in range(32):
+        hist = StageHistogram()
+        hist.record(value)
+        assert hist.buckets[value] == 1
+    bucket = 32
+    for octave in range(5, 12):
+        width = 1 << (octave - 4)
+        for sub in range(16):
+            low = (1 << octave) + sub * width
+            assert bucket_bounds(bucket) == (low, low + width - 1)
+            edge_hist = StageHistogram()
+            edge_hist.record(low)
+            edge_hist.record(low + width - 1)
+            assert edge_hist.buckets[bucket] == 2, f"bucket {bucket}"
+            assert sum(edge_hist.buckets) == 2
+            bucket += 1
 
 
 def test_exact_moments_survive_bucketing():
@@ -44,8 +52,9 @@ def test_exact_moments_survive_bucketing():
 
 def test_huge_delta_fits():
     hist = StageHistogram()
-    hist.record((1 << (NUM_BUCKETS - 1)) - 1)  # largest representable delta
+    hist.record((1 << 64) - 1)  # largest representable delta
     assert hist.buckets[NUM_BUCKETS - 1] == 1
+    assert bucket_bounds(NUM_BUCKETS - 1)[1] == (1 << 64) - 1
 
 
 # --- percentiles -----------------------------------------------------------------
@@ -64,13 +73,14 @@ def test_percentile_within_bucket_bounds():
     for value in [100, 200, 300, 400, 1000]:
         hist.record(value)
     p50 = hist.percentile(0.5)
-    # rank-3 value (300) lands in bucket 9 = [256, 511]
-    assert 256 <= p50 <= 511
+    # rank-3 value (300) lands in the sub-bucket [288, 303]
+    assert bucket_bounds(bucket_index(300)) == (288, 303)
+    assert 288 <= p50 <= 303
 
 
 def test_percentile_never_exceeds_max():
     hist = StageHistogram()
-    hist.record(257)  # bucket [256, 511] but max is 257
+    hist.record(257)  # bucket [256, 271] but max is 257
     assert hist.percentile(0.99) <= 257
     assert hist.percentile(0.5) <= 257
 
@@ -143,6 +153,14 @@ def test_histogram_round_trip():
     assert StageHistogram.from_dict(hist.to_dict()) == hist
 
 
+def test_copy_is_equal_and_detached():
+    hist = _hist_from([0, 31, 32, 1000, 1 << 40])
+    copy = hist.copy()
+    assert copy == hist
+    hist.record(5)
+    assert copy.count == 5 and copy != hist
+
+
 def test_report_round_trip():
     hub = TraceHub()
     hub.side("receiver").stage("rx_sockq").record(400)
@@ -153,7 +171,7 @@ def test_report_round_trip():
 
 def test_sparse_bucket_encoding():
     payload = _hist_from([1 << 30]).to_dict()
-    assert list(payload["buckets"]) == ["31"]  # only the populated bucket
+    assert list(payload["buckets"]) == [str(bucket_index(1 << 30))]  # only the populated bucket
 
 
 # --- reset-in-place --------------------------------------------------------------
@@ -170,6 +188,17 @@ def test_clear_preserves_recorder_references():
     assert stage.count == 0
     record(7)  # the pre-reset reference still feeds the live histogram
     assert hub.report().hosts["receiver"]["e2e"].total_ns == 7
+
+
+def test_side_trace_e2e_is_the_given_histogram():
+    latency = StageHistogram(recording=False)
+    hub = TraceHub(recording=False)
+    side = hub.side("receiver", latency)
+    assert side.stage("e2e") is latency
+    hub.start()
+    side.stage("e2e").record(40)
+    assert latency.count == 1
+    assert TraceHub().side("receiver").stage("e2e") is not latency
 
 
 # --- identity check --------------------------------------------------------------

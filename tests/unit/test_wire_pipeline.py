@@ -70,10 +70,12 @@ def test_removed_mode_flags_are_rejected(capsys):
 # --- the observable contract on known configs ---------------------------------
 
 # Result digests both wire modes produced before frame trains were deleted.
-# The per-event pipeline must keep producing them byte for byte.
-DEFAULT_DIGEST = "4326646180a750d4eb0eec298c25bab4587bf2084b6a8328490e39c9b90bc128"
-INCAST_DIGEST = "25d64e692049d929d7095596ca51bd1e2b6df15f73d2df06ea4a8cbceb0b9704"
-STANDIN_DIGEST = "6e9f18f911a537854e45ecbb53a16ffb573909f5ed0520b606e63133b0ce111c"
+# The per-event pipeline must keep producing them byte for byte. They last
+# moved when the copy latency became a log-linear histogram (its payload
+# changed; every other payload field stayed byte-identical).
+DEFAULT_DIGEST = "3e03ff8e8e8612d7f11489868e7128049b407d17c2157d63db7fbb64f6cc935d"
+INCAST_DIGEST = "9b7ab8f99b685b4e8c4d9fc10560150dfd36a416bde58acd858c3ed79dbdf2bb"
+STANDIN_DIGEST = "1ae44c8fdcacf6892ed9f5939a9786948b644c9d16dee810b3f891c33bf66788"
 
 
 def test_default_config_digest_and_event_count():
@@ -145,9 +147,8 @@ def test_link_inflight_matches_queued_deliveries():
 # --- cache-key transparency ---------------------------------------------------
 
 # The default config's cache key. The frame_trains/express flags were never
-# part of it; it last moved when the fixed testbed settings left the config
-# for ``repro.constants``.
-DEFAULT_CACHE_KEY = "a71f2646dff63c92afc57ab9f6e007962a7e28328a25fe852bba06549d821ab5"
+# part of it; it last moved with ``CACHE_SCHEMA_VERSION`` 4.
+DEFAULT_CACHE_KEY = "cf00ac667956f84e0346d53330d656ef7edd46d32292f8b81c822c034dc4cfbb"
 
 
 def test_removed_mode_flag_not_in_cache_key():

@@ -18,9 +18,9 @@ RSS. The gate fails on:
   ``peak_rss_mb`` bound in ``BENCHMARK.json``.
 * **Trace overhead** — ``bulk_traced`` ``wall_s`` over ``bulk``'s above
   ``MAX_TRACE_OVERHEAD``.
-* **Engine floors** — the best reference seconds of the two engine
-  micro-benchmarks (``_schedule_and_run``, ``_cancel_churn``) above their
-  committed values by more than ``ENGINE_TOLERANCE``.
+* **Engine floors** — the best reference seconds of the three engine
+  micro-benchmarks (``_schedule_and_run``, ``_cancel_churn``, ``_post_run``)
+  above their committed values by more than ``ENGINE_TOLERANCE``.
 
 ``--update`` re-baselines through :func:`merge_baseline`: a committed value
 stays wherever the new measurement is within that metric's bound of it, so
@@ -115,7 +115,34 @@ def _cancel_churn() -> int:
     return fired
 
 
-ENGINE_WORKLOADS = {"schedule_run": _schedule_and_run, "cancel_churn": _cancel_churn}
+def _post_run() -> int:
+    """Handle-free completions (``Engine.post``, the CPU-job finish and NIC
+    drain path): half of ``NUM_EVENTS`` posted from the loop, each of which
+    posts one more from its callback. Returns the events fired."""
+    engine = Engine()
+    post = engine.post
+    fired = 0
+
+    def chained() -> None:
+        nonlocal fired
+        fired += 1
+
+    def tick() -> None:
+        nonlocal fired
+        fired += 1
+        post(100, chained)
+
+    for i in range(NUM_EVENTS // 2):
+        post(i % 977, tick)
+    engine.run()
+    return fired
+
+
+ENGINE_WORKLOADS = {
+    "schedule_run": _schedule_and_run,
+    "cancel_churn": _cancel_churn,
+    "post_run": _post_run,
+}
 
 
 def bench_records(command: str) -> dict:
