@@ -9,9 +9,13 @@ Usage examples::
     python -m repro figure fig8c --export /tmp/fig8c.csv
     python -m repro figure fig3a --no-cache      # force re-simulation
     python -m repro figure fig3a --audit         # conservation-audit every run
-    python -m repro figure all --jobs 2          # every panel, one after another
+    python -m repro figure all --jobs 2          # every panel, from one batch
     python -m repro trace fig3a                  # per-stage latency breakdown
     python -m repro list
+
+``figure`` and ``trace`` run every config the named panels submit as one
+deduplicated batch and print nothing until it ends; then come the tables
+and, under ``--audit``, one merged audit report.
 
 Results are cached on disk keyed by a content hash of the full experiment
 config (see ``repro.core.cache``), so re-running an unchanged figure is a
@@ -218,51 +222,15 @@ def _audit_exit_code(report) -> int:
     return 1 if report is not None and not report.ok else 0
 
 
-def _panel(name: str, jobs, cache, audit: bool, trace: bool):
-    """Run one figure panel under the given runner settings; print its table
-    (the per-stage latency table when tracing) to stdout, and its trace
-    identity check and audit report to stderr.
-
-    Returns ``(printed table, exit code)``. Runner counters accumulate in
-    ``figures_base.STATS``.
-    """
+def cmd_panel(args: argparse.Namespace) -> int:
+    """``repro figure`` and ``repro trace``: render one panel (or ``all`` of
+    them, in sorted order) from one batch, then print each table (the
+    per-stage latency table and its identity check when tracing), followed
+    by a blank line under ``all``, and one merged audit report; export what
+    was printed."""
     from .core.audit import merge_reports
     from .trace import TraceReport
 
-    figures_base.configure(jobs=jobs, cache=cache, audit=audit, trace=trace)
-    try:
-        table = PANELS[name]()
-        # Merge before the finally clause's configure() clears the lists.
-        report = merge_reports(figures_base.AUDIT_REPORTS) if audit else None
-        trace_report = TraceReport.merge(figures_base.TRACE_REPORTS) if trace else None
-    finally:
-        figures_base.configure()  # restore the sequential, uncached default
-    violations = []
-    if trace_report is not None:
-        table = trace_report.to_table(f"{name}: per-stage latency")
-    print(table.render())
-    if trace_report is not None:
-        checks, violations = trace_report.check_identity()
-        if violations:
-            print(f"trace identity FAILED ({checks} checks):", file=sys.stderr)
-            for message in violations:
-                print(f"  - {message}", file=sys.stderr)
-        else:
-            print(
-                f"trace identity ok: stage deltas sum to end-to-end copy latency "
-                f"({checks} checks)",
-                file=sys.stderr,
-            )
-    if report is not None:
-        print(report.render(), file=sys.stderr)
-    return table, 1 if violations else _audit_exit_code(report)
-
-
-def cmd_panel(args: argparse.Namespace) -> int:
-    """``repro figure`` and ``repro trace``: run one panel (or ``all`` of
-    them, in sorted order, each followed by a blank line), print its table
-    (the per-stage latency table when tracing) and any audit report, and
-    export what was printed."""
     trace = args.command == "trace"
     if args.name == "all":
         if args.export:
@@ -277,14 +245,37 @@ def cmd_panel(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     jobs, cache, audit = _runner_settings(args)
-    figures_base.STATS.reset()
+    stats = RunnerStats()
+    panels, batch = figures_base.render(
+        names, jobs=jobs, cache=cache, audit=audit, trace=trace, stats=stats
+    )
     code = 0
-    for name in names:
-        table, panel_code = _panel(name, jobs, cache, audit, trace)
-        code = max(code, panel_code)
+    for name, (table, results) in panels.items():
+        if trace:
+            trace_report = TraceReport.merge(
+                result.trace for result in results if result.trace is not None
+            )
+            table = trace_report.to_table(f"{name}: per-stage latency")
+        print(table.render())
+        if trace:
+            checks, violations = trace_report.check_identity()
+            if violations:
+                code = 1
+                print(f"trace identity FAILED ({checks} checks):", file=sys.stderr)
+                for message in violations:
+                    print(f"  - {message}", file=sys.stderr)
+            else:
+                print(
+                    f"trace identity ok: stage deltas sum to end-to-end copy "
+                    f"latency ({checks} checks)",
+                    file=sys.stderr,
+                )
         if args.name == "all":
             print()
-    stats = figures_base.STATS
+    if audit:
+        report = merge_reports([result.audit_report for result in batch])
+        print(report.render(), file=sys.stderr)
+        code = max(code, _audit_exit_code(report))
     if stats.experiments_run or stats.cache_hits:
         print(
             f"runner: {stats.experiments_run} experiments simulated, "

@@ -46,13 +46,6 @@ class RunnerStats:
     events_fired: int = 0
     events_cancelled: int = 0
 
-    def reset(self) -> None:
-        self.experiments_run = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.events_fired = 0
-        self.events_cancelled = 0
-
 
 class RunManyError(RuntimeError):
     """One or more configs of a :func:`run_many` batch raised.

@@ -5,24 +5,24 @@ converge quickly; warmups are sized per scenario so receive-buffer autotuning
 and queue fill transients complete before measurement (incast with many
 autotuned flows needs the longest warmup).
 
-All figure experiments flow through :func:`run_all`, which hands the batch to
-:func:`repro.core.runner.run_many`. The module-level runtime (set by
-``repro figure --jobs/--cache-dir`` via :func:`configure`) decides how many
-worker processes to use and whether results come from / go to the persistent
-result cache; the default (one process, no cache) matches the historical
-sequential behaviour exactly.
-
-:func:`harvest_configs` is the one way to learn which configs the panels
-submit: it runs them against a recorder standing in for ``run_many``.
+Every panel submits its configs through :func:`run_all`, which hands them to
+the module-level ``run_many``. :func:`harvest_configs` runs the panels
+against a recorder standing in for it, to learn which configs they submit.
+:func:`render` (what ``repro figure``, ``repro trace`` and the claim tests
+use) runs those configs as one deduplicated batch, then replays each panel
+against a lookup into that batch, so a config that several panels read is
+simulated, or fetched from the result cache, once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..config import ExperimentConfig, TrafficPattern
 from ..core.cache import ResultCache, config_cache_key
 from ..core.experiment import Experiment
+from ..core.report import Table
 from ..core.results import ExperimentResult
 from ..core.runner import RunnerStats, run_many
 from ..units import msec
@@ -41,37 +41,15 @@ WARMUP_NS = {
     TrafficPattern.MIXED: msec(12),
 }
 
-#: Process-pool width for figure batches (1 = in-process, None = per-CPU).
-_JOBS: Optional[int] = 1
-#: Shared result cache, or None to always simulate.
-_CACHE: Optional[ResultCache] = None
-#: Run every experiment with the conservation auditor (disables the cache).
-_AUDIT: bool = False
 #: Run every experiment with per-stage latency tracing (``repro trace``).
 #: Part of the config, and hence of the cache key.
 _TRACE: bool = False
-#: Counters accumulated across every figure run since the last reset.
-STATS = RunnerStats()
-#: Audit reports collected from audited figure runs since the last configure.
-AUDIT_REPORTS: List = []
-#: Trace reports collected from traced figure runs since the last configure.
-TRACE_REPORTS: List = []
 
 
-def configure(
-    jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    audit: bool = False,
-    trace: bool = False,
-) -> None:
-    """Set the runner used by every subsequent figure generation."""
-    global _JOBS, _CACHE, _AUDIT, _TRACE
-    _JOBS = jobs
-    _CACHE = cache
-    _AUDIT = audit
+def configure(trace: bool = False) -> None:
+    """Trace (or stop tracing) every subsequent figure experiment."""
+    global _TRACE
     _TRACE = trace
-    AUDIT_REPORTS.clear()
-    TRACE_REPORTS.clear()
 
 
 def prepare(config: ExperimentConfig) -> ExperimentConfig:
@@ -83,56 +61,92 @@ def prepare(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def run_all(configs: Iterable[ExperimentConfig]) -> List[ExperimentResult]:
-    """Run a figure's whole batch of configs with figure-standard windows.
+    """Run a figure's whole batch of configs with figure-standard windows,
+    results in input order.
 
-    Results come back in input order; independent configs fan out across the
-    configured worker pool and are served from the result cache when warm.
+    Called outside :func:`render` or :func:`harvest_configs`, it simulates
+    in-process and uncached.
     """
-    prepared = [prepare(config) for config in configs]
-    results = run_many(prepared, jobs=_JOBS, cache=_CACHE, stats=STATS, audit=_AUDIT)
-    if _AUDIT:
-        AUDIT_REPORTS.extend(
-            result.audit_report for result in results
-            if result.audit_report is not None
-        )
-    if _TRACE:
-        TRACE_REPORTS.extend(
-            result.trace for result in results if result.trace is not None
-        )
-    return results
+    return run_many([prepare(config) for config in configs])
+
+
+@contextmanager
+def _answering(
+    answer: Callable[[ExperimentConfig], ExperimentResult],
+) -> Iterator[List[Tuple[ExperimentConfig, ExperimentResult]]]:
+    """Stand ``answer`` in for ``run_many`` while the block runs; yields the
+    ``(config, result)`` pairs it answers, in submission order."""
+    global run_many
+    answered: List[Tuple[ExperimentConfig, ExperimentResult]] = []
+
+    def stand_in(configs):
+        results = [answer(config) for config in configs]
+        answered.extend(zip(configs, results))
+        return results
+
+    original, run_many = run_many, stand_in
+    try:
+        yield answered
+    finally:
+        run_many = original
 
 
 def harvest_configs(names: Optional[Iterable[str]] = None) -> List[ExperimentConfig]:
     """Every config the panels in ``names`` (default: every panel) submit,
     deduplicated by cache key, in sorted-panel order.
 
-    Each panel runs against a recorder standing in for ``run_many`` that
-    answers every config with one tiny real result, so nothing is simulated
-    at figure length. Raises ``KeyError`` for an unknown panel name.
+    Each panel runs against a stand-in for ``run_many`` that answers every
+    config with one tiny real result, so nothing is simulated at figure
+    length. Raises ``KeyError`` for an unknown panel name.
     """
-    global run_many
     from . import PANELS
 
     generators = [PANELS[name] for name in sorted(PANELS if names is None else names)]
-    captured: List[ExperimentConfig] = []
-    stand_in = Experiment(ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1))).run()
-
-    def recorder(configs, **kwargs):
-        configs = list(configs)
-        captured.extend(configs)
-        return [stand_in] * len(configs)
-
-    original, run_many = run_many, recorder
-    try:
+    tiny = Experiment(ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1))).run()
+    with _answering(lambda config: tiny) as answered:
         for generator in generators:
             generator()
-    finally:
-        run_many = original
 
     unique: Dict[str, ExperimentConfig] = {}
-    for config in captured:
+    for config, _ in answered:
         unique.setdefault(config_cache_key(config), config)
     return list(unique.values())
+
+
+def render(
+    names: Iterable[str],
+    jobs: Optional[int] = 1,
+    cache: Optional[ResultCache] = None,
+    audit: bool = False,
+    trace: bool = False,
+    stats: Optional[RunnerStats] = None,
+) -> Tuple[Dict[str, Tuple[Table, List[ExperimentResult]]], List[ExperimentResult]]:
+    """Render the panels in ``names`` from one deduplicated batch.
+
+    Harvests every config the panels submit, runs them all in one
+    ``run_many`` call (``jobs``, ``cache``, ``stats`` and ``audit`` go to
+    it), then replays each panel against a lookup into that batch. Returns
+    ``(panels, batch)``: panel name -> ``(table, results it read)`` in the
+    order of ``names``, and the batch's results, one per unique config. A
+    config missing from the batch raises ``KeyError``.
+    """
+    from . import PANELS
+
+    names = list(names)
+    traced = _TRACE
+    configure(trace=trace)
+    try:
+        configs = harvest_configs(names)
+        results = run_many(configs, jobs=jobs, cache=cache, stats=stats, audit=audit)
+        batch = {config_cache_key(c): r for c, r in zip(configs, results)}
+        panels = {}
+        for name in names:
+            with _answering(lambda config: batch[config_cache_key(config)]) as answered:
+                table = PANELS[name]()
+            panels[name] = (table, [result for _, result in answered])
+    finally:
+        configure(trace=traced)
+    return panels, results
 
 
 def pct(fraction: float) -> str:

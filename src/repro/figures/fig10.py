@@ -40,12 +40,12 @@ def _config(
     )
 
 
-def _all_opt_results(sizes=RPC_SIZES_KB) -> List[Tuple[int, ExperimentResult]]:
-    results = run_all([_config(s) for s in sizes])
-    return list(zip(sizes, results))
+def _all_opt_results() -> List[Tuple[int, ExperimentResult]]:
+    results = run_all([_config(s) for s in RPC_SIZES_KB])
+    return list(zip(RPC_SIZES_KB, results))
 
 
-def fig10a(sizes: Tuple[int, ...] = RPC_SIZES_KB) -> Table:
+def fig10a() -> Table:
     """Throughput-per-server-core per optimization column and RPC size."""
     table = Table(
         "Fig 10a: 16:1 RPC throughput-per-server-core (Gbps) vs RPC size",
@@ -53,7 +53,7 @@ def fig10a(sizes: Tuple[int, ...] = RPC_SIZES_KB) -> Table:
     )
     cells = [
         (size, label, _config(size, opts))
-        for size in sizes
+        for size in RPC_SIZES_KB
         for label, opts in OptimizationConfig.incremental_ladder()
     ]
     results = run_all([config for _, _, config in cells])
@@ -67,16 +67,15 @@ def fig10a(sizes: Tuple[int, ...] = RPC_SIZES_KB) -> Table:
     return table
 
 
-def fig10b(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig10b() -> Table:
     """Server-side CPU breakdown vs RPC size (all optimizations on)."""
-    results = results or _all_opt_results()
     return render_breakdown_table(
         "Fig 10b: RPC server CPU breakdown vs RPC size",
-        [(f"{size}KB", r.receiver_breakdown) for size, r in results],
+        [(f"{size}KB", r.receiver_breakdown) for size, r in _all_opt_results()],
     )
 
 
-def fig10c(size_kb: int = 4) -> Table:
+def fig10c() -> Table:
     """NIC-local vs NIC-remote server placement for small RPCs."""
     table = Table(
         "Fig 10c: 4KB RPCs, server on NIC-local vs NIC-remote NUMA node",
@@ -86,7 +85,7 @@ def fig10c(size_kb: int = 4) -> Table:
         ("NIC-local NUMA", NumaPolicy.NIC_LOCAL_FIRST),
         ("NIC-remote NUMA", NumaPolicy.NIC_REMOTE),
     )
-    results = run_all([_config(size_kb, numa=numa) for _, numa in placements])
+    results = run_all([_config(4, numa=numa) for _, numa in placements])
     for (label, _), result in zip(placements, results):
         table.add_row(
             label,

@@ -26,18 +26,17 @@ def _config(num_short: int, include_long: bool = True) -> ExperimentConfig:
     )
 
 
-def _results(counts=SHORT_FLOW_COUNTS) -> List[Tuple[int, ExperimentResult]]:
-    results = run_all([_config(n) for n in counts])
-    return list(zip(counts, results))
+def _results() -> List[Tuple[int, ExperimentResult]]:
+    results = run_all([_config(n) for n in SHORT_FLOW_COUNTS])
+    return list(zip(SHORT_FLOW_COUNTS, results))
 
 
-def fig11a(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig11a() -> Table:
     table = Table(
         "Fig 11a: long flow mixed with N short flows on one core (Gbps)",
         ["short_flows", "thpt_per_core_gbps", "long_gbps", "short_gbps"],
     )
-    for n, result in results:
+    for n, result in _results():
         tags = result.throughput_by_tag_gbps
         table.add_row(
             n,
@@ -48,16 +47,16 @@ def fig11a(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
     return table
 
 
-def fig11b(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig11b() -> Table:
     return render_breakdown_table(
         "Fig 11b: server CPU breakdown vs colocated short flows",
-        [(f"{n} short flows", r.receiver_breakdown) for n, r in results],
+        [(f"{n} short flows", r.receiver_breakdown) for n, r in _results()],
     )
 
 
-def fig11_isolation(num_short: int = 16) -> Table:
+def fig11_isolation() -> Table:
     """The §3.7 headline: long/short throughput in isolation vs mixed."""
+    num_short = 16
     long_alone, short_alone, mixed = run_all([
         _config(0),
         _config(num_short, include_long=False),

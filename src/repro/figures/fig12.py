@@ -49,17 +49,15 @@ def fig12a() -> Table:
     return table
 
 
-def fig12b(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig12b() -> Table:
     return render_breakdown_table(
         "Fig 12b: sender CPU breakdown",
-        [(label, r.sender_breakdown) for label, r in results],
+        [(label, r.sender_breakdown) for label, r in _results()],
     )
 
 
-def fig12c(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig12c() -> Table:
     return render_breakdown_table(
         "Fig 12c: receiver CPU breakdown",
-        [(label, r.receiver_breakdown) for label, r in results],
+        [(label, r.receiver_breakdown) for label, r in _results()],
     )

@@ -34,30 +34,27 @@ def _results() -> List[Tuple[str, ExperimentResult]]:
     return [(cc.value, result) for cc, result in zip(PROTOCOLS, results)]
 
 
-def fig13a(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig13a() -> Table:
     table = Table(
         "Fig 13a: throughput-per-core (Gbps) per congestion control",
         ["protocol", "thpt_per_core_gbps", "total_thpt_gbps"],
     )
-    for label, result in results:
+    for label, result in _results():
         table.add_row(
             label, result.throughput_per_core_gbps, result.total_throughput_gbps
         )
     return table
 
 
-def fig13b(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig13b() -> Table:
     return render_breakdown_table(
         "Fig 13b: sender CPU breakdown per congestion control",
-        [(label, r.sender_breakdown) for label, r in results],
+        [(label, r.sender_breakdown) for label, r in _results()],
     )
 
 
-def fig13c(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig13c() -> Table:
     return render_breakdown_table(
         "Fig 13c: receiver CPU breakdown per congestion control",
-        [(label, r.receiver_breakdown) for label, r in results],
+        [(label, r.receiver_breakdown) for label, r in _results()],
     )

@@ -40,28 +40,26 @@ def _ladder_results() -> List[Tuple[str, ExperimentResult]]:
     return [(label, result) for (label, _), result in zip(ladder, results)]
 
 
-def fig3a(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
+def fig3a() -> Table:
     """Throughput-per-core per optimization column."""
-    results = results or _ladder_results()
     table = Table(
         "Fig 3a: single flow throughput-per-core (Gbps) vs optimizations",
         ["config", "thpt_per_core_gbps", "total_thpt_gbps"],
     )
-    for label, result in results:
+    for label, result in _ladder_results():
         table.add_row(
             label, result.throughput_per_core_gbps, result.total_throughput_gbps
         )
     return table
 
 
-def fig3b(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
+def fig3b() -> Table:
     """Sender and receiver CPU utilization (%) per optimization column."""
-    results = results or _ladder_results()
     table = Table(
         "Fig 3b: single flow CPU utilization (%)",
         ["config", "sender_util_pct", "receiver_util_pct", "total_thpt_gbps"],
     )
-    for label, result in results:
+    for label, result in _ladder_results():
         table.add_row(
             label,
             100 * result.sender_utilization_cores,
@@ -71,28 +69,23 @@ def fig3b(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
     return table
 
 
-def fig3c(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
+def fig3c() -> Table:
     """Sender-side CPU breakdown per optimization column."""
-    results = results or _ladder_results()
     return render_breakdown_table(
         "Fig 3c: sender CPU breakdown",
-        [(label, result.sender_breakdown) for label, result in results],
+        [(label, result.sender_breakdown) for label, result in _ladder_results()],
     )
 
 
-def fig3d(results: List[Tuple[str, ExperimentResult]] = None) -> Table:
+def fig3d() -> Table:
     """Receiver-side CPU breakdown per optimization column."""
-    results = results or _ladder_results()
     return render_breakdown_table(
         "Fig 3d: receiver CPU breakdown",
-        [(label, result.receiver_breakdown) for label, result in results],
+        [(label, result.receiver_breakdown) for label, result in _ladder_results()],
     )
 
 
-def fig3e(
-    ring_sizes: Tuple[int, ...] = RING_SIZES,
-    buffers_kb: Tuple[int, ...] = RX_BUFFERS_KB,
-) -> Table:
+def fig3e() -> Table:
     """Throughput & cache miss rate vs ring size x Rx buffer (static buffers
     plus the autotuned "Default" series)."""
     table = Table(
@@ -100,8 +93,8 @@ def fig3e(
         ["ring_size", "rx_buffer", "thpt_gbps", "miss_rate"],
     )
     cells: List[Tuple[int, str, ExperimentConfig]] = []
-    for ring in ring_sizes:
-        for buffer_kb in buffers_kb:
+    for ring in RING_SIZES:
+        for buffer_kb in RX_BUFFERS_KB:
             cells.append((
                 ring,
                 f"{buffer_kb}KB",
@@ -122,7 +115,7 @@ def fig3e(
     return table
 
 
-def fig3f(buffers_kb: Tuple[int, ...] = LATENCY_BUFFERS_KB) -> Table:
+def fig3f() -> Table:
     """NAPI-to-start-of-copy latency vs TCP Rx buffer size."""
     table = Table(
         "Fig 3f: stack latency from NAPI to data copy vs TCP Rx buffer size",
@@ -130,9 +123,9 @@ def fig3f(buffers_kb: Tuple[int, ...] = LATENCY_BUFFERS_KB) -> Table:
     )
     results = run_all([
         ExperimentConfig(tcp=TcpConfig(rx_buffer_bytes=kb(buffer_kb)))
-        for buffer_kb in buffers_kb
+        for buffer_kb in LATENCY_BUFFERS_KB
     ])
-    for buffer_kb, result in zip(buffers_kb, results):
+    for buffer_kb, result in zip(LATENCY_BUFFERS_KB, results):
         table.add_row(
             buffer_kb,
             result.copy_latency.avg_ns / 1000,

@@ -6,29 +6,21 @@ misses; throughput-per-core drops ~20% relative to the NIC-local placement.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..config import ExperimentConfig, NumaPolicy
 from ..core.report import Table
-from ..core.results import ExperimentResult
 from .base import pct, run_all
 
 
-def results() -> Dict[str, ExperimentResult]:
+def fig4() -> Table:
     local, remote = run_all([
         ExperimentConfig(),
         ExperimentConfig(numa_policy=NumaPolicy.NIC_REMOTE),
     ])
-    return {"NIC-local NUMA": local, "NIC-remote NUMA": remote}
-
-
-def fig4(data: Dict[str, ExperimentResult] = None) -> Table:
-    data = data or results()
     table = Table(
         "Fig 4: single flow on NIC-local vs NIC-remote NUMA node",
         ["placement", "thpt_per_core_gbps", "receiver_miss_rate"],
     )
-    for label, result in data.items():
+    for label, result in (("NIC-local NUMA", local), ("NIC-remote NUMA", remote)):
         table.add_row(
             label, result.throughput_per_core_gbps, pct(result.receiver_cache_miss_rate)
         )

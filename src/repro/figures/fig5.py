@@ -24,12 +24,12 @@ def _config(flows: int, opts: OptimizationConfig) -> ExperimentConfig:
     )
 
 
-def _all_opt_results(flows=FLOW_COUNTS) -> List[Tuple[int, ExperimentResult]]:
-    results = run_all([_config(n, OptimizationConfig.all()) for n in flows])
-    return list(zip(flows, results))
+def _all_opt_results() -> List[Tuple[int, ExperimentResult]]:
+    results = run_all([_config(n, OptimizationConfig.all()) for n in FLOW_COUNTS])
+    return list(zip(FLOW_COUNTS, results))
 
 
-def fig5a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
+def fig5a() -> Table:
     """Throughput-per-core per optimization column and flow count."""
     table = Table(
         "Fig 5a: one-to-one throughput-per-core (Gbps)",
@@ -37,7 +37,7 @@ def fig5a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
     )
     cells = [
         (n, label, _config(n, opts))
-        for n in flows
+        for n in FLOW_COUNTS
         for label, opts in OptimizationConfig.incremental_ladder()
     ]
     results = run_all([config for _, _, config in cells])
@@ -48,19 +48,17 @@ def fig5a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
     return table
 
 
-def fig5b(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig5b() -> Table:
     """Sender CPU breakdown vs number of flows (all optimizations on)."""
-    results = results or _all_opt_results()
     return render_breakdown_table(
         "Fig 5b: one-to-one sender CPU breakdown",
-        [(f"{n} flows", r.sender_breakdown) for n, r in results],
+        [(f"{n} flows", r.sender_breakdown) for n, r in _all_opt_results()],
     )
 
 
-def fig5c(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig5c() -> Table:
     """Receiver CPU breakdown vs number of flows (all optimizations on)."""
-    results = results or _all_opt_results()
     return render_breakdown_table(
         "Fig 5c: one-to-one receiver CPU breakdown",
-        [(f"{n} flows", r.receiver_breakdown) for n, r in results],
+        [(f"{n} flows", r.receiver_breakdown) for n, r in _all_opt_results()],
     )

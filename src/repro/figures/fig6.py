@@ -25,12 +25,12 @@ def _config(flows: int, opts: OptimizationConfig = None) -> ExperimentConfig:
     )
 
 
-def _all_opt_results(flows=FLOW_COUNTS) -> List[Tuple[int, ExperimentResult]]:
-    results = run_all([_config(n) for n in flows])
-    return list(zip(flows, results))
+def _all_opt_results() -> List[Tuple[int, ExperimentResult]]:
+    results = run_all([_config(n) for n in FLOW_COUNTS])
+    return list(zip(FLOW_COUNTS, results))
 
 
-def fig6a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
+def fig6a() -> Table:
     """Throughput-per-core per optimization column and flow count."""
     table = Table(
         "Fig 6a: incast throughput-per-core (Gbps)",
@@ -38,7 +38,7 @@ def fig6a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
     )
     cells = [
         (n, label, _config(n, opts))
-        for n in flows
+        for n in FLOW_COUNTS
         for label, opts in OptimizationConfig.incremental_ladder()
     ]
     results = run_all([config for _, _, config in cells])
@@ -49,23 +49,21 @@ def fig6a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
     return table
 
 
-def fig6b(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig6b() -> Table:
     """Receiver CPU breakdown vs flows (all optimizations on)."""
-    results = results or _all_opt_results()
     return render_breakdown_table(
         "Fig 6b: incast receiver CPU breakdown",
-        [(f"{n} flows", r.receiver_breakdown) for n, r in results],
+        [(f"{n} flows", r.receiver_breakdown) for n, r in _all_opt_results()],
     )
 
 
-def fig6c(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig6c() -> Table:
     """Receiver L3 miss rate and throughput-per-core vs flows."""
-    results = results or _all_opt_results()
     table = Table(
         "Fig 6c: incast receiver cache miss rate vs flows",
         ["flows", "thpt_per_core_gbps", "receiver_miss_rate"],
     )
-    for n, result in results:
+    for n, result in _all_opt_results():
         table.add_row(
             n, result.throughput_per_core_gbps, pct(result.receiver_cache_miss_rate)
         )

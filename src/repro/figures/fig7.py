@@ -25,12 +25,12 @@ def _config(flows: int, opts: OptimizationConfig = None) -> ExperimentConfig:
     )
 
 
-def _all_opt_results(flows=FLOW_COUNTS) -> List[Tuple[int, ExperimentResult]]:
-    results = run_all([_config(n) for n in flows])
-    return list(zip(flows, results))
+def _all_opt_results() -> List[Tuple[int, ExperimentResult]]:
+    results = run_all([_config(n) for n in FLOW_COUNTS])
+    return list(zip(FLOW_COUNTS, results))
 
 
-def fig7a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
+def fig7a() -> Table:
     """Throughput-per-sender-core per optimization column and flow count."""
     table = Table(
         "Fig 7a: outcast throughput-per-sender-core (Gbps)",
@@ -38,7 +38,7 @@ def fig7a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
     )
     cells = [
         (n, label, _config(n, opts))
-        for n in flows
+        for n in FLOW_COUNTS
         for label, opts in OptimizationConfig.incremental_ladder()
     ]
     results = run_all([config for _, _, config in cells])
@@ -52,23 +52,21 @@ def fig7a(flows: Tuple[int, ...] = FLOW_COUNTS) -> Table:
     return table
 
 
-def fig7b(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig7b() -> Table:
     """Sender CPU breakdown vs flows (all optimizations on)."""
-    results = results or _all_opt_results()
     return render_breakdown_table(
         "Fig 7b: outcast sender CPU breakdown",
-        [(f"{n} flows", r.sender_breakdown) for n, r in results],
+        [(f"{n} flows", r.sender_breakdown) for n, r in _all_opt_results()],
     )
 
 
-def fig7c(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig7c() -> Table:
     """Sender/receiver utilization and sender-side cache miss rate vs flows."""
-    results = results or _all_opt_results()
     table = Table(
         "Fig 7c: outcast CPU utilization (%) and sender cache miss rate",
         ["flows", "sender_util_pct", "receiver_util_pct", "sender_miss_rate"],
     )
-    for n, result in results:
+    for n, result in _all_opt_results():
         table.add_row(
             n,
             100 * result.sender_utilization_cores,

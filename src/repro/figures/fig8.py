@@ -25,12 +25,12 @@ def _config(side: int, opts: OptimizationConfig = None) -> ExperimentConfig:
     )
 
 
-def _all_opt_results(sides=SIDE_COUNTS) -> List[Tuple[int, ExperimentResult]]:
-    results = run_all([_config(x) for x in sides])
-    return list(zip(sides, results))
+def _all_opt_results() -> List[Tuple[int, ExperimentResult]]:
+    results = run_all([_config(x) for x in SIDE_COUNTS])
+    return list(zip(SIDE_COUNTS, results))
 
 
-def fig8a(sides: Tuple[int, ...] = SIDE_COUNTS) -> Table:
+def fig8a() -> Table:
     """Throughput-per-core per optimization column and matrix side."""
     table = Table(
         "Fig 8a: all-to-all throughput-per-core (Gbps)",
@@ -38,7 +38,7 @@ def fig8a(sides: Tuple[int, ...] = SIDE_COUNTS) -> Table:
     )
     cells = [
         (x, label, _config(x, opts))
-        for x in sides
+        for x in SIDE_COUNTS
         for label, opts in OptimizationConfig.incremental_ladder()
     ]
     results = run_all([config for _, _, config in cells])
@@ -52,23 +52,21 @@ def fig8a(sides: Tuple[int, ...] = SIDE_COUNTS) -> Table:
     return table
 
 
-def fig8b(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig8b() -> Table:
     """Receiver CPU breakdown vs matrix side (all optimizations on)."""
-    results = results or _all_opt_results()
     return render_breakdown_table(
         "Fig 8b: all-to-all receiver CPU breakdown",
-        [(f"{x}x{x} flows", r.receiver_breakdown) for x, r in results],
+        [(f"{x}x{x} flows", r.receiver_breakdown) for x, r in _all_opt_results()],
     )
 
 
-def fig8c(results: List[Tuple[int, ExperimentResult]] = None) -> Table:
+def fig8c() -> Table:
     """Post-GRO skb size distribution (CDF summary) vs matrix side."""
-    results = results or _all_opt_results()
     table = Table(
         "Fig 8c: post-GRO skb sizes at the receiver",
         ["flows", "mean_skb_kb", "p50_skb_kb", "frac_64kb_skbs"],
     )
-    for x, result in results:
+    for x, result in _all_opt_results():
         cdf = result.skb_size_cdf()
         p50 = 0.0
         for size, cumulative in cdf:

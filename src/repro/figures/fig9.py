@@ -21,18 +21,17 @@ def _config(loss: float) -> ExperimentConfig:
     return ExperimentConfig(link=LinkConfig(loss_rate=loss, has_switch=True))
 
 
-def _results(rates=LOSS_RATES) -> List[Tuple[float, ExperimentResult]]:
-    results = run_all([_config(p) for p in rates])
-    return list(zip(rates, results))
+def _results() -> List[Tuple[float, ExperimentResult]]:
+    results = run_all([_config(p) for p in LOSS_RATES])
+    return list(zip(LOSS_RATES, results))
 
 
-def fig9a(results: List[Tuple[float, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig9a() -> Table:
     table = Table(
         "Fig 9a: throughput-per-core (Gbps) vs packet drop rate",
         ["loss_rate", "thpt_per_core_gbps", "total_thpt_gbps", "retransmits"],
     )
-    for p, result in results:
+    for p, result in _results():
         table.add_row(
             p,
             result.throughput_per_core_gbps,
@@ -42,13 +41,12 @@ def fig9a(results: List[Tuple[float, ExperimentResult]] = None) -> Table:
     return table
 
 
-def fig9b(results: List[Tuple[float, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig9b() -> Table:
     table = Table(
         "Fig 9b: CPU utilization (%) vs packet drop rate",
         ["loss_rate", "sender_util_pct", "receiver_util_pct"],
     )
-    for p, result in results:
+    for p, result in _results():
         table.add_row(
             p,
             100 * result.sender_utilization_cores,
@@ -57,17 +55,15 @@ def fig9b(results: List[Tuple[float, ExperimentResult]] = None) -> Table:
     return table
 
 
-def fig9c(results: List[Tuple[float, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig9c() -> Table:
     return render_breakdown_table(
         "Fig 9c: sender CPU breakdown vs drop rate",
-        [(f"loss={p}", r.sender_breakdown) for p, r in results],
+        [(f"loss={p}", r.sender_breakdown) for p, r in _results()],
     )
 
 
-def fig9d(results: List[Tuple[float, ExperimentResult]] = None) -> Table:
-    results = results or _results()
+def fig9d() -> Table:
     return render_breakdown_table(
         "Fig 9d: receiver CPU breakdown vs drop rate",
-        [(f"loss={p}", r.receiver_breakdown) for p, r in results],
+        [(f"loss={p}", r.receiver_breakdown) for p, r in _results()],
     )

@@ -35,8 +35,8 @@ from .units import msec
 GOLDEN_DURATION_NS = msec(2)
 GOLDEN_WARMUP_NS = msec(3)
 
-#: The harvester's name from before it moved to ``figures.base``; the
-#: benchmark's tests import it from here.
+#: The harvester's name from before it moved to ``figures.base``. Its only
+#: user is ``bench/tests/test_workloads.py``.
 harvest_figure_configs = harvest_configs
 
 

@@ -1,11 +1,12 @@
 """Fig 5: one-to-one scaling (§3.2)."""
 
 from repro.core.taxonomy import Category
-from repro.figures import fig5
+
+from .conftest import pick
 
 
-def test_fig5a_throughput_per_core():
-    table = fig5.fig5a(flows=(1, 8, 24))
+def test_fig5a_throughput_per_core(panels):
+    table = pick(panels["fig5a"], "flows", (1, 8, 24))
     all_opt = [
         row for row in table.rows if row[1] == "+aRFS"
     ]
@@ -15,15 +16,13 @@ def test_fig5a_throughput_per_core():
     assert totals[1] > 90  # the link saturates by 8 flows
 
 
-def test_fig5b_sender_breakdown():
-    results = fig5._all_opt_results((1, 24))
-    table = fig5.fig5b(results)
+def test_fig5b_sender_breakdown(panels):
+    table = pick(panels["fig5b"], "config", ("1 flows", "24 flows"))
     assert len(table.rows) == 2
 
 
-def test_fig5c_receiver_breakdown_shifts():
-    results = fig5._all_opt_results((1, 24))
-    table = fig5.fig5c(results)
+def test_fig5c_receiver_breakdown_shifts(panels):
+    table = pick(panels["fig5c"], "config", ("1 flows", "24 flows"))
     sched_col = table.columns.index(Category.SCHED.label)
     mem_col = table.columns.index(Category.MEMORY.label)
     one, twentyfour = table.rows

@@ -16,7 +16,6 @@ import pytest
 
 from repro.config import ExperimentConfig
 from repro.core.runner import run_many
-from repro.figures import PANELS
 from repro.figures import base as figures_base
 from repro.golden import GOLDEN_DURATION_NS, GOLDEN_WARMUP_NS
 from repro.units import msec
@@ -63,28 +62,17 @@ def test_audit_disables_cache(tmp_path):
 
 
 @pytest.mark.parametrize("figure_name", ["fig3a"])
-def test_figure_audit_pipeline_end_to_end(figure_name):
-    """The CLI path: configure figures for auditing, generate one panel,
-    and check the merged report (the `repro figure fig3a --audit` flow)."""
+def test_figure_audit_pipeline_end_to_end(figure_name, monkeypatch):
+    """The CLI path: render one panel with every run audited, and check the
+    merged report (the `repro figure fig3a --audit` flow)."""
     from repro.core.audit import merge_reports
 
-    generator = PANELS[figure_name]
-    monkey_duration = GOLDEN_DURATION_NS
-    original_prepare = figures_base.prepare
-
-    def short_prepare(config):
-        prepared = original_prepare(config)
-        return prepared.replace(
-            duration_ns=monkey_duration, warmup_ns=GOLDEN_WARMUP_NS
-        )
-
-    figures_base.prepare = short_prepare
-    figures_base.configure(jobs=1, cache=None, audit=True)
-    try:
-        generator()
-        report = merge_reports(figures_base.AUDIT_REPORTS)
-    finally:
-        figures_base.prepare = original_prepare
-        figures_base.configure()
+    monkeypatch.setattr(figures_base, "DURATION_NS", GOLDEN_DURATION_NS)
+    monkeypatch.setattr(
+        figures_base, "WARMUP_NS",
+        {pattern: GOLDEN_WARMUP_NS for pattern in figures_base.WARMUP_NS},
+    )
+    _, batch = figures_base.render([figure_name], audit=True)
+    report = merge_reports([result.audit_report for result in batch])
     assert report.checks_run > 0
     assert report.ok, report.render()

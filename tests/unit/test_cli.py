@@ -137,19 +137,7 @@ def test_audit_flag_disables_cache():
     assert audit and cache is None
 
 
-def _shorten_figure_windows(monkeypatch):
-    from repro.figures import base as figures_base
-    from repro.units import msec
-
-    monkeypatch.setattr(figures_base, "DURATION_NS", msec(1))
-    monkeypatch.setattr(
-        figures_base, "WARMUP_NS",
-        {pattern: msec(2) for pattern in figures_base.WARMUP_NS},
-    )
-
-
-def test_figure_audit_reports_clean_panel(capsys, monkeypatch):
-    _shorten_figure_windows(monkeypatch)
+def test_figure_audit_reports_clean_panel(capsys, short_figure_windows):
     assert main(["figure", "fig3a", "--audit"]) == 0
     captured = capsys.readouterr()
     assert "conservation checks passed" in captured.err
@@ -165,8 +153,7 @@ def test_audit_subcommand_is_gone(capsys):
     assert "audit" in capsys.readouterr().err
 
 
-def test_trace_subcommand_renders_stage_table(capsys, monkeypatch):
-    _shorten_figure_windows(monkeypatch)
+def test_trace_subcommand_renders_stage_table(capsys, short_figure_windows):
     assert main(["trace", "fig3a"]) == 0
     captured = capsys.readouterr()
     assert "per-stage latency" in captured.out
@@ -174,8 +161,7 @@ def test_trace_subcommand_renders_stage_table(capsys, monkeypatch):
     assert "trace identity ok" in captured.err
 
 
-def test_trace_subcommand_export(capsys, monkeypatch, tmp_path):
-    _shorten_figure_windows(monkeypatch)
+def test_trace_subcommand_export(capsys, short_figure_windows, tmp_path):
     path = tmp_path / "trace.csv"
     assert main(["trace", "fig3a", "--export", str(path)]) == 0
     assert "rx_softirq" in path.read_text()

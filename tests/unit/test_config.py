@@ -155,7 +155,7 @@ def test_validate_accepts_known_cost_override():
 
 
 def test_every_figure_config_validates():
-    from repro.golden import harvest_figure_configs
+    from repro.figures.base import harvest_configs
 
-    for config in harvest_figure_configs():
+    for config in harvest_configs():
         config.validate()
