@@ -12,6 +12,9 @@ so this test is the proof that every later engine and hot-path rewrite is
 behaviour-preserving. The figure configs run with tracing off; the
 ``bulk_traced`` benchmark configs (fig3a and fig12a with tracing on) are
 pinned separately in ``TRACED_DIGESTS``, so the trace payload is pinned too.
+Those run on lossless, switchless links; fig9a's four configs (switch,
+random loss, ECN marking) are pinned traced in ``TRACED_LOSSY_DIGESTS``, so
+the traced drop and mark path of the wire is pinned as well.
 
 Each figure config runs once per session, in the ``figure_sweep`` fixture
 (``conftest.py``) that the strict-audit gate reads too. The traced configs
@@ -90,19 +93,31 @@ TRACED_DIGESTS = {
 }
 
 
-def test_traced_result_digests_are_byte_identical():
-    """Run the traced bulk configs and compare digests, trace included;
+#: fig9a with tracing on: a switched link with random loss (0 to 1.5e-2)
+#: and ECN marking, so dropped and marked frames cross the traced wire path.
+TRACED_LOSSY_PANELS = ("fig9a",)
+
+TRACED_LOSSY_DIGESTS = {
+    "10fef91a599668cba0395fbaa9cbea2d0d1b8d0d68ca4e4033bc43cf0492ad54": "b38e898ba6c734671fc7569b1bbc4110737e774b7b220bf233d09b8820ab2dd3",
+    "8dbb9cd736334d9944b5db02b7e270b35fa4d75ca10aec4411eed9efdbe44b2f": "b38e898ba6c734671fc7569b1bbc4110737e774b7b220bf233d09b8820ab2dd3",
+    "0291df9cf856db5929b46df884395ac3f10d42263cbe66c665db2a4a4d4a0f5b": "e702d9bcd0393f171b4398a5dc666dd72713516af35876c4db5173a713bd3565",
+    "bb0ac1964233e8582355cf40bdf36328370e6d30fd294b9271b28444b6b52958": "5ba184fa3fa9d3daa40f2fd230a333b9445fd3124083b71bfcbb5182a0c0c2d3",
+}
+
+
+def _check_traced(panels, pinned):
+    """Run ``panels``' configs traced and compare digests, trace included;
     each run must also pass the strict audit, trace identities included."""
     configs = [
         config.replace(trace=True)
-        for config in harvest_configs(TRACED_PANELS)
+        for config in harvest_configs(panels)
     ]
-    assert {config_cache_key(config) for config in configs} == set(TRACED_DIGESTS)
+    assert {config_cache_key(config) for config in configs} == set(pinned)
     mismatches, audit_failures = [], []
     for config in configs:
         key, experiment, digest = golden_run(config)
-        if digest != TRACED_DIGESTS[key]:
-            mismatches.append((key, TRACED_DIGESTS[key], digest))
+        if digest != pinned[key]:
+            mismatches.append((key, pinned[key], digest))
         assert experiment.trace is not None, key  # so the audit checks trace.*
         try:
             audit_experiment(experiment, strict=True)
@@ -113,3 +128,14 @@ def test_traced_result_digests_are_byte_identical():
         f"from golden digests; first: {mismatches[0]}"
     )
     assert not audit_failures, "\n\n".join(audit_failures)
+
+
+def test_traced_result_digests_are_byte_identical():
+    """The traced bulk configs: digests, trace included, and strict audit."""
+    _check_traced(TRACED_PANELS, TRACED_DIGESTS)
+
+
+def test_traced_lossy_result_digests_are_byte_identical():
+    """The traced fig9a configs, whose links drop and ECN-mark frames:
+    digests, trace included, and strict audit."""
+    _check_traced(TRACED_LOSSY_PANELS, TRACED_LOSSY_DIGESTS)
