@@ -155,16 +155,17 @@ class NapiContext:
         kind_data = Frame.KIND_DATA
         kind_ack = Frame.KIND_ACK
         trace = host.trace
-        if trace is not None and trace.stages["rx_ring"].recording:
+        if trace is not None and receivers and trace.stages["rx_ring"].recording:
             # One rx_ring sample per data completion whose flow has a
             # receiver here: DMA arrival (the record's stamped arrival time)
             # to this poll instant. Receivers are never removed, so this is
-            # exactly the set of records the loop below hands to GRO.
+            # exactly the set of records the loop below hands to GRO (none
+            # on a host without receivers).
             trace.stages["rx_ring"].record_many([
                 now - record.arrival_ns
                 for record in batch
-                if record.frame.kind == kind_data
-                and record.frame.flow_id in receivers
+                if (frame := record.frame).kind == kind_data
+                and frame.flow_id in receivers
             ])
 
         i = 0

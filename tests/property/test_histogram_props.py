@@ -1,7 +1,9 @@
 """Property-based tests for the log-linear latency histogram.
 
 One histogram class serves every trace stage and the always-on copy latency
-(Fig 3f): exact below 32 ns, then 16 linear sub-buckets per octave.
+(Fig 3f): exact below 32 ns, then 16 linear sub-buckets per octave. It counts
+raw deltas and folds them into buckets lazily; these tests check that the
+result equals bucketing every delta as it is recorded.
 """
 
 from hypothesis import given, settings
@@ -62,3 +64,83 @@ def test_merge_is_associative(a, b, c):
     right = _hist_from(a)
     right.merge(bc)
     assert left == right == _hist_from(a + b + c)
+
+
+class _EagerFold(StageHistogram):
+    """Folds after every third distinct pending delta, so short streams
+    cross the fold bound many times."""
+
+    __slots__ = ()
+    FOLD_BOUND = 2
+
+
+#: Deltas where bucketing can go wrong: exact values below 32, the edges of
+#: every octave, and anything up to 2^63.
+edge_deltas = st.one_of(
+    st.integers(min_value=0, max_value=31),
+    st.builds(
+        lambda octave, offset: max(0, (1 << octave) + offset),
+        st.integers(min_value=5, max_value=63),
+        st.integers(min_value=-1, max_value=1),
+    ),
+    st.integers(min_value=0, max_value=1 << 63),
+)
+edge_streams = st.lists(edge_deltas, max_size=80)
+
+
+def _reference(values):
+    """``to_dict`` of ``values`` bucketed one by one with ``bucket_index``."""
+    buckets = {}
+    for value in values:
+        index = bucket_index(value)
+        buckets[index] = buckets.get(index, 0) + 1
+    return {
+        "count": len(values),
+        "total_ns": sum(values),
+        "max_ns": max(values, default=0),
+        "buckets": {str(index): buckets[index] for index in sorted(buckets)},
+    }
+
+
+def _assert_matches(hist, values):
+    reference = _reference(values)
+    assert (hist.count, hist.total_ns, hist.max_ns) == (
+        reference["count"], reference["total_ns"], reference["max_ns"]
+    )
+    assert hist.to_dict() == reference
+    expected = StageHistogram.from_dict(reference)
+    assert hist == expected
+    for fraction in (0.0, 0.01, 0.5, 0.9, 0.99, 1.0):
+        assert hist.percentile(fraction) == expected.percentile(fraction)
+
+
+@given(values=edge_streams, split=st.integers(min_value=0, max_value=80))
+@settings(max_examples=300, deadline=None)
+def test_raw_counts_equal_per_delta_bucketing(values, split):
+    one_by_one = _EagerFold()
+    for value in values:
+        one_by_one.record(value)
+    _assert_matches(one_by_one, values)
+
+    batched = _EagerFold()
+    batched.record_many(values[:split])
+    batched.record_many(values[split:])
+    _assert_matches(batched, values)
+
+    # A copy taken mid-stream is detached and holds what was recorded so far.
+    partial = _EagerFold()
+    partial.record_many(values[:split])
+    snapshot = partial.copy()
+    partial.record_many(values[split:])
+    _assert_matches(snapshot, values[:split])
+    _assert_matches(partial, values)
+
+    # Merging the two halves equals recording the whole stream.
+    head, tail = _EagerFold(), _EagerFold()
+    head.record_many(values[:split])
+    for value in values[split:]:
+        tail.record(value)
+    head.merge(tail)
+    _assert_matches(head, values)
+
+    _assert_matches(StageHistogram.from_dict(batched.to_dict()), values)

@@ -1,7 +1,11 @@
 """Unit tests for the per-stage latency tracing primitives."""
 
+import gc
+
 import pytest
 
+from repro.config import ExperimentConfig
+from repro.core.experiment import Experiment
 from repro.core.report import Table
 from repro.trace import (
     NUM_BUCKETS,
@@ -13,6 +17,7 @@ from repro.trace import (
     bucket_bounds,
     bucket_index,
 )
+from repro.units import msec
 
 
 # --- log-linear bucketing --------------------------------------------------------
@@ -55,6 +60,80 @@ def test_huge_delta_fits():
     hist.record((1 << 64) - 1)  # largest representable delta
     assert hist.buckets[NUM_BUCKETS - 1] == 1
     assert bucket_bounds(NUM_BUCKETS - 1)[1] == (1 << 64) - 1
+
+
+# --- raw counts and sparse storage -------------------------------------------------
+
+
+def test_empty_histogram_and_its_copy_allocate_no_buckets():
+    hist = StageHistogram()
+    for empty in (hist, hist.copy(), StageHistogram.from_dict(hist.to_dict())):
+        assert empty._buckets is None and not empty._pending
+        assert empty.to_dict()["buckets"] == {}
+
+
+def test_clear_drops_bucket_storage():
+    hist = _hist_from([5, 1000, 1 << 40])
+    assert hist.to_dict()["buckets"]
+    hist.clear()
+    assert hist._buckets is None and not hist._pending
+    assert hist == StageHistogram()
+
+
+def test_recording_counts_raw_deltas_until_read():
+    hist = StageHistogram()
+    hist.record_many([700, 700, 810])
+    hist.record(700)
+    assert hist._pending == {700: 3, 810: 1} and hist._buckets is None
+    assert hist.count == 4  # a read folds
+    assert not hist._pending
+    assert hist._buckets == {bucket_index(700): 3, bucket_index(810): 1}
+
+
+def test_pending_deltas_fold_past_the_bound():
+    hist = StageHistogram()
+    distinct = range(1000, 1000 + StageHistogram.FOLD_BOUND + 1)
+    for value in distinct:
+        hist.record(value)
+    assert not hist._pending and hist._buckets
+    hist.record_many(distinct)
+    assert not hist._pending
+    assert hist.count == 2 * len(distinct)
+
+
+def test_closed_histogram_records_nothing():
+    hist = StageHistogram(recording=False)
+    hist.record(5)
+    hist.record_many([6, 7])
+    assert hist == StageHistogram() and not hist._pending
+
+
+def _lists_reachable_from(root):
+    """Every list reachable from ``root`` through containers and slots."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, list):
+            found.append(obj)
+        stack.extend(
+            ref for ref in gc.get_referents(obj)
+            if isinstance(ref, (list, dict, tuple, StageHistogram, TraceReport))
+        )
+    return found
+
+
+def test_detached_traced_result_holds_no_dense_bucket_list():
+    config = ExperimentConfig(trace=True, duration_ns=msec(1), warmup_ns=msec(1))
+    result = Experiment(config).run()
+    assert result.trace.hosts["receiver"]["e2e"].count > 0
+    for root in (result.trace, result.copy_latency):
+        assert not [
+            found for found in _lists_reachable_from(root)
+            if len(found) >= NUM_BUCKETS
+        ]
 
 
 # --- percentiles -----------------------------------------------------------------
