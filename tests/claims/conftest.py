@@ -23,6 +23,14 @@ from repro.figures import PANELS, base
 STATS = RunnerStats()
 
 
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_cache():
+    """Read the user's cache: these tests check the tables that ``repro
+    figure all`` rendered into it (``tests/conftest.py`` gives tier-1 a
+    private one)."""
+    yield
+
+
 @pytest.fixture(scope="session")
 def panels() -> Dict[str, Table]:
     """Every panel's table, rendered from one batch, one worker per CPU."""
