@@ -28,7 +28,6 @@ class CostModel:
     # --- syscall / misc ------------------------------------------------------------
     syscall_cycles: float = 500.0
     irq_cycles: float = 700.0
-    csum_per_byte: float = 0.0  # checksum offloaded to NIC by default
 
     # --- skb management ---------------------------------------------------------------
     skb_alloc_cycles: float = 380.0      # kmem_cache_alloc_node (memory)
@@ -61,7 +60,6 @@ class CostModel:
     qdisc_per_skb: float = 340.0
     driver_tx_per_skb: float = 300.0
     driver_tx_per_frame: float = 25.0    # descriptor writes when NIC lacks TSO
-    lro_nic_assist_per_frame: float = 0.0  # NIC-side merge burns no host cycles
     rps_backlog_enqueue_cycles: float = 250.0  # software-steering IPI + backlog
 
     # --- memory management ------------------------------------------------------------------

@@ -154,6 +154,13 @@ def test_validate_accepts_known_cost_override():
     ExperimentConfig(cost_overrides={"skb_free_cycles": 100.0}).validate()
 
 
+@pytest.mark.parametrize("name", ["csum_per_byte", "lro_nic_assist_per_frame"])
+def test_deleted_dead_cost_constant_is_an_unknown_override(name):
+    # Both were 0.0 and charged nowhere, so an override changed nothing.
+    with pytest.raises(ValueError, match="unknown cost_overrides keys"):
+        ExperimentConfig(cost_overrides={name: 1e6})
+
+
 def test_every_figure_config_validates():
     from repro.figures.base import harvest_configs
 
