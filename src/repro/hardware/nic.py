@@ -324,15 +324,20 @@ class Nic:
             # The wire stage, in one pass: every ingested data frame still
             # carries its wire-exit stamp (the drop branch above cleared
             # the others'). Stamps are consumed from the first frame on;
-            # the histogram records once the measurement window is open.
-            wire_deltas = []
-            append = wire_deltas.append
-            for frame in frames:
-                stamp = frame.trace_ns
-                if stamp is not None:
-                    append(now - stamp)
+            # deltas are collected only once the measurement window is open.
+            wire = self.trace.stages["wire"]
+            if wire.recording:
+                wire_deltas = []
+                append = wire_deltas.append
+                for frame in frames:
+                    stamp = frame.trace_ns
+                    if stamp is not None:
+                        append(now - stamp)
+                        frame.trace_ns = None
+                wire.record_many(wire_deltas)
+            else:
+                for frame in frames:
                     frame.trace_ns = None
-            self.trace.stages["wire"].record_many(wire_deltas)
         for queue in touched:
             if queue.napi is not None:
                 queue.napi.notify()
