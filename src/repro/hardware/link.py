@@ -161,7 +161,7 @@ class Link:
                     bytes_sent += wire_bytes
                 t += dt_sum
             else:
-                wire_deltas: List[int] = []
+                wire_deltas = []
                 append = wire_deltas.append
                 for frame in frames:
                     wire_bytes = frame.wire_bytes

@@ -5,10 +5,11 @@ attributes *latency*. With ``ExperimentConfig.trace`` on, every payload unit
 is timestamped at the §2.1 stage boundaries — app ``write()``, TCP transmit,
 GSO/qdisc/driver, NIC Tx, wire, NIC Rx DMA, IRQ/NAPI poll, GRO + TCP receive,
 socket queue, and the single data copy into userspace — and each interval
-lands in a fixed log-linear streaming histogram. The histograms have no
-reservoir cap (a fixed bucket vector absorbs any sample count), merge by
-elementwise addition (associative, so ``run_many`` worker fan-out composes in
-any order), and round-trip losslessly through the result export.
+lands in a log-linear streaming histogram. The histograms have no reservoir
+cap (raw deltas are counted, then folded into a sparse bucket map that
+absorbs any sample count), merge by adding bucket populations (associative,
+so ``run_many`` worker fan-out composes in any order), and round-trip
+losslessly through the result export.
 
 Stamping rules:
 
@@ -17,7 +18,9 @@ Stamping rules:
   where it is the job's finish time or the call instant.
 * Per-frame wire stamps use the frame's own serialization finish time (the
   running ``t`` in ``Link._serialize``), because a batch is serialized in
-  one event but its frames leave the wire one after another.
+  one event but its frames leave the wire one after another. Each per-frame
+  site (doorbell, serialization, Rx ingest, NAPI poll) is one pass over its
+  batch.
 * Stamps run from t=0; histograms record only once the measurement window
   opens (``TraceHub.start``). A sample is recorded when its interval closes,
   so one that opens in warmup and closes in the window is recorded whole.
@@ -291,7 +294,7 @@ class StageHistogram:
             self._count == other._count
             and self._total == other._total
             and self._max == other._max
-            and (self._buckets or None) == (other._buckets or None)
+            and self._buckets == other._buckets
         )
 
     def __repr__(self) -> str:  # pragma: no cover

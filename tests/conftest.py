@@ -10,7 +10,6 @@ it: those tests read the cache ``repro figure all`` warmed (DESIGN.md §8).
 """
 
 import os
-from pathlib import Path
 from typing import Dict, NamedTuple
 
 import pytest

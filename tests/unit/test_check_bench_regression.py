@@ -140,14 +140,16 @@ def test_peak_rss_ceiling_trips(tmp_path, monkeypatch, capsys):
 
 
 def test_trace_overhead_ceiling_trips(tmp_path, monkeypatch, capsys):
-    traced = WALL_S["bulk"] * (1 + tool.MAX_TRACE_OVERHEAD + 0.05)
-    wall_s = dict(WALL_S, bulk_traced=traced)
-    committed = dict(COMMITTED, wall_s=wall_s)  # bulk_traced within its own ceiling
-    code, err = _run_gate(tmp_path, monkeypatch, capsys, wall_s=wall_s,
-                          committed=committed)
-    assert code == 1
-    assert "tracing" in err
-    assert "wall_s" not in err
+    # One point above the ceiling trips it; one point below does not.
+    for excess, trips in ((0.01, True), (-0.01, False)):
+        traced = WALL_S["bulk"] * (1 + tool.MAX_TRACE_OVERHEAD + excess)
+        wall_s = dict(WALL_S, bulk_traced=traced)
+        committed = dict(COMMITTED, wall_s=wall_s)  # bulk_traced within its own ceiling
+        code, err = _run_gate(tmp_path, monkeypatch, capsys, wall_s=wall_s,
+                              committed=committed)
+        assert code == (1 if trips else 0), err
+        assert ("tracing" in err) == trips
+        assert "wall_s" not in err
 
 
 def test_missing_gated_figure_fails(tmp_path, monkeypatch, capsys):

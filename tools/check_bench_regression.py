@@ -55,8 +55,9 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 
 #: Allowed fractional wall-time increase of ``bulk_traced`` over ``bulk``:
 #: the same configs with per-stage latency tracing on. Kept in the tool so
-#: ``--update`` can never weaken it.
-MAX_TRACE_OVERHEAD = 0.50
+#: ``--update`` can never weaken it. Set to the largest overhead five gate
+#: runs measured on a 2-vCPU VM (0.084 to 0.173), plus 0.03, rounded up.
+MAX_TRACE_OVERHEAD = 0.21
 #: Allowed fractional slowdown of an engine micro-benchmark.
 ENGINE_TOLERANCE = 0.25
 #: Timed runs per engine micro-benchmark in each of three windows: before,
