@@ -142,41 +142,23 @@ class Link:
         trace = self.trace
         tt_cache = self._tt_cache
         tt_get = tt_cache.get
-        if not drop and not mark:
-            # Lossless path (no drop or ECN decision — the default testbed):
-            # every frame survives. Untraced, only the *final* clock matters;
-            # per-frame delays are integers, so summing them first is
-            # bit-exact with a running clock.
+        if not drop and not mark and trace is None:
+            # Fast path (lossless unswitched untraced link — the default
+            # testbed): every frame survives and only the *final* clock
+            # matters. Per-frame delays are integers, so summing them first
+            # is bit-exact with the sequential accumulation below.
             bytes_sent = 0
-            if trace is None:
-                dt_sum = 0
-                for frame in frames:
-                    wire_bytes = frame.wire_bytes
-                    dt = tt_get(wire_bytes)
-                    if dt is None:
-                        dt = tt_cache[wire_bytes] = transmission_time_ns(
-                            wire_bytes, bandwidth
-                        )
-                    dt_sum += dt
-                    bytes_sent += wire_bytes
-                t += dt_sum
-            else:
-                wire_deltas = []
-                append = wire_deltas.append
-                for frame in frames:
-                    wire_bytes = frame.wire_bytes
-                    dt = tt_get(wire_bytes)
-                    if dt is None:
-                        dt = tt_cache[wire_bytes] = transmission_time_ns(
-                            wire_bytes, bandwidth
-                        )
-                    t += dt
-                    bytes_sent += wire_bytes
-                    stamp = frame.trace_ns
-                    if stamp is not None:
-                        append(t - stamp)
-                        frame.trace_ns = t  # wire exit, for the Rx side
-                trace.stages["tx_wire"].record_many(wire_deltas)
+            dt_sum = 0
+            for frame in frames:
+                wire_bytes = frame.wire_bytes
+                dt = tt_get(wire_bytes)
+                if dt is None:
+                    dt = tt_cache[wire_bytes] = transmission_time_ns(
+                        wire_bytes, bandwidth
+                    )
+                dt_sum += dt
+                bytes_sent += wire_bytes
+            t += dt_sum
             self.frames_sent += len(frames)
             self.bytes_sent += bytes_sent
             self._free_at = t
@@ -214,7 +196,7 @@ class Link:
             append(frame)
             delivered_bytes += wire_bytes
         if wire_deltas is not None:
-            trace.stages["tx_wire"].record_many(wire_deltas)
+            trace.stage("tx_wire").record_many(wire_deltas)
         self.frames_sent += nsent
         self.bytes_sent += bytes_sent
         self._free_at = t

@@ -172,26 +172,20 @@ class Nic:
         """
         if self.tx_link is None:
             raise RuntimeError("NIC has no Tx link attached")
-        tx_flows = self._tx_flows
-        if self.trace is None:
-            for frame in frames:
-                queue = tx_flows.get(frame.flow_id)
-                if queue is None:
-                    queue = tx_flows[frame.flow_id] = deque()
-                queue.append(frame)
-        else:
-            # Doorbell stamp, taken as each frame is queued: ``transmit``
-            # runs inside the driver job's completion (or a retransmit
-            # event), at the doorbell instant.
+        if self.trace is not None:
+            # Doorbell stamp: ``transmit`` runs inside the driver job's
+            # completion (or a retransmit event), at the doorbell instant.
             doorbell = self.engine.now
             kind_data = Frame.KIND_DATA
             for frame in frames:
                 if frame.kind == kind_data:
                     frame.trace_ns = doorbell
-                queue = tx_flows.get(frame.flow_id)
-                if queue is None:
-                    queue = tx_flows[frame.flow_id] = deque()
-                queue.append(frame)
+        tx_flows = self._tx_flows
+        for frame in frames:
+            queue = tx_flows.get(frame.flow_id)
+            if queue is None:
+                queue = tx_flows[frame.flow_id] = deque()
+            queue.append(frame)
         if not self._tx_drain_pending:
             self._tx_drain_pending = True
             # Defer to the end of the current event so bursts queued by other
@@ -258,6 +252,13 @@ class Nic:
         so an IRQ decision sees the whole arriving batch.
         """
         now = self.engine.now
+        # Wire stamps are consumed from the first frame on; samples are
+        # collected only once the measurement window is open.
+        wire = wire_deltas = None
+        if self.trace is not None:
+            wire = self.trace.stages["wire"]
+            if wire.recording:
+                wire_deltas = []
         queue_for = self.steering.queue_for
         lro = self.lro
         dca_write = self._dca_write
@@ -285,7 +286,6 @@ class Nic:
                 dropped += 1
                 queue.dropped_no_descriptor += 1
                 queue.dropped_no_descriptor_bytes += frame.wire_bytes
-                frame.trace_ns = None  # a dropped frame records no wire stage
                 continue
             queue.avail_descriptors -= 1
             queue.pending_frames += 1
@@ -294,6 +294,11 @@ class Nic:
                 if queue not in touched:
                     touched.append(queue)
                 last_touched = queue
+            if wire is not None and frame.trace_ns is not None:
+                if wire_deltas is not None:
+                    wire_deltas.append(now - frame.trace_ns)
+                frame.trace_ns = None
+
             is_data = frame.kind == kind_data
             if lro and is_data and self._try_lro_merge(queue, frame):
                 continue
@@ -320,24 +325,8 @@ class Nic:
         self._region_counter = region_counter
         self.rx_frames += len(frames) - dropped
         self.rx_bytes += rx_bytes
-        if self.trace is not None:
-            # The wire stage, in one pass: every ingested data frame still
-            # carries its wire-exit stamp (the drop branch above cleared
-            # the others'). Stamps are consumed from the first frame on;
-            # deltas are collected only once the measurement window is open.
-            wire = self.trace.stages["wire"]
-            if wire.recording:
-                wire_deltas = []
-                append = wire_deltas.append
-                for frame in frames:
-                    stamp = frame.trace_ns
-                    if stamp is not None:
-                        append(now - stamp)
-                        frame.trace_ns = None
-                wire.record_many(wire_deltas)
-            else:
-                for frame in frames:
-                    frame.trace_ns = None
+        if wire_deltas is not None:
+            wire.record_many(wire_deltas)
         for queue in touched:
             if queue.napi is not None:
                 queue.napi.notify()

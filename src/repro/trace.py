@@ -6,10 +6,9 @@ is timestamped at the §2.1 stage boundaries — app ``write()``, TCP transmit,
 GSO/qdisc/driver, NIC Tx, wire, NIC Rx DMA, IRQ/NAPI poll, GRO + TCP receive,
 socket queue, and the single data copy into userspace — and each interval
 lands in a log-linear streaming histogram. The histograms have no reservoir
-cap (raw deltas are counted, then folded into a sparse bucket map that
-absorbs any sample count), merge by adding bucket populations (associative,
-so ``run_many`` worker fan-out composes in any order), and round-trip
-losslessly through the result export.
+cap (a sparse map of populated buckets absorbs any sample count), merge by
+adding bucket populations (associative, so ``run_many`` worker fan-out
+composes in any order), and round-trip losslessly through the result export.
 
 Stamping rules:
 
@@ -18,9 +17,7 @@ Stamping rules:
   where it is the job's finish time or the call instant.
 * Per-frame wire stamps use the frame's own serialization finish time (the
   running ``t`` in ``Link._serialize``), because a batch is serialized in
-  one event but its frames leave the wire one after another. Each per-frame
-  site (doorbell, serialization, Rx ingest, NAPI poll) is one pass over its
-  batch.
+  one event but its frames leave the wire one after another.
 * Stamps run from t=0; histograms record only once the measurement window
   opens (``TraceHub.start``). A sample is recorded when its interval closes,
   so one that opens in warmup and closes in the window is recorded whole.
@@ -39,9 +36,7 @@ auditor checks the telescoping identity
 
 from __future__ import annotations
 
-# The C loop behind ``Counter.update``: counts an iterable into a plain dict.
-from collections import _count_elements
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Deltas below this are counted exactly, one bucket per nanosecond value.
 #: From here on each octave [2^k, 2^(k+1)) splits into 16 linear sub-buckets
@@ -101,199 +96,151 @@ class StageHistogram:
     :func:`bucket_index` buckets (exact below 32 ns, then 16 linear
     sub-buckets per octave): unbounded sample streams aggregate in bounded
     memory with no reservoir, ``avg_ns`` is exact and a percentile is off by
-    at most one sub-bucket, 1/16 of its octave.
-
-    Recording only counts raw deltas (``_pending``, delta -> samples); each
-    distinct delta is folded into its bucket and into count / total / max
-    once, when the histogram is read or when more than ``FOLD_BOUND``
-    distinct deltas are pending. Latency streams repeat most deltas, so
-    most samples cost one dict update and no bucketing. Bucket storage
-    exists only once a sample has been folded, and holds only populated
-    buckets.
+    at most one sub-bucket, 1/16 of its octave. The map holds only populated
+    buckets, so an empty histogram holds no bucket storage at all.
 
     While ``recording`` is false (warmup) :meth:`record` and
     :meth:`record_many` record nothing; the owner's ``start`` sets it.
     """
 
-    __slots__ = ("recording", "_pending", "_buckets", "_count", "_total", "_max")
-
-    #: Distinct raw deltas held before they are folded into buckets.
-    FOLD_BOUND = 256
+    __slots__ = ("count", "total_ns", "max_ns", "_buckets", "recording")
 
     def __init__(self, recording: bool = True) -> None:
+        self.count = 0
+        self.total_ns = 0
+        self.max_ns = 0
+        #: bucket index -> population, populated buckets only
+        self._buckets: Dict[int, int] = {}
         self.recording = recording
-        self._pending: Dict[int, int] = {}
-        self._buckets: Optional[Dict[int, int]] = None
-        self._count = 0
-        self._total = 0
-        self._max = 0
 
     def record(self, delta_ns: int) -> None:
         """Record one interval."""
-        if self.recording:
-            pending = self._pending
-            pending[delta_ns] = pending.get(delta_ns, 0) + 1
-            if len(pending) > self.FOLD_BOUND:
-                self._fold()
+        if not self.recording:
+            return
+        # bucket_index inlined, as in record_many.
+        if delta_ns < EXACT_BELOW:
+            index = delta_ns
+        else:
+            shift = delta_ns.bit_length() - 5
+            index = (shift << 4) + (delta_ns >> shift)
+        buckets = self._buckets
+        buckets[index] = buckets.get(index, 0) + 1
+        self.count += 1
+        self.total_ns += delta_ns
+        if delta_ns > self.max_ns:
+            self.max_ns = delta_ns
 
-    def record_many(self, deltas: Iterable[int]) -> None:
-        """Record every interval in ``deltas``: the same histogram as
-        calling :meth:`record` once per delta, counted in C."""
-        if self.recording:
-            pending = self._pending
-            _count_elements(pending, deltas)
-            if len(pending) > self.FOLD_BOUND:
-                self._fold()
-
-    def _fold(self) -> None:
-        """Fold the pending raw counts into the buckets and moments."""
-        pending = self._pending
-        if not pending:
+    def record_many(self, deltas: Sequence[int]) -> None:
+        """Record every interval in ``deltas``: the same count, total, max
+        and buckets as calling :meth:`record` once per delta."""
+        if not deltas or not self.recording:
             return
         buckets = self._buckets
-        if buckets is None:
-            buckets = self._buckets = {}
-        count = total = 0
-        for delta_ns, samples in pending.items():
-            # bucket_index inlined: this loop is the only place deltas are
-            # bucketed.
+        get = buckets.get
+        for delta_ns in deltas:
+            # bucket_index inlined: a call per sample costs about a third
+            # of this loop, which the per-frame stages run.
             if delta_ns < EXACT_BELOW:
                 index = delta_ns
             else:
                 shift = delta_ns.bit_length() - 5
                 index = (shift << 4) + (delta_ns >> shift)
-            buckets[index] = buckets.get(index, 0) + samples
-            count += samples
-            total += delta_ns * samples
-        self._count += count
-        self._total += total
-        top = max(pending)
-        if top > self._max:
-            self._max = top
-        pending.clear()
-
-    @property
-    def count(self) -> int:
-        self._fold()
-        return self._count
-
-    @property
-    def total_ns(self) -> int:
-        self._fold()
-        return self._total
-
-    @property
-    def max_ns(self) -> int:
-        self._fold()
-        return self._max
+            buckets[index] = get(index, 0) + 1
+        self.count += len(deltas)
+        self.total_ns += sum(deltas)
+        top = max(deltas)
+        if top > self.max_ns:
+            self.max_ns = top
 
     @property
     def buckets(self) -> List[int]:
         """The population of every bucket, as a dense ``NUM_BUCKETS`` list."""
         dense = [0] * NUM_BUCKETS
-        for index, population in self._populated():
+        for index, population in self._buckets.items():
             dense[index] = population
         return dense
-
-    def _populated(self) -> List[Tuple[int, int]]:
-        """``(bucket index, population)`` of every populated bucket, in
-        index order."""
-        self._fold()
-        return sorted(self._buckets.items()) if self._buckets else []
 
     def clear(self) -> None:
         """Zero in place — callers holding a reference to this histogram
         keep recording into the same object."""
-        self._pending.clear()
-        self._buckets = None
-        self._count = 0
-        self._total = 0
-        self._max = 0
+        self.count = 0
+        self.total_ns = 0
+        self.max_ns = 0
+        self._buckets = {}
 
     def copy(self) -> "StageHistogram":
         """A detached copy: later records into either miss the other."""
-        self._fold()
         hist = StageHistogram()
-        hist._count = self._count
-        hist._total = self._total
-        hist._max = self._max
-        if self._buckets:
-            hist._buckets = dict(self._buckets)
+        hist.count = self.count
+        hist.total_ns = self.total_ns
+        hist.max_ns = self.max_ns
+        hist._buckets = dict(self._buckets)
         return hist
 
     def merge(self, other: "StageHistogram") -> None:
-        """Fold ``other`` into this histogram (elementwise, associative)."""
-        self._fold()
-        other._fold()
-        self._count += other._count
-        self._total += other._total
-        if other._max > self._max:
-            self._max = other._max
-        if other._buckets:
-            buckets = self._buckets
-            if buckets is None:
-                buckets = self._buckets = {}
-            for index, population in other._buckets.items():
-                buckets[index] = buckets.get(index, 0) + population
+        """Fold ``other`` into this histogram (bucketwise, associative)."""
+        self.count += other.count
+        self.total_ns += other.total_ns
+        if other.max_ns > self.max_ns:
+            self.max_ns = other.max_ns
+        buckets = self._buckets
+        for index, population in other._buckets.items():
+            buckets[index] = buckets.get(index, 0) + population
 
     @property
     def avg_ns(self) -> float:
-        count = self.count
-        return self._total / count if count else 0.0
+        return self.total_ns / self.count if self.count else 0.0
 
     def percentile(self, fraction: float) -> float:
         """Estimated p-quantile: walk the buckets to the target rank, then
         interpolate linearly inside the landing bucket. Exact below 32 ns;
         elsewhere accurate to the landing sub-bucket's width."""
-        count = self.count
-        if count == 0:
+        if self.count == 0:
             return 0.0
-        target = fraction * count
+        target = fraction * self.count
         accumulated = 0
-        for index, population in self._populated():
+        for index, population in sorted(self._buckets.items()):
             if accumulated + population >= target:
                 low, high = bucket_bounds(index)
                 inside = (target - accumulated) / population
                 # The landing bucket's upper edge can exceed the exact max;
                 # never report a quantile above an observed value.
-                return min(low + (high - low) * inside, float(self._max))
+                return min(low + (high - low) * inside, float(self.max_ns))
             accumulated += population
-        return float(self._max)
+        return float(self.max_ns)
 
     def to_dict(self) -> dict:
-        populated = self._populated()
         return {
-            "count": self._count,
-            "total_ns": self._total,
-            "max_ns": self._max,
+            "count": self.count,
+            "total_ns": self.total_ns,
+            "max_ns": self.max_ns,
             # sparse encoding: only populated buckets, keyed by index
-            "buckets": {str(index): population for index, population in populated},
+            "buckets": {
+                str(index): population
+                for index, population in sorted(self._buckets.items())
+            },
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StageHistogram":
         hist = cls()
-        hist._count = payload["count"]
-        hist._total = payload["total_ns"]
-        hist._max = payload["max_ns"]
-        buckets = {
+        hist.count = payload["count"]
+        hist.total_ns = payload["total_ns"]
+        hist.max_ns = payload["max_ns"]
+        hist._buckets = {
             int(index): population
             for index, population in payload["buckets"].items()
             if population
         }
-        if buckets:
-            hist._buckets = buckets
         return hist
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StageHistogram):
             return NotImplemented
-        self._fold()
-        other._fold()
         return (
-            self._count == other._count
-            and self._total == other._total
-            and self._max == other._max
+            self.count == other.count
+            and self.total_ns == other.total_ns
+            and self.max_ns == other.max_ns
             and self._buckets == other._buckets
         )
 

@@ -1,9 +1,8 @@
 """Property-based tests for the log-linear latency histogram.
 
 One histogram class serves every trace stage and the always-on copy latency
-(Fig 3f): exact below 32 ns, then 16 linear sub-buckets per octave. It counts
-raw deltas and folds them into buckets lazily; these tests check that the
-result equals bucketing every delta as it is recorded.
+(Fig 3f): exact below 32 ns, then 16 linear sub-buckets per octave, stored
+sparsely.
 """
 
 from hypothesis import given, settings
@@ -66,14 +65,6 @@ def test_merge_is_associative(a, b, c):
     assert left == right == _hist_from(a + b + c)
 
 
-class _EagerFold(StageHistogram):
-    """Folds after every third distinct pending delta, so short streams
-    cross the fold bound many times."""
-
-    __slots__ = ()
-    FOLD_BOUND = 2
-
-
 #: Deltas where bucketing can go wrong: exact values below 32, the edges of
 #: every octave, and anything up to 2^63.
 edge_deltas = st.one_of(
@@ -116,19 +107,19 @@ def _assert_matches(hist, values):
 
 @given(values=edge_streams, split=st.integers(min_value=0, max_value=80))
 @settings(max_examples=300, deadline=None)
-def test_raw_counts_equal_per_delta_bucketing(values, split):
-    one_by_one = _EagerFold()
+def test_recording_equals_per_delta_bucketing(values, split):
+    one_by_one = StageHistogram()
     for value in values:
         one_by_one.record(value)
     _assert_matches(one_by_one, values)
 
-    batched = _EagerFold()
+    batched = StageHistogram()
     batched.record_many(values[:split])
     batched.record_many(values[split:])
     _assert_matches(batched, values)
 
     # A copy taken mid-stream is detached and holds what was recorded so far.
-    partial = _EagerFold()
+    partial = StageHistogram()
     partial.record_many(values[:split])
     snapshot = partial.copy()
     partial.record_many(values[split:])
@@ -136,7 +127,7 @@ def test_raw_counts_equal_per_delta_bucketing(values, split):
     _assert_matches(partial, values)
 
     # Merging the two halves equals recording the whole stream.
-    head, tail = _EagerFold(), _EagerFold()
+    head, tail = StageHistogram(), StageHistogram()
     head.record_many(values[:split])
     for value in values[split:]:
         tail.record(value)

@@ -62,13 +62,13 @@ def test_huge_delta_fits():
     assert bucket_bounds(NUM_BUCKETS - 1)[1] == (1 << 64) - 1
 
 
-# --- raw counts and sparse storage -------------------------------------------------
+# --- sparse storage --------------------------------------------------------------
 
 
 def test_empty_histogram_and_its_copy_allocate_no_buckets():
     hist = StageHistogram()
     for empty in (hist, hist.copy(), StageHistogram.from_dict(hist.to_dict())):
-        assert empty._buckets is None and not empty._pending
+        assert empty._buckets == {}  # an empty dict allocates no table
         assert empty.to_dict()["buckets"] == {}
 
 
@@ -76,36 +76,23 @@ def test_clear_drops_bucket_storage():
     hist = _hist_from([5, 1000, 1 << 40])
     assert hist.to_dict()["buckets"]
     hist.clear()
-    assert hist._buckets is None and not hist._pending
+    assert hist._buckets == {}
     assert hist == StageHistogram()
 
 
-def test_recording_counts_raw_deltas_until_read():
+def test_only_populated_buckets_are_stored():
     hist = StageHistogram()
     hist.record_many([700, 700, 810])
     hist.record(700)
-    assert hist._pending == {700: 3, 810: 1} and hist._buckets is None
-    assert hist.count == 4  # a read folds
-    assert not hist._pending
     assert hist._buckets == {bucket_index(700): 3, bucket_index(810): 1}
-
-
-def test_pending_deltas_fold_past_the_bound():
-    hist = StageHistogram()
-    distinct = range(1000, 1000 + StageHistogram.FOLD_BOUND + 1)
-    for value in distinct:
-        hist.record(value)
-    assert not hist._pending and hist._buckets
-    hist.record_many(distinct)
-    assert not hist._pending
-    assert hist.count == 2 * len(distinct)
+    assert hist.count == 4
 
 
 def test_closed_histogram_records_nothing():
     hist = StageHistogram(recording=False)
     hist.record(5)
     hist.record_many([6, 7])
-    assert hist == StageHistogram() and not hist._pending
+    assert hist == StageHistogram()
 
 
 def _lists_reachable_from(root):
