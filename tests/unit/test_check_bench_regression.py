@@ -48,7 +48,7 @@ def _records(wall_s, shares, self_s_scale, failed, peak_rss_mb):
     """Stub ``bench_records``: ``run`` and ``layers`` records by workload."""
     runs = {
         name: {"workload": name, "attempted": 10, "failed": failed,
-               "metrics": {"wall_s": {"value": wall, "unit": "s"},
+               "metrics": {"wall_s": {"value": wall, "unit": "s", "samples": [wall]},
                            "peak_rss_mb": {"value": peak_rss_mb[name], "unit": "MB"}}}
         for name, wall in wall_s.items()
     }
@@ -150,6 +150,18 @@ def test_trace_overhead_ceiling_trips(tmp_path, monkeypatch, capsys):
         assert code == (1 if trips else 0), err
         assert ("tracing" in err) == trips
         assert "wall_s" not in err
+
+
+def test_trace_overhead_pairs_rounds_run_back_to_back():
+    # Rounds run bulk 1, traced 1, bulk 2, traced 2, ... A 1.5x slow stretch
+    # from traced round 2 on moves the ratio of the medians (1.65 / 1.0) but
+    # only one of three per-pair ratios.
+    runs = {
+        "bulk": {"metrics": {"wall_s": {"samples": [1.0, 1.0, 1.5]}}},
+        "bulk_traced": {"metrics": {"wall_s": {"samples": [1.1, 1.65, 1.65]}}},
+    }
+    assert tool.trace_overhead(runs) == pytest.approx(0.1)
+    assert tool.trace_overhead({"bulk": runs["bulk"]}) is None
 
 
 def test_missing_gated_figure_fails(tmp_path, monkeypatch, capsys):
