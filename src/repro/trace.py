@@ -5,10 +5,11 @@ attributes *latency*. With ``ExperimentConfig.trace`` on, every payload unit
 is timestamped at the §2.1 stage boundaries — app ``write()``, TCP transmit,
 GSO/qdisc/driver, NIC Tx, wire, NIC Rx DMA, IRQ/NAPI poll, GRO + TCP receive,
 socket queue, and the single data copy into userspace — and each interval
-lands in a log-linear streaming histogram. The histograms have no reservoir
-cap (a sparse map of populated buckets absorbs any sample count), merge by
-adding bucket populations (associative, so ``run_many`` worker fan-out
-composes in any order), and round-trip losslessly through the result export.
+lands in a fixed log-linear streaming histogram. The histograms have no
+reservoir cap (a fixed bucket vector, allocated by the first sample, absorbs
+any sample count), merge by elementwise addition (associative, so
+``run_many`` worker fan-out composes in any order), and round-trip
+losslessly through the result export.
 
 Stamping rules:
 
@@ -92,12 +93,13 @@ STAGE_LABELS: Dict[str, str] = {key: label for key, _, label in STAGES}
 class StageHistogram:
     """Streaming log-linear histogram of non-negative nanosecond deltas.
 
-    Exact count / total / max plus a sparse population map over the
+    Exact count / total / max plus a population vector over the
     :func:`bucket_index` buckets (exact below 32 ns, then 16 linear
-    sub-buckets per octave): unbounded sample streams aggregate in bounded
+    sub-buckets per octave): unbounded sample streams aggregate in O(1)
     memory with no reservoir, ``avg_ns`` is exact and a percentile is off by
-    at most one sub-bucket, 1/16 of its octave. The map holds only populated
-    buckets, so an empty histogram holds no bucket storage at all.
+    at most one sub-bucket, 1/16 of its octave. The vector is allocated by
+    the first recorded sample: an experiment builds every histogram before
+    its window opens, and one that stays empty holds no vector.
 
     While ``recording`` is false (warmup) :meth:`record` and
     :meth:`record_many` record nothing; the owner's ``start`` sets it.
@@ -109,22 +111,22 @@ class StageHistogram:
         self.count = 0
         self.total_ns = 0
         self.max_ns = 0
-        #: bucket index -> population, populated buckets only
-        self._buckets: Dict[int, int] = {}
+        self._buckets: Optional[List[int]] = None
         self.recording = recording
 
     def record(self, delta_ns: int) -> None:
         """Record one interval."""
         if not self.recording:
             return
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._buckets = [0] * NUM_BUCKETS
         # bucket_index inlined, as in record_many.
         if delta_ns < EXACT_BELOW:
-            index = delta_ns
+            buckets[delta_ns] += 1
         else:
             shift = delta_ns.bit_length() - 5
-            index = (shift << 4) + (delta_ns >> shift)
-        buckets = self._buckets
-        buckets[index] = buckets.get(index, 0) + 1
+            buckets[(shift << 4) + (delta_ns >> shift)] += 1
         self.count += 1
         self.total_ns += delta_ns
         if delta_ns > self.max_ns:
@@ -136,16 +138,16 @@ class StageHistogram:
         if not deltas or not self.recording:
             return
         buckets = self._buckets
-        get = buckets.get
+        if buckets is None:
+            buckets = self._buckets = [0] * NUM_BUCKETS
         for delta_ns in deltas:
             # bucket_index inlined: a call per sample costs about a third
             # of this loop, which the per-frame stages run.
             if delta_ns < EXACT_BELOW:
-                index = delta_ns
+                buckets[delta_ns] += 1
             else:
                 shift = delta_ns.bit_length() - 5
-                index = (shift << 4) + (delta_ns >> shift)
-            buckets[index] = get(index, 0) + 1
+                buckets[(shift << 4) + (delta_ns >> shift)] += 1
         self.count += len(deltas)
         self.total_ns += sum(deltas)
         top = max(deltas)
@@ -154,11 +156,8 @@ class StageHistogram:
 
     @property
     def buckets(self) -> List[int]:
-        """The population of every bucket, as a dense ``NUM_BUCKETS`` list."""
-        dense = [0] * NUM_BUCKETS
-        for index, population in self._buckets.items():
-            dense[index] = population
-        return dense
+        """The population of every bucket: a ``NUM_BUCKETS`` list."""
+        return list(self._buckets) if self._buckets else [0] * NUM_BUCKETS
 
     def clear(self) -> None:
         """Zero in place — callers holding a reference to this histogram
@@ -166,7 +165,7 @@ class StageHistogram:
         self.count = 0
         self.total_ns = 0
         self.max_ns = 0
-        self._buckets = {}
+        self._buckets = None
 
     def copy(self) -> "StageHistogram":
         """A detached copy: later records into either miss the other."""
@@ -174,18 +173,22 @@ class StageHistogram:
         hist.count = self.count
         hist.total_ns = self.total_ns
         hist.max_ns = self.max_ns
-        hist._buckets = dict(self._buckets)
+        if self._buckets is not None:
+            hist._buckets = list(self._buckets)
         return hist
 
     def merge(self, other: "StageHistogram") -> None:
-        """Fold ``other`` into this histogram (bucketwise, associative)."""
+        """Fold ``other`` into this histogram (elementwise, associative)."""
         self.count += other.count
         self.total_ns += other.total_ns
         if other.max_ns > self.max_ns:
             self.max_ns = other.max_ns
-        buckets = self._buckets
-        for index, population in other._buckets.items():
-            buckets[index] = buckets.get(index, 0) + population
+        if other._buckets is not None:
+            if self._buckets is None:
+                self._buckets = [0] * NUM_BUCKETS
+            buckets = self._buckets
+            for index, population in enumerate(other._buckets):
+                buckets[index] += population
 
     @property
     def avg_ns(self) -> float:
@@ -199,7 +202,9 @@ class StageHistogram:
             return 0.0
         target = fraction * self.count
         accumulated = 0
-        for index, population in sorted(self._buckets.items()):
+        for index, population in enumerate(self._buckets or ()):
+            if population == 0:
+                continue
             if accumulated + population >= target:
                 low, high = bucket_bounds(index)
                 inside = (target - accumulated) / population
@@ -217,7 +222,8 @@ class StageHistogram:
             # sparse encoding: only populated buckets, keyed by index
             "buckets": {
                 str(index): population
-                for index, population in sorted(self._buckets.items())
+                for index, population in enumerate(self._buckets or ())
+                if population
             },
         }
 
@@ -227,11 +233,11 @@ class StageHistogram:
         hist.count = payload["count"]
         hist.total_ns = payload["total_ns"]
         hist.max_ns = payload["max_ns"]
-        hist._buckets = {
-            int(index): population
-            for index, population in payload["buckets"].items()
-            if population
-        }
+        for index, population in payload["buckets"].items():
+            if population:
+                if hist._buckets is None:
+                    hist._buckets = [0] * NUM_BUCKETS
+                hist._buckets[int(index)] = population
         return hist
 
     def __eq__(self, other: object) -> bool:
@@ -241,7 +247,7 @@ class StageHistogram:
             self.count == other.count
             and self.total_ns == other.total_ns
             and self.max_ns == other.max_ns
-            and self._buckets == other._buckets
+            and self.buckets == other.buckets
         )
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -1,8 +1,7 @@
 """Property-based tests for the log-linear latency histogram.
 
 One histogram class serves every trace stage and the always-on copy latency
-(Fig 3f): exact below 32 ns, then 16 linear sub-buckets per octave, stored
-sparsely.
+(Fig 3f): exact below 32 ns, then 16 linear sub-buckets per octave.
 """
 
 from hypothesis import given, settings
