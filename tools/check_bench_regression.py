@@ -59,8 +59,8 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 
 #: Allowed fractional wall-time increase of ``bulk_traced`` over ``bulk``:
 #: the same configs with per-stage latency tracing on. Kept in the tool so
-#: ``--update`` can never weaken it. Set to the largest overhead five gate
-#: runs measured on a 2-vCPU VM (0.084 to 0.173), plus 0.03, rounded up.
+#: ``--update`` can never weaken it. On a 2-vCPU VM eight gate runs measured
+#: 0.086 to 0.146 (median of per-round-pair ratios); none came within 0.06.
 MAX_TRACE_OVERHEAD = 0.21
 #: Allowed fractional slowdown of an engine micro-benchmark.
 ENGINE_TOLERANCE = 0.25
