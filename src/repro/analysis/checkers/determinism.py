@@ -43,8 +43,9 @@ from ..project import Project, ScopeVisitor, SourceFile
 
 CHECKER_ID = "determinism"
 
-#: Package-relative prefixes where results are computed: the set-iteration
-#: rule applies only here (iteration order can reach simulated behaviour).
+#: Package-relative prefixes where results are computed, plus the config,
+#: testbed constants and units every result reads: the set-iteration rule
+#: applies only here (iteration order can reach simulated behaviour).
 SIM_PATH_PREFIXES = (
     "sim/",
     "hardware/",
@@ -52,6 +53,9 @@ SIM_PATH_PREFIXES = (
     "workloads/",
     "costs/",
     "core/",
+    "config.py",
+    "constants.py",
+    "units.py",
     "trace.py",
     "golden.py",
 )

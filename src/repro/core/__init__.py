@@ -6,7 +6,7 @@ from .profiler import CpuProfiler
 from .metrics import SideMetrics
 from .results import ExperimentResult, BreakdownTable
 from .experiment import Experiment
-from .cache import CACHE_SCHEMA_VERSION, ResultCache, config_cache_key
+from .cache import ResultCache, config_cache_key
 from .runner import RunnerStats, run_many
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "ExperimentResult",
     "BreakdownTable",
     "Experiment",
-    "CACHE_SCHEMA_VERSION",
     "ResultCache",
     "config_cache_key",
     "RunnerStats",

@@ -1,20 +1,25 @@
 """Persistent, content-addressed cache of experiment results.
 
 Experiments are deterministic functions of their :class:`ExperimentConfig`
-(all dataclass fields, ``cost_overrides`` included, plus the seed), so a
-result can be stored on disk under a stable content hash of the config and
-replayed instead of re-simulated. Regenerating an unchanged figure then costs
-a handful of small JSON reads instead of seconds of DES time.
+(all dataclass fields, ``cost_overrides`` included, plus the seed) and of the
+simulator's code, so a result can be stored on disk under a stable content
+hash of the config and replayed instead of re-simulated. Regenerating an
+unchanged figure then costs a handful of small JSON reads instead of seconds
+of DES time.
 
-Layout: ``<cache_dir>/v<schema>/<key[:2]>/<key>.json``. Each entry stores the
-canonical config alongside the :func:`result_to_dict` payload, so entries are
-self-describing and auditable. Bumping :data:`CACHE_SCHEMA_VERSION` (done
-whenever the simulator's behaviour or the result encoding changes
-incompatibly) orphans every old entry without touching them on disk.
+Layout: ``<cache_dir>/<code digest>/<key[:2]>/<key>.json``. The key,
+:func:`config_cache_key`, is the config's identity alone; the directory is
+named by :func:`code_digest`, a hash of every ``*.py`` file of the ``repro``
+package. Any edit to the package therefore starts an empty directory and
+orphans every old entry without touching it on disk, so a warm cache never
+serves results of code that has since changed. Each entry stores the
+canonical config and the code digest alongside the :func:`result_to_dict`
+payload, so entries are self-describing and auditable.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -27,23 +32,15 @@ from .export import result_from_dict, result_to_dict
 from .results import ExperimentResult
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "ResultCache",
+    "code_digest",
     "config_cache_key",
     "default_cache_dir",
+    "source_digest",
 ]
 
-#: Bump whenever simulator behaviour or the result encoding changes in a way
-#: that makes previously cached results stale.
-#: v2: per-tag throughput is single-sided (receiver host), latency payloads
-#: carry a ``dropped`` reservoir count, and results may embed audit reports.
-#: v3: latency ``count`` means total observations with ``retained`` explicit,
-#: reservoir RNG streams are per-host, configs grow a ``trace`` key field,
-#: and traced results embed per-stage trace reports.
-#: v4: the copy latency is a log-linear streaming histogram (the trace's
-#: ``e2e`` stage) instead of a reservoir summary, so its payload and its
-#: p50/p99 change, and every trace histogram uses the log-linear buckets.
-CACHE_SCHEMA_VERSION = 4
+#: The ``repro`` package directory, whose source :func:`code_digest` hashes.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 #: Orphaned write-then-rename temp files older than this are swept. Long
 #: enough that no live writer (a single experiment runs in seconds) can be
@@ -51,16 +48,34 @@ CACHE_SCHEMA_VERSION = 4
 STALE_TMP_SECONDS = 3600.0
 
 
-def config_cache_key(
-    config: ExperimentConfig, schema_version: int = CACHE_SCHEMA_VERSION
-) -> str:
-    """Stable SHA-256 content hash of a config under a cache schema version."""
+def config_cache_key(config: ExperimentConfig) -> str:
+    """Stable SHA-256 content hash of a config: its identity, whatever code
+    simulates it."""
     document = json.dumps(
-        {"schema_version": schema_version, "config": config.to_canonical_dict()},
-        sort_keys=True,
-        separators=(",", ":"),
+        config.to_canonical_dict(), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
+def source_digest(root: Path) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``, in sorted order of
+    their relative POSIX paths, each path hashed with its bytes.
+
+    Only ``.py`` files count, so ``__pycache__`` and its ``.pyc`` files do
+    not: compiling the package leaves its digest where it was.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """:func:`source_digest` of the ``repro`` package, computed once per
+    process and only when a :class:`ResultCache` first touches its entries."""
+    return source_digest(PACKAGE_ROOT)
 
 
 def default_cache_dir() -> str:
@@ -72,27 +87,28 @@ def default_cache_dir() -> str:
 
 
 class ResultCache:
-    """On-disk result store keyed by config content hash.
+    """On-disk result store keyed by config content hash, under a directory
+    named by the code digest.
 
     ``get``/``put`` are the whole interface the runner needs; hit/miss
     counters let callers (and tests) observe cache effectiveness.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        schema_version: int = CACHE_SCHEMA_VERSION,
-    ) -> None:
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.root = Path(cache_dir if cache_dir is not None else default_cache_dir())
-        self.schema_version = schema_version
         self.hits = 0
         self.misses = 0
 
     def key(self, config: ExperimentConfig) -> str:
-        return config_cache_key(config, self.schema_version)
+        return config_cache_key(config)
+
+    @property
+    def code_root(self) -> Path:
+        """The directory holding the entries of the code that runs now."""
+        return self.root / code_digest()
 
     def path_for(self, key: str) -> Path:
-        return self.root / f"v{self.schema_version}" / key[:2] / f"{key}.json"
+        return self.code_root / key[:2] / f"{key}.json"
 
     def get(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
         """The cached result for ``config``, or ``None`` on a miss.
@@ -121,7 +137,7 @@ class ResultCache:
         document = json.dumps(
             {
                 "key": key,
-                "schema_version": self.schema_version,
+                "code_digest": code_digest(),
                 "config": config.to_canonical_dict(),
                 "result": result_to_dict(result),
             },
@@ -157,22 +173,22 @@ class ResultCache:
         return removed
 
     def clear(self) -> int:
-        """Delete every entry of this cache's schema version (and any
-        orphaned temp files, whatever their age); returns the entry count."""
+        """Delete every entry of the running code's digest (and any orphaned
+        temp files, whatever their age); returns the entry count."""
         removed = 0
-        version_root = self.root / f"v{self.schema_version}"
-        if not version_root.exists():
+        code_root = self.code_root
+        if not code_root.exists():
             return 0
-        for entry in sorted(version_root.rglob("*.json")):
+        for entry in sorted(code_root.rglob("*.json")):
             entry.unlink()
             removed += 1
-        for tmp in sorted(version_root.rglob("*.tmp.*")):
+        for tmp in sorted(code_root.rglob("*.tmp.*")):
             tmp.unlink()
         return removed
 
     def __len__(self) -> int:
-        version_root = self.root / f"v{self.schema_version}"
-        if not version_root.exists():
+        code_root = self.code_root
+        if not code_root.exists():
             return 0
         # repro-lint: allow[det-fs-order] counting entries is order-insensitive
-        return sum(1 for _ in version_root.rglob("*.json"))
+        return sum(1 for _ in code_root.rglob("*.json"))

@@ -68,13 +68,11 @@ FUNCTION_CATEGORY: Dict[str, Category] = {
     "mlx5e_xmit": Category.NETDEV,
     "dev_gro_receive": Category.NETDEV,
     "napi_gro_flush": Category.NETDEV,
-    "gso_segment": Category.NETDEV,
     "__qdisc_run": Category.NETDEV,
     "dev_queue_xmit": Category.NETDEV,
     "net_rx_action": Category.NETDEV,
     # --- skb management --------------------------------------------------------
     "__skb_clone": Category.SKB_MGMT,
-    "skb_segment": Category.SKB_MGMT,
     "skb_release_data": Category.SKB_MGMT,
     "__build_skb": Category.SKB_MGMT,
     "skb_put": Category.SKB_MGMT,

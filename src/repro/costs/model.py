@@ -35,7 +35,6 @@ class CostModel:
     skb_build_cycles: float = 180.0      # __build_skb (skb mgmt)
     skb_put_cycles: float = 60.0         # per-frag attach (skb mgmt)
     skb_release_cycles: float = 150.0    # skb_release_data (skb mgmt)
-    skb_segment_per_seg: float = 160.0   # software GSO split (skb mgmt)
     skb_clone_cycles: float = 180.0      # retransmit clone (skb mgmt)
 
     # --- TCP/IP processing ---------------------------------------------------------------
@@ -56,10 +55,8 @@ class CostModel:
     driver_rx_per_frame: float = 200.0   # mlx5e_poll_rx_cq per completion
     gro_receive_per_frame: float = 340.0 # merge attempt per frame
     gro_flush_per_skb: float = 160.0
-    gso_segment_per_frame: float = 90.0  # software segmentation, per produced seg
     qdisc_per_skb: float = 340.0
     driver_tx_per_skb: float = 300.0
-    driver_tx_per_frame: float = 25.0    # descriptor writes when NIC lacks TSO
     rps_backlog_enqueue_cycles: float = 250.0  # software-steering IPI + backlog
 
     # --- memory management ------------------------------------------------------------------
@@ -155,24 +152,12 @@ class CostTables:
             ("skb_put", costs.skb_put_cycles),
         )
         # --- memo dictionaries (keyed by batch size) ----------------------
-        self._segmentation: dict = {}
         self._tx_tail: dict = {}
         self._clean_rtx: dict = {}
         self._gro_flush: dict = {}
         self._napi_head: dict = {}
         self._sendmsg_skbs: dict = {}
         self._copy_per_byte: dict = {}
-
-    def segmentation(self, payload_bytes: int, mss: int, tso: bool):
-        """Memoized :func:`repro.kernel.gso.segmentation_charges`."""
-        key = (payload_bytes, mss, tso)
-        entry = self._segmentation.get(key)
-        if entry is None:
-            from ..kernel.gso import segmentation_charges
-
-            items, nframes = segmentation_charges(payload_bytes, mss, tso, self.costs)
-            entry = self._segmentation[key] = (tuple(items), nframes)
-        return entry
 
     def tx_tail(self, nskbs: int) -> ChargeTuple:
         """Per-burst transmit charges below TCP (one entry per layer)."""

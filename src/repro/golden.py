@@ -4,7 +4,8 @@ The configs every figure panel submits come from
 :func:`repro.figures.base.harvest_configs`; each unique config is simulated
 with shortened measurement windows and reduced to two stable strings:
 
-* the persistent-cache key of the *original* (full-window) config, and
+* the identity (:func:`config_cache_key`) of the *original* (full-window)
+  config, and
 * a SHA-256 digest of the canonical ``result_to_dict`` payload of the
   shortened run.
 
@@ -23,7 +24,7 @@ import json
 from typing import Tuple
 
 from .config import ExperimentConfig
-from .core.cache import CACHE_SCHEMA_VERSION, config_cache_key
+from .core.cache import config_cache_key
 from .core.experiment import Experiment
 from .core.export import result_to_dict
 from .figures.base import harvest_configs
@@ -49,7 +50,7 @@ def result_digest(result) -> str:
 
 
 def golden_run(config: ExperimentConfig) -> Tuple[str, Experiment, str]:
-    """Run ``config`` at the golden windows: ``(cache key of the full config,
+    """Run ``config`` at the golden windows: ``(identity of the full config,
     the finished experiment, digest of its result)``."""
     experiment = Experiment(
         config.replace(duration_ns=GOLDEN_DURATION_NS, warmup_ns=GOLDEN_WARMUP_NS)
@@ -73,7 +74,6 @@ def compute_golden_document() -> dict:
             "result_sha256": digest,
         }
     return {
-        "cache_schema_version": CACHE_SCHEMA_VERSION,
         "duration_ns": GOLDEN_DURATION_NS,
         "warmup_ns": GOLDEN_WARMUP_NS,
         "digests": digests,

@@ -2,10 +2,11 @@
 
 This implements §2.1's sender-side path: ``sendmsg`` copies user data into
 kernel pages (cost depends on sender L3 warmth), TCP/IP processing emits
-GSO-sized skbs when window space allows, segmentation happens in the NIC
-(TSO) or in software (GSO), and ACK processing — including SACK loss
-recovery, the retransmission deadline and the zero-window probe — runs in
-softirq context on whatever core the flow's ACKs are steered to.
+GSO-sized skbs when window space allows and the NIC segments them (TSO); with
+TSO off, TCP emits MSS-sized skbs, as the paper's "No Opt." stack disables
+GSO too (§2.1 footnote 5). ACK processing — including SACK loss recovery,
+the retransmission deadline and the zero-window probe — runs in softirq
+context on whatever core the flow's ACKs are steered to.
 
 A host holds a :class:`TcpSender` only for the flows that send from it: a
 stream's sender host, or both ends of an RPC connection (where ``receiver``
@@ -253,8 +254,6 @@ class TcpSender:
 
     def _emit_burst(self, burst: int, core: "Core", context, priority: int) -> None:
         tables = self.tables
-        mss = self.mss
-        tso = self.opts.tso_gro
         gso_size = self.gso_size
         segments = self.segments
         items: ChargeItems = []
@@ -273,9 +272,7 @@ class TcpSender:
             segment.pages = (size + PAGE_BYTES - 1) // PAGE_BYTES
             segment.retx_ns = -1
             segments.append(segment)
-            seg_items, nframes = tables.segmentation(size, mss, tso)
-            items.extend(seg_items)
-            self._append_data_frames(frames, seq, size, nframes)
+            self._append_data_frames(frames, seq, size)
             seq += size
             emitted += size
             nskbs += 1
@@ -326,20 +323,19 @@ class TcpSender:
 
         core.submit_work(context, items, done, priority)
 
-    def _append_data_frames(self, frames: List[Frame], seq: int, size: int, nframes: int) -> None:
-        """Append the (at most ``nframes``) MSS-sized wire frames of the
-        ``size`` bytes from ``seq`` to ``frames``."""
+    def _append_data_frames(self, frames: List[Frame], seq: int, size: int) -> None:
+        """Append the MSS-sized wire frames of the ``size`` bytes from
+        ``seq`` to ``frames``: the NIC's segmentation, which charges the
+        host nothing."""
         append = frames.append
         mss = self.mss
         flow_id = self.flow_id
         kind_data = Frame.KIND_DATA
         offset = 0
         frame_new = Frame.__new__
-        for _ in range(nframes):
+        while offset < size:
             remaining = size - offset
             payload = mss if mss < remaining else remaining
-            if payload <= 0:
-                break
             # direct slot assignment (bypassing __init__): per-frame hot path
             frame = frame_new(Frame)
             frame.flow_id = flow_id
@@ -551,15 +547,11 @@ class TcpSender:
             if segment.end_seq <= self.snd_una:
                 continue  # acked in the meantime
             self.retransmits += 1
-            seg_items, nframes = self.tables.segmentation(
-                segment.length, self.mss, self.opts.tso_gro
-            )
-            items.extend(seg_items)
             items.append(("__skb_clone", self.costs.skb_clone_cycles))
             items.append(("tcp_retransmit_skb", self.costs.tcp_retransmit_cycles))
             items.append(("__qdisc_run", self.costs.qdisc_per_skb))
             items.append(("mlx5e_xmit", self.costs.driver_tx_per_skb))
-            self._append_data_frames(frames, segment.seq, segment.length, nframes)
+            self._append_data_frames(frames, segment.seq, segment.length)
         if not frames:
             return
         context = core.softirq_context

@@ -94,14 +94,6 @@ COST_PROBES = {
     ),
 }
 
-#: Constants no config can reach, each with why. They are charged only for
-#: software GSO of a multi-frame skb, and with TSO off the sender's skbs are
-#: one MSS long (``TcpSender.gso_size``), so that split never happens.
-UNREACHABLE = {
-    name: "software GSO of a multi-frame skb: with TSO off skbs are one MSS"
-    for name in ("gso_segment_per_frame", "skb_segment_per_seg", "driver_tx_per_frame")
-}
-
 
 @pytest.fixture(scope="module")
 def probe_digests():
@@ -123,14 +115,8 @@ def _moves(name: str, probe_digests) -> bool:
 
 def test_every_cost_constant_moves_a_result(probe_digests):
     names = [f.name for f in dataclasses.fields(CostModel)]
-    assert set(UNREACHABLE) <= set(names), "an exemption names no cost constant"
-    dead = [
-        name for name in names
-        if name not in UNREACHABLE and not _moves(name, probe_digests)
-    ]
+    dead = [name for name in names if not _moves(name, probe_digests)]
     assert not dead, (
         f"cost constants that move no probe result when scaled by 1.25: {dead}; "
         "delete each, or add a probe config that charges it"
     )
-    # An exemption that starts to move a result is stale.
-    assert not [name for name in UNREACHABLE if _moves(name, probe_digests)]

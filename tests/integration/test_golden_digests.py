@@ -2,10 +2,11 @@
 
 Compares every unique figure-experiment config against the committed
 reference in ``tests/golden/figure_digests.json``. Each entry is keyed by the
-persistent-cache key of the full-window config, so the pinned keys must be
-exactly those of the configs the panels submit today; adding or removing a
-config field moves every key, and the entries are then re-keyed with their
-digests untouched. The SHA-256 digest of the canonical ``result_to_dict``
+identity (``config_cache_key``) of the full-window config, so the pinned keys
+must be exactly those of the configs the panels submit today; adding or
+removing a config field moves every key, and the entries are then re-keyed
+with their digests untouched. A code edit does not move the identities: the
+result cache tells code versions apart by its directory, not by the key. The SHA-256 digest of the canonical ``result_to_dict``
 payload of a shortened run must be byte-identical (no float anywhere in any
 result moved). The digests were generated with the original heap engine,
 so this test is the proof that every later engine and hot-path rewrite is
@@ -31,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.audit import AuditError, audit_experiment
-from repro.core.cache import CACHE_SCHEMA_VERSION, config_cache_key
+from repro.core.cache import config_cache_key
 from repro.figures.base import harvest_configs
 from repro.golden import GOLDEN_DURATION_NS, GOLDEN_WARMUP_NS, golden_run
 
@@ -45,7 +46,7 @@ def golden_document():
 
 
 def test_golden_file_matches_current_schema(golden_document):
-    assert golden_document["cache_schema_version"] == CACHE_SCHEMA_VERSION
+    """The pinned digests were taken at today's golden windows."""
     assert golden_document["duration_ns"] == GOLDEN_DURATION_NS
     assert golden_document["warmup_ns"] == GOLDEN_WARMUP_NS
 
@@ -75,21 +76,21 @@ def test_result_digests_are_byte_identical(golden_document, figure_sweep):
 #: The panels of the ``bulk_traced`` benchmark workload, run with tracing on.
 TRACED_PANELS = ("fig3a", "fig12a")
 
-#: Cache key of each full-window traced config -> digest of its shortened
+#: Identity of each full-window traced config -> digest of its shortened
 #: (golden-window) run, trace payload included.
 TRACED_DIGESTS = {
-    "2120eb5bd32cffdaeeb6b379974b2a4f87d18debde90bcd8922cb7489a74a237": "47a4d36e89adbf70f4a520658facf6aedbcc6d0f19056637a866e8d2ddf83a2c",
-    "4665d14ae85aed3aa0b3ca07b70b8e98d8ad365f590cea8d4f99a0bafe32b6bc": "e48e69ca41c3ca6e79d82cd3900b141ab3e9fda1034d43f1d5b7fbb97efff598",
-    "c8dcae6643c4fbaea9c5f0fa565b9a2b69096bb0642af91dc35c573c122d5d15": "12e010347f66288299c2d06f83225debda65295f8d60b1dc2adb1ffbd2aaf022",
-    "adc24a68311d323ee46c7f91165d156c32805d22bf5e714d123c13477be6df05": "10a416c2de12ebfedd7fdb6a4069948e59e3e4fe382a14b8026d01a484b9d096",
-    "c5aaa8fe38b7551062cb3429e9c57b9ada9e5f8a33f16ff43e3fea3981acbdb4": "47a4d36e89adbf70f4a520658facf6aedbcc6d0f19056637a866e8d2ddf83a2c",
-    "4482e855485314bfe5b01239789ed999735d9a6af52e28e564e8017666ff4d1f": "e48e69ca41c3ca6e79d82cd3900b141ab3e9fda1034d43f1d5b7fbb97efff598",
-    "399b0cab1451a5004ecb8cdcab20c042ad6d5fdc0deb1a8739217a971312a6bb": "12e010347f66288299c2d06f83225debda65295f8d60b1dc2adb1ffbd2aaf022",
-    "525162b67c91d13bd77722778d7247f1cf98b93c3a15ce63001c1439c8d97e85": "4e57ad97117ed0713ffa1ddb59948a21081a4c3c54629ca21d09e95e057bbb45",
-    "74eef45b6cfe96a2e1bc56354f741773c179706f6a06ea8596f762862d4ebe06": "62d630046777023815940677252b12eaa33feaff35095a48b4e99272b906ed8c",
-    "64a63ce0912dee86632cbbeec3b9beaa18864a577c1ffdeb8adbaf6099bd64a2": "d422a3b6a5b18b118a30cc7ec4102a7484a8bd888874a5b61d2a703378c35354",
-    "3f5890a6e4b89b1a757cdfc1087619a74c78e69167193c9cd8f5d4a4fd17d6af": "eb472956900ea33635463678a56319828850d55d949226324251183ab6a76793",
-    "6606220cd187e92efc49faa034997574bc28ead55f30c2d53f2d46c2c4e8e2e6": "34269d7b2582cb88a6ea96940d5a322011e434765cb071d9ac8ff80d9ad98817",
+    "97abdbc66bd1da92dc527cf32fedecbd23914cb296aafa8e04ea1bedea85f544": "47a4d36e89adbf70f4a520658facf6aedbcc6d0f19056637a866e8d2ddf83a2c",
+    "859eb575973a065b364fea3ea9bd0987cd0684950f34f8989e76496f6910ab97": "e48e69ca41c3ca6e79d82cd3900b141ab3e9fda1034d43f1d5b7fbb97efff598",
+    "404e25a2a42dbe872547e55f6f1530d8f78fb91cc88710c22849ffeb510c29c0": "12e010347f66288299c2d06f83225debda65295f8d60b1dc2adb1ffbd2aaf022",
+    "e32f809158505b74b74c99b14063152f329d5b60b470fb637421141ea2d46504": "10a416c2de12ebfedd7fdb6a4069948e59e3e4fe382a14b8026d01a484b9d096",
+    "41c03c1c890dd5e4011f41a98f8108378a57f2e25776985326bb708b86572d19": "47a4d36e89adbf70f4a520658facf6aedbcc6d0f19056637a866e8d2ddf83a2c",
+    "452a1ebb194147608a1450b92d73c2334140fc524ac80bd239b35bd95da17c66": "e48e69ca41c3ca6e79d82cd3900b141ab3e9fda1034d43f1d5b7fbb97efff598",
+    "2e47c2377a2804574ca33e3184c100f27b8dbbe9c36b0204cb48ffc8ab828f47": "12e010347f66288299c2d06f83225debda65295f8d60b1dc2adb1ffbd2aaf022",
+    "982ff6c4e7fcc0a6db29fe50d5068f30494d178a5c3509f6f4d3155c3f357842": "4e57ad97117ed0713ffa1ddb59948a21081a4c3c54629ca21d09e95e057bbb45",
+    "b44272819ba5e8e61ae09445ad69265457bd6129b85c6e072244b87dff7c9188": "62d630046777023815940677252b12eaa33feaff35095a48b4e99272b906ed8c",
+    "a29bd0e2806fab88af757ffcddefe0f867b939b31c11d8890bc30715eca02a25": "d422a3b6a5b18b118a30cc7ec4102a7484a8bd888874a5b61d2a703378c35354",
+    "0747edc53fc068ec069986fb5968f823d0fa653524d2073c1e9e73bf3ef08901": "eb472956900ea33635463678a56319828850d55d949226324251183ab6a76793",
+    "9127b9ad11fbb9a74071182954b40ea5f9c4400128c67a7b9f01ad13bf703272": "34269d7b2582cb88a6ea96940d5a322011e434765cb071d9ac8ff80d9ad98817",
 }
 
 
@@ -98,10 +99,10 @@ TRACED_DIGESTS = {
 TRACED_LOSSY_PANELS = ("fig9a",)
 
 TRACED_LOSSY_DIGESTS = {
-    "10fef91a599668cba0395fbaa9cbea2d0d1b8d0d68ca4e4033bc43cf0492ad54": "b38e898ba6c734671fc7569b1bbc4110737e774b7b220bf233d09b8820ab2dd3",
-    "8dbb9cd736334d9944b5db02b7e270b35fa4d75ca10aec4411eed9efdbe44b2f": "b38e898ba6c734671fc7569b1bbc4110737e774b7b220bf233d09b8820ab2dd3",
-    "0291df9cf856db5929b46df884395ac3f10d42263cbe66c665db2a4a4d4a0f5b": "e702d9bcd0393f171b4398a5dc666dd72713516af35876c4db5173a713bd3565",
-    "bb0ac1964233e8582355cf40bdf36328370e6d30fd294b9271b28444b6b52958": "5ba184fa3fa9d3daa40f2fd230a333b9445fd3124083b71bfcbb5182a0c0c2d3",
+    "158c3fe566230cd65beb8f2d8c90f98e83bbc3d5e424fe42881ead282465d76a": "b38e898ba6c734671fc7569b1bbc4110737e774b7b220bf233d09b8820ab2dd3",
+    "5d99b301d6e3bfd0b852b003b5557750e5b02dfe3d375272e09372a7e9816c89": "b38e898ba6c734671fc7569b1bbc4110737e774b7b220bf233d09b8820ab2dd3",
+    "289d7a86932040338812d16fa7f683fa98a117c4fd52f54a4227262fcc279ed7": "e702d9bcd0393f171b4398a5dc666dd72713516af35876c4db5173a713bd3565",
+    "f7936230c7165456c4d5baeb94d5558503dd5438fa8bb50aee350708319d17f2": "5ba184fa3fa9d3daa40f2fd230a333b9445fd3124083b71bfcbb5182a0c0c2d3",
 }
 
 

@@ -154,9 +154,20 @@ def test_validate_accepts_known_cost_override():
     ExperimentConfig(cost_overrides={"skb_free_cycles": 100.0}).validate()
 
 
-@pytest.mark.parametrize("name", ["csum_per_byte", "lro_nic_assist_per_frame"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "csum_per_byte",
+        "lro_nic_assist_per_frame",
+        "gso_segment_per_frame",
+        "skb_segment_per_seg",
+        "driver_tx_per_frame",
+    ],
+)
 def test_deleted_dead_cost_constant_is_an_unknown_override(name):
-    # Both were 0.0 and charged nowhere, so an override changed nothing.
+    # The first two were 0.0 and charged nowhere; the software-GSO three were
+    # charged only for a multi-frame skb with TSO off, which never exists.
+    # So an override of any of them changed nothing.
     with pytest.raises(ValueError, match="unknown cost_overrides keys"):
         ExperimentConfig(cost_overrides={name: 1e6})
 

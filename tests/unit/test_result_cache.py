@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import shutil
+
+import pytest
 
 from repro.config import (
     ExperimentConfig,
@@ -15,14 +18,13 @@ from repro.config import (
     TrafficPattern,
     WorkloadConfig,
 )
-from repro.core.cache import CACHE_SCHEMA_VERSION, ResultCache, config_cache_key
+from repro.core import cache as cache_module
+from repro.core.cache import ResultCache, config_cache_key, source_digest
 from repro.units import kb
 
 from .test_results import make_result
 
-
-def key(config, schema_version=CACHE_SCHEMA_VERSION):
-    return config_cache_key(config, schema_version)
+key = config_cache_key
 
 
 def test_key_is_stable_and_shared_by_equal_configs():
@@ -78,11 +80,6 @@ def test_cost_override_value_change_changes_the_key():
     assert key(a) != key(b)
 
 
-def test_schema_version_bump_changes_the_key():
-    config = ExperimentConfig()
-    assert key(config, 1) != key(config, 2)
-
-
 def test_canonical_dict_is_json_stable():
     canonical = ExperimentConfig().to_canonical_dict()
     assert json.loads(json.dumps(canonical)) == canonical
@@ -105,14 +102,6 @@ def test_get_miss_on_unknown_config(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.get(ExperimentConfig()) is None
     assert cache.misses == 1
-
-
-def test_schema_bump_invalidates_old_entries(tmp_path):
-    old = ResultCache(tmp_path, schema_version=1)
-    old.put(ExperimentConfig(), make_result())
-    new = ResultCache(tmp_path, schema_version=2)
-    assert new.get(ExperimentConfig()) is None
-    assert old.get(ExperimentConfig()) is not None  # old entries untouched
 
 
 def test_corrupt_entry_is_treated_as_miss(tmp_path):
@@ -175,3 +164,59 @@ def test_clear_removes_tmp_files_of_any_age(tmp_path):
     assert cache.clear() == 1
     assert not fresh.exists()
     assert len(cache) == 0
+
+
+# --- results keyed by the code that made them ---------------------------------
+
+
+@pytest.fixture
+def package_copy(tmp_path):
+    """A copy of the ``repro`` package's source, outside the package."""
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        cache_module.PACKAGE_ROOT, copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return copy
+
+
+def test_editing_a_cost_constant_moves_the_code_digest(package_copy):
+    before = source_digest(package_copy)
+    assert before == cache_module.code_digest()
+    model = package_copy / "costs" / "model.py"
+    text = model.read_text()
+    assert "syscall_cycles: float = 500.0" in text
+    model.write_text(text.replace("syscall_cycles: float = 500.0", "syscall_cycles: float = 501.0"))
+    assert source_digest(package_copy) != before
+
+
+def test_bytecode_and_files_outside_the_package_leave_the_digest(package_copy):
+    before = source_digest(package_copy)
+    pycache = package_copy / "core" / "__pycache__"
+    pycache.mkdir()
+    (pycache / "cache.cpython-311.pyc").write_bytes(b"\x00compiled")
+    (package_copy.parent / "outside.py").write_text("X = 1\n")
+    assert source_digest(package_copy) == before
+
+
+def test_entry_of_other_code_is_a_miss_and_stays_on_disk(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "code_digest", lambda: "0" * 64)
+        stale = cache.put(ExperimentConfig(), make_result())
+    assert cache.get(ExperimentConfig()) is None
+    assert stale.exists()
+    assert len(cache) == 0
+
+
+def test_config_identity_ignores_the_code_digest(monkeypatch):
+    config = ExperimentConfig()
+    before = key(config)
+    monkeypatch.setattr(cache_module, "code_digest", lambda: "0" * 64)
+    assert key(config) == before
+
+
+def test_entry_records_the_code_digest(tmp_path):
+    path = ResultCache(tmp_path).put(ExperimentConfig(), make_result())
+    entry = json.loads(path.read_text())
+    assert entry["code_digest"] == cache_module.code_digest()
+    assert path.parent.parent.name == cache_module.code_digest()

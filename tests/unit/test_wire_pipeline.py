@@ -146,9 +146,10 @@ def test_link_inflight_matches_queued_deliveries():
 
 # --- cache-key transparency ---------------------------------------------------
 
-# The default config's cache key. The frame_trains/express flags were never
-# part of it; it last moved with ``CACHE_SCHEMA_VERSION`` 4.
-DEFAULT_CACHE_KEY = "cf00ac667956f84e0346d53330d656ef7edd46d32292f8b81c822c034dc4cfbb"
+# The default config's identity. The frame_trains/express flags were never
+# part of it. It last moved when the cache moved its code version out of the
+# key and into the directory name, so that the key hashes the config alone.
+DEFAULT_CACHE_KEY = "890165887494f897e11bf03d324c9408e1c31aa0a8b8751b39754a8e738f21a1"
 
 
 def test_removed_mode_flag_not_in_cache_key():
